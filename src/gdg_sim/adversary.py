@@ -6,6 +6,12 @@ targets are adjacent it withholds the edge between them, and when they are
 at distance two it forks the execution one round ahead to decide whether a
 single edge removal is needed. Every emitted snapshot misses at most one
 edge, so the schedule is always-connected by construction.
+
+The adversary steps the engine straight from its snapshots: each round
+hands the candidate snapshot and the last emitted one to
+``sim_engine.step``, so a round costs the same at any depth and a duel runs
+in time linear in its horizon. The only ring it builds is the schedule it
+emits.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .ring_model import (
     verify_class,
 )
 from . import sim_engine
-from .sim_engine import ComputeFn, Configuration, Trace, TraceEvent, compute
+from .sim_engine import ComputeFn, Trace, TraceEvent, compute
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,17 +156,6 @@ def _edge_between(a: int, b: int, n: int) -> int:
     raise ValueError("nodes are not adjacent")
 
 
-def _step_with_snapshot(
-    config: Configuration,
-    snapshots: list[Snapshot],
-    snap: Snapshot,
-    n: int,
-    compute_fn: ComputeFn,
-) -> tuple[Configuration, TraceEvent]:
-    ring = EvolvingRing(n, Schedule(tuple(snapshots) + (snap,), (_all_present(n),)))
-    return sim_engine.step(config, ring, compute_fn)
-
-
 def adaptive_ac_adversary(
     n: int,
     R: int,
@@ -175,6 +170,8 @@ def adaptive_ac_adversary(
         raise ValueError("targets must be distinct robots on distinct nodes")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
+    if n < 4:
+        raise ValueError("ring size must be >= 4")
 
     config = sim_engine.initial_configuration(placement, n)
     snapshots: list[Snapshot] = []
@@ -182,6 +179,7 @@ def adaptive_ac_adversary(
     defeated: Optional[int] = None
 
     while config.round < horizon:
+        prev_snap = snapshots[-1] if snapshots else None
         p1, p2 = config.positions[r1], config.positions[r2]
         d = _ring_distance(p1, p2, n)
         snap = _all_present(n)
@@ -190,14 +188,14 @@ def adaptive_ac_adversary(
         elif d == 2:
             # One-round fork under the all-present continuation: only if the
             # targets would meet do we withhold the edge they meet across.
-            fork, _ = _step_with_snapshot(config, snapshots, snap, n, compute_fn)
+            fork, _ = sim_engine.step(config, snap, prev_snap, compute_fn)
             if fork.positions[r1] == fork.positions[r2]:
                 meeting = fork.positions[r1]
                 if _ring_distance(p1, meeting, n) == 1:
                     snap = _absent_one(n, _edge_between(p1, meeting, n))
                 else:
                     snap = _absent_one(n, _edge_between(p2, meeting, n))
-        config, event = _step_with_snapshot(config, snapshots, snap, n, compute_fn)
+        config, event = sim_engine.step(config, snap, prev_snap, compute_fn)
         snapshots.append(snap)
         events.append(event)
         if config.positions[r1] == config.positions[r2] and defeated is None:

@@ -174,7 +174,7 @@ def monitor_invariants(trace: Trace, ids: Optional[list[int]] = None) -> list[tu
         # While a robot remains righter/potentialMin it
         # must have chosen right at every Move phase so far.
         for rid, rec in ev.robots.items():
-            if rec.rule is None or rec.rule == "terminated":
+            if rec.rule == "terminated":
                 continue
             if states[rid] in RIGHTWARD_NAMES:
                 if rec.dir != "right" or not dir_history_ok[rid]:

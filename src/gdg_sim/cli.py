@@ -205,18 +205,27 @@ def cmd_batch(args: argparse.Namespace) -> int:
             trace, _ = run(ring, placement, horizon, class_claim=dyn.tag, seed=seed)
             verdict = check_variant(trace, horizon, bound)
             report["runs"].append(
-                {"index": i, "class": dyn.tag, "seed": seed, **verdict.to_dict()}
+                {
+                    "index": i,
+                    "class": dyn.tag,
+                    "seed": seed,
+                    "ok": EXPECTED_VARIANT[dyn.tag] in verdict.variants,
+                    **verdict.to_dict(),
+                }
             )
             per_class.setdefault(dyn.tag, []).append(set(verdict.variants))
         except Exception as exc:  # noqa: BLE001 - batch must keep going
-            report["runs"].append({"index": i, "error": str(exc)})
+            report["runs"].append(
+                {"index": i, "ok": False, "error": str(exc), "error_type": type(exc).__name__}
+            )
     for tag, variant_sets in per_class.items():
         common = set.intersection(*variant_sets) if variant_sets else set()
         report["matrix"][tag] = sorted(common)
     print(json.dumps(report, indent=2))
     if args.report_out:
         Path(args.report_out).write_text(json.dumps(report, indent=2) + "\n")
-    return 0
+    # Exit 1 if any entry raised or missed its class's expected variant.
+    return 0 if all(r["ok"] for r in report["runs"]) else VERDICT_FAILURE
 
 
 def _run_namespace(entry: dict) -> argparse.Namespace:

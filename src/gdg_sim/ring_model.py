@@ -67,9 +67,12 @@ class EvolvingRing:
     def __post_init__(self) -> None:
         if self.n < 4:
             raise ValueError("ring size must be >= 4")
-        for snap in self.schedule.prefix + self.schedule.cycle:
+        snaps = self.schedule.prefix + self.schedule.cycle
+        for snap in snaps:
             if len(snap) != self.n:
                 raise ValueError("snapshot length must equal ring size")
+        if not set().union(*snaps) <= {0, 1}:
+            raise ValueError("schedule bits must be 0 or 1")
 
     def snapshot(self, t: int) -> Snapshot:
         return self.schedule.at(t)
@@ -231,8 +234,15 @@ def ring_to_json(ring: EvolvingRing) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+def _snapshot_from_json(row: list) -> Snapshot:
+    snap = tuple(int(b) for b in row)
+    if snap != tuple(row):  # int() would turn 0.5 into a valid-looking 0
+        raise ValueError("schedule bits must be 0 or 1")
+    return snap
+
+
 def ring_from_json(text: str) -> EvolvingRing:
     doc = json.loads(text)
-    prefix = tuple(tuple(int(b) for b in row) for row in doc["prefix"])
-    cycle = tuple(tuple(int(b) for b in row) for row in doc["cycle"])
+    prefix = tuple(_snapshot_from_json(row) for row in doc["prefix"])
+    cycle = tuple(_snapshot_from_json(row) for row in doc["cycle"])
     return EvolvingRing(int(doc["n"]), Schedule(prefix, cycle))

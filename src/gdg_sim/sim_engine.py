@@ -38,7 +38,7 @@ class RobotRecord:
     position: int  # node occupied at the end of the round
     state: str
     dir: str
-    rule: Optional[str]  # None for already-terminated robots
+    rule: str  # fired rule, or "terminated" for already-terminated robots
     moved: bool
 
 
@@ -82,13 +82,21 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
     )
 
 
-def build_view(config: Configuration, ring: EvolvingRing, robot_id: int) -> View:
+def build_view(
+    config: Configuration,
+    snap: Snapshot,
+    prev_snap: Optional[Snapshot],
+    robot_id: int,
+) -> View:
+    """What one robot looks at: this round's snapshot and the previous one.
+
+    prev_snap is None at round 0, where no edge counts as previously present.
+    """
     if robot_id not in config.vars:
         raise KeyError(f"unknown robot id {robot_id}")
-    t = config.round
+    n = len(snap)
     node = config.positions[robot_id]
-    snap = ring.snapshot(t)
-    prev_snap = ring.snapshot(t - 1) if t > 0 else None
+    right, left = right_edge_of(node, n), left_edge_of(node, n)
     mates = tuple(
         config.vars[other]
         for other in sorted(config.vars)
@@ -97,34 +105,42 @@ def build_view(config: Configuration, ring: EvolvingRing, robot_id: int) -> View
     return View(
         self_vars=config.vars[robot_id],
         mates=mates,
-        edge_right_current=bool(snap[right_edge_of(node, ring.n)]),
-        edge_left_current=bool(snap[left_edge_of(node, ring.n)]),
-        edge_right_previous=bool(prev_snap[right_edge_of(node, ring.n)]) if prev_snap else False,
-        edge_left_previous=bool(prev_snap[left_edge_of(node, ring.n)]) if prev_snap else False,
-        has_moved=config.positions[robot_id] != config.prev_positions[robot_id],
-        n=ring.n,
+        edge_right_current=bool(snap[right]),
+        edge_left_current=bool(snap[left]),
+        edge_right_previous=prev_snap is not None and bool(prev_snap[right]),
+        edge_left_previous=prev_snap is not None and bool(prev_snap[left]),
+        has_moved=node != config.prev_positions[robot_id],
+        n=n,
         R=len(config.vars),
     )
 
 
 def step(
     config: Configuration,
-    ring: EvolvingRing,
+    snap: Snapshot,
+    prev_snap: Optional[Snapshot],
     compute_fn: ComputeFn = compute,
 ) -> tuple[Configuration, TraceEvent]:
-    """One full Look-Compute-Move round."""
+    """One full Look-Compute-Move round on the ring of size len(snap).
+
+    snap is the snapshot of round config.round and prev_snap the one of the
+    round before, or None at round 0. Nothing else of the schedule is read,
+    so a caller can choose each snapshot as the run goes.
+    """
     t = config.round
-    snap = ring.snapshot(t)
+    if (prev_snap is None) != (t == 0):
+        raise ValueError("prev_snap must be None exactly at round 0")
+    n = len(snap)
     new_vars: dict[int, RobotVars] = {}
-    fired: dict[int, Optional[str]] = {}
+    rules: dict[int, str] = {}
     for rid in sorted(config.vars):
         vars = config.vars[rid]
         if vars.terminated:
             new_vars[rid] = vars
-            fired[rid] = None
+            rules[rid] = "terminated"
             continue
-        view = build_view(config, ring, rid)
-        new_vars[rid], fired[rid] = compute_fn(view)
+        view = build_view(config, snap, prev_snap, rid)
+        new_vars[rid], rules[rid] = compute_fn(view)
 
     new_positions: dict[int, int] = {}
     moved: dict[int, bool] = {}
@@ -133,10 +149,10 @@ def step(
         vars = new_vars[rid]
         target = node
         if not vars.terminated:
-            if vars.dir is Direction.RIGHT and snap[right_edge_of(node, ring.n)]:
-                target = step_right(node, ring.n)
-            elif vars.dir is Direction.LEFT and snap[left_edge_of(node, ring.n)]:
-                target = step_left(node, ring.n)
+            if vars.dir is Direction.RIGHT and snap[right_edge_of(node, n)]:
+                target = step_right(node, n)
+            elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
+                target = step_left(node, n)
         new_positions[rid] = target
         moved[rid] = target != node
 
@@ -147,7 +163,7 @@ def step(
                 position=new_positions[rid],
                 state=new_vars[rid].state.value,
                 dir=new_vars[rid].dir.value,
-                rule="terminated" if config.vars[rid].terminated else fired[rid],
+                rule=rules[rid],
                 moved=moved[rid],
             )
             for rid in sorted(config.vars)
@@ -179,8 +195,11 @@ def run(
     config = initial_configuration(placement, ring.n)
     events: list[TraceEvent] = []
     termination: dict[int, Optional[int]] = {rid: None for rid in placement}
+    prev_snap: Optional[Snapshot] = None
     while config.round < horizon:
-        config, event = step(config, ring, compute_fn)
+        snap = ring.snapshot(config.round)
+        config, event = step(config, snap, prev_snap, compute_fn)
+        prev_snap = snap
         events.append(event)
         for rid, rec in event.robots.items():
             if rec.rule in ("Term1", "Term2") and termination[rid] is None:

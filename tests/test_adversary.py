@@ -7,6 +7,7 @@ from gdg_sim.adversary import (
     generate,
     never_move,
 )
+from gdg_sim import sim_engine
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -14,6 +15,7 @@ from gdg_sim.ring_model import (
     RE,
     ST,
     DynClass,
+    EvolvingRing,
     edge_present,
     verify_class,
 )
@@ -87,3 +89,58 @@ class TestAdaptiveAdversary:
     def test_rejects_bad_horizon(self):
         with pytest.raises(ValueError):
             adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 0)
+
+    def test_rejects_small_ring(self):
+        def must_not_compute(view):
+            raise AssertionError("the ring size is checked before any round runs")
+
+        with pytest.raises(ValueError):
+            adaptive_ac_adversary(
+                3, 4, {1: 0, 2: 1, 3: 2, 4: 0}, 1, 2, 10, compute_fn=must_not_compute
+            )
+
+    # The acceptance suite's duels: (n, placement, target r1, target r2).
+    DUELS = (
+        (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),
+        (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
+        (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
+    )
+
+    @pytest.mark.parametrize("n, placement, r1, r2", DUELS)
+    def test_trace_equals_replay_of_schedule(self, n, placement, r1, r2):
+        res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
+        replay, _ = sim_engine.run(res.ring, placement, 2000)
+        assert replay.events == res.trace.events
+
+    def test_steps_get_the_previous_emitted_snapshot(self, monkeypatch):
+        # Only headWalker reads the previous snapshot, and the duels never
+        # reach it, so the replay above cannot see a wrong handoff.
+        calls = []
+        step = sim_engine.step
+
+        def spy(config, snap, prev_snap, compute_fn):
+            calls.append((config.round, prev_snap))
+            return step(config, snap, prev_snap, compute_fn)
+
+        monkeypatch.setattr(sim_engine, "step", spy)
+        n, placement, r1, r2 = self.DUELS[1]
+        res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 500)
+        emitted = [ev.snapshot for ev in res.trace.events]
+        assert len(calls) > len(emitted)  # the forks are checked too
+        assert all(prev == (emitted[t - 1] if t else None) for t, prev in calls)
+        assert any(not all(prev) for t, prev in calls if t)  # edges were withheld
+
+    @pytest.mark.parametrize("horizon", [100, 1000])
+    def test_builds_one_ring_at_any_horizon(self, monkeypatch, horizon):
+        builds = []
+        init = EvolvingRing.__post_init__
+
+        def counted(ring):
+            builds.append(ring)
+            init(ring)
+
+        monkeypatch.setattr(EvolvingRing, "__post_init__", counted)
+        n, placement, r1, r2 = self.DUELS[1]
+        res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, horizon)
+        assert len(res.trace.events) == horizon
+        assert len(builds) == 1 and builds[0] is res.ring

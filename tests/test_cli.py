@@ -77,6 +77,15 @@ def test_schedule_class_mismatch_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("bit", [2, -1])
+def test_schedule_with_non_binary_bits_usage_error(tmp_path, capsys, bit):
+    sched = tmp_path / "ring.json"
+    sched.write_text(json.dumps({"n": 4, "prefix": [], "cycle": [[1, bit, 1, 1]]}))
+    code = main(["run", "--ids", "1,2,3,4", "--schedule", str(sched)])
+    assert code == 2
+    assert "0 or 1" in capsys.readouterr().err
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GDG_SEED", "99")
     out_a = tmp_path / "a.jsonl"
@@ -119,8 +128,46 @@ def test_batch_aggregates(tmp_path, capsys):
         )
     )
     code = main(["batch", "--spec", str(spec)])
-    assert code == 0
+    assert code == 1  # the bad entry fails the batch
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["runs"]) == 3
     assert "error" in doc["runs"][2]  # bad entry recorded, batch keeps going
     assert doc["matrix"]["st"] == ["G", "G_E", "G_EW", "G_W"]
+
+
+def _batch(tmp_path, entries):
+    spec = tmp_path / "batch.json"
+    spec.write_text(json.dumps(entries))
+    return main(["batch", "--spec", str(spec)])
+
+
+def test_batch_all_ok_exits_zero(tmp_path, capsys):
+    code = _batch(tmp_path, [{"n": 4, "ids": "1,2,3,4", "class": "st", "seed": s} for s in (1, 2)])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [r["ok"] for r in doc["runs"]] == [True, True]
+
+
+def test_batch_bad_entry_exits_one(tmp_path, capsys):
+    code = _batch(
+        tmp_path,
+        [
+            {"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1},
+            {"n": 2, "ids": "1,2,3,4", "class": "st", "seed": 1},
+        ],
+    )
+    assert code == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["runs"][0]["ok"]
+    bad = doc["runs"][1]
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "ValueError")
+    assert "ring size" in bad["error"]
+
+
+def test_batch_missed_variant_exits_one(tmp_path, capsys):
+    # One round is too short for four spread robots to gather.
+    code = _batch(tmp_path, [{"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1, "horizon": 1}])
+    assert code == 1
+    run = json.loads(capsys.readouterr().out)["runs"][0]
+    assert not run["ok"]
+    assert "G" not in run["variants"]

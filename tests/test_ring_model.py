@@ -153,6 +153,19 @@ class TestFootprints:
         assert 2 not in eventual_underlying(ring)
 
 
+class TestScheduleBits:
+    @pytest.mark.parametrize("bit", [2, -1])
+    def test_ring_rejects_non_binary_bits(self, bit):
+        with pytest.raises(ValueError):
+            ring_of(4, [[1, 1, 1, 1]], [[1, bit, 1, 1]])
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, '"1"'])
+    def test_json_rejects_non_binary_bits(self, bit):
+        text = f'{{"n": 4, "prefix": [[1, 1, {bit}, 1]], "cycle": [[1, 1, 1, 1]]}}'
+        with pytest.raises(ValueError):
+            ring_from_json(text)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------

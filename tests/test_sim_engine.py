@@ -1,5 +1,6 @@
 import pytest
 
+from gdg_sim import sim_engine
 from gdg_sim.gdg_protocol import Direction, RobotState
 from gdg_sim.ring_model import EvolvingRing, Schedule, static_ring
 from gdg_sim.sim_engine import (
@@ -17,12 +18,13 @@ def ring_of(n, prefix, cycle):
 
 
 PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
+FULL = (1, 1, 1, 1)
 
 
 class TestBuildView:
     def test_round_zero_has_no_history(self):
         config = initial_configuration(PLACEMENT, 4)
-        view = build_view(config, static_ring(4), 1)
+        view = build_view(config, FULL, None, 1)
         assert view.mates == ()
         assert not view.edge_right_previous
         assert not view.edge_left_previous
@@ -31,33 +33,37 @@ class TestBuildView:
 
     def test_mates_sorted_by_id(self):
         config = initial_configuration({1: 0, 2: 0, 3: 0, 4: 2}, 4)
-        view = build_view(config, static_ring(4), 2)
+        view = build_view(config, FULL, None, 2)
         assert [m.id for m in view.mates] == [1, 3]
 
     def test_edges_from_current_snapshot(self):
-        ring = ring_of(4, [[0, 1, 1, 1]], [[1, 1, 1, 1]])
         config = initial_configuration(PLACEMENT, 4)
-        view = build_view(config, ring, 1)  # node 0: right edge e0, left edge e3
+        view = build_view(config, (0, 1, 1, 1), None, 1)  # node 0: right edge e0, left edge e3
         assert not view.edge_right_current
         assert view.edge_left_current
+
+    def test_edges_from_previous_snapshot(self):
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        view = build_view(config, FULL, (1, 1, 1, 0), 4)  # node 0: right edge e0, left edge e3
+        assert view.edge_right_previous
+        assert not view.edge_left_previous
 
     def test_unknown_robot(self):
         config = initial_configuration(PLACEMENT, 4)
         with pytest.raises(KeyError):
-            build_view(config, static_ring(4), 9)
+            build_view(config, FULL, None, 9)
 
 
 class TestStep:
     def test_spread_righters_rotate(self):
         config = initial_configuration(PLACEMENT, 4)
-        config, event = step(config, static_ring(4))
+        config, event = step(config, FULL, None)
         assert config.positions == {1: 1, 2: 2, 3: 3, 4: 0}
         assert all(rec.rule == "M8" and rec.moved for rec in event.robots.values())
 
     def test_missing_edge_blocks_move(self):
-        ring = ring_of(4, [[0, 1, 1, 1]], [[1, 1, 1, 1]])
         config = initial_configuration(PLACEMENT, 4)
-        config, event = step(config, ring)
+        config, event = step(config, (0, 1, 1, 1), None)
         assert config.positions[1] == 0
         assert not event.robots[1].moved
         # the robot keeps trying: direction right, no step counted
@@ -65,19 +71,27 @@ class TestStep:
 
     def test_all_colocated_terminate_in_place(self):
         config = initial_configuration({1: 2, 2: 2, 3: 2, 4: 2}, 4)
-        config, event = step(config, static_ring(4))
+        config, event = step(config, FULL, None)
         assert all(rec.rule == "Term1" for rec in event.robots.values())
         assert all(v.terminated for v in config.vars.values())
         assert config.positions == {1: 2, 2: 2, 3: 2, 4: 2}
 
     def test_terminated_robots_stay_frozen(self):
         config = initial_configuration({1: 2, 2: 2, 3: 2, 4: 2}, 4)
-        config, _ = step(config, static_ring(4))
+        config, _ = step(config, FULL, None)
         frozen = dict(config.vars)
-        config, event = step(config, static_ring(4))
+        config, event = step(config, FULL, FULL)
         assert config.vars == frozen
         assert all(rec.rule == "terminated" for rec in event.robots.values())
         assert all(not rec.moved for rec in event.robots.values())
+
+    @pytest.mark.parametrize("round, prev_snap", [(0, FULL), (1, None)])
+    def test_prev_snapshot_must_match_round(self, round, prev_snap):
+        config = initial_configuration(PLACEMENT, 4)
+        for _ in range(round):
+            config, _ = step(config, FULL, FULL if config.round else None)
+        with pytest.raises(ValueError):
+            step(config, FULL, prev_snap)
 
 
 class TestRun:
@@ -104,6 +118,22 @@ class TestRun:
     def test_too_few_robots(self):
         with pytest.raises(ValueError):
             run(static_ring(4), {1: 0, 2: 1, 3: 2}, horizon=5)
+
+    def test_steps_get_the_previous_snapshot(self, monkeypatch):
+        calls = []
+        step = sim_engine.step
+
+        def spy(config, snap, prev_snap, compute_fn):
+            calls.append((config.round, snap, prev_snap))
+            return step(config, snap, prev_snap, compute_fn)
+
+        monkeypatch.setattr(sim_engine, "step", spy)
+        ring = ring_of(4, [[1, 1, 1, 1], [0, 1, 1, 1]], [[1, 0, 1, 1], [1, 1, 0, 1]])
+        run(ring, PLACEMENT, horizon=6)
+        assert [t for t, _, _ in calls] == list(range(6))
+        for t, snap, prev_snap in calls:
+            assert snap == ring.snapshot(t)
+            assert prev_snap == (ring.snapshot(t - 1) if t else None)
 
     def test_permanent_gap_funnels_everyone(self):
         # e0 vanishes permanently after round 0. Rightbound robots pile up
