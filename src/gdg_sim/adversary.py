@@ -47,7 +47,6 @@ class GeneratorSpec:
     prefix_budget: int = 6  # RE/COT only
     missing_edge: Optional[int] = None  # COT: the eventual missing edge
     kill_round: Optional[int] = None  # COT: first round the edge is gone
-    ac_policy: str = "rotate"  # or "random"
 
 
 def _all_present(n: int) -> Snapshot:
@@ -68,13 +67,8 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
         ring = static_ring(n)
     elif tag == AC:
         length = rng.randint(2, max(2, spec.cycle_budget))
-        snaps = []
-        for i in range(length):
-            if spec.ac_policy == "rotate":
-                snaps.append(_absent_one(n, i % n))
-            else:
-                snaps.append(_absent_one(n, rng.randrange(n)))
-        ring = EvolvingRing(n, Schedule((), tuple(snaps)))
+        snaps = tuple(_absent_one(n, i % n) for i in range(length))
+        ring = EvolvingRing(n, Schedule((), snaps))
     elif tag == BRE:
         delta = spec.dyn_class.delta
         assert delta is not None and delta >= 1

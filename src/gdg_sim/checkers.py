@@ -16,10 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .ring_model import AC, BRE, COT, RE, ST, DynClass
-from .sim_engine import Trace
+from .ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
+from .sim_engine import RunOutcome, Trace, run
 
 VARIANTS = ("G", "G_E", "G_W", "G_EW")
+
+# The variant each dynamics class guarantees (arXiv 1805.05137).
+EXPECTED_VARIANT = {ST: "G", BRE: "G", RE: "G_E", AC: "G_W", COT: "G_EW"}
 
 # Default bound constants, validated empirically; configurable per check.
 AC_DEFAULTS = (16, 3, 12)
@@ -43,7 +46,6 @@ class Verdict:
     variants: frozenset[str]
     termination_round: Optional[int]
     bound_ok: Optional[bool]
-    violations: tuple[tuple[str, int], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -51,7 +53,6 @@ class Verdict:
             "variants": sorted(self.variants),
             "termination_round": self.termination_round,
             "bound_ok": self.bound_ok,
-            "violations": [list(v) for v in self.violations],
         }
 
 
@@ -79,6 +80,24 @@ def bound_for(p: BoundParams) -> int:
         )
         return c1 * p.n * delta * p.id_rmin + c2 * p.n * delta * p.R + c3 * p.n * delta
     raise BoundNotApplicable(f"no round bound for class {tag}")
+
+
+def _class_bound(dyn: Optional[DynClass], n: int, R: int, id_rmin: int) -> Optional[int]:
+    """bound_for the class; None for RE, COT and a run with no class."""
+    if dyn is None or dyn.tag not in (ST, BRE, AC):
+        return None
+    return bound_for(BoundParams(dyn, n, R, id_rmin))
+
+
+def default_horizon(ring: EvolvingRing, dyn: DynClass, R: int, id_rmin: int) -> int:
+    """bound + 1 (rounds 0..bound) for bounded classes; for RE and COT, four
+    times the BRE bound of the cycle length, past the prefix."""
+    bound = _class_bound(dyn, ring.n, R, id_rmin)
+    if bound is not None:
+        return bound + 1
+    delta = max(1, len(ring.schedule.cycle))
+    base = bound_for(BoundParams(DynClass(BRE, delta), ring.n, R, id_rmin))
+    return 4 * base + len(ring.schedule.prefix)
 
 
 def _termination_info(trace: Trace) -> tuple[dict[int, int], dict[int, int]]:
@@ -119,6 +138,38 @@ def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Ve
         termination_round=done[-1] if done else None,
         bound_ok=bound_ok,
     )
+
+
+@dataclass(frozen=True, slots=True)
+class Experiment:
+    trace: Trace
+    outcome: RunOutcome
+    horizon: int
+    bound: Optional[int]
+    verdict: Verdict
+    violations: list[tuple[str, int]]
+    ok: bool  # expected variant reached and no monitor fired; True without a class
+
+
+def experiment(
+    ring: EvolvingRing,
+    placement: dict[int, int],
+    dyn: Optional[DynClass],
+    seed: Optional[int] = None,
+    horizon: Optional[int] = None,
+) -> Experiment:
+    """Run the protocol on the ring and judge the run against its class."""
+    R, id_rmin = len(placement), min(placement)
+    bound = _class_bound(dyn, ring.n, R, id_rmin)
+    if horizon is None:  # a run with no class claim gets 10,000 rounds
+        horizon = 10_000 if dyn is None else default_horizon(ring, dyn, R, id_rmin)
+    trace, outcome = run(
+        ring, placement, horizon, class_claim=dyn.tag if dyn else None, seed=seed
+    )
+    verdict = check_variant(trace, horizon, bound)
+    violations = monitor_invariants(trace)
+    ok = dyn is None or (EXPECTED_VARIANT[dyn.tag] in verdict.variants and not violations)
+    return Experiment(trace, outcome, horizon, bound, verdict, violations, ok)
 
 
 # ---------------------------------------------------------------------------

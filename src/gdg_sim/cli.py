@@ -1,8 +1,17 @@
 """Command-line entry point for reproducible gathering experiments.
 
-Exit codes: 0 success, 1 verdict failure, 2 usage/config error. All
-randomness flows from a single seed through random.Random (Mersenne
-Twister), so identical configs replay byte-identically.
+Exit codes:
+    0  success
+    1  verdict failure: a run missed its class's expected variant or fired
+       an invariant monitor, the adversary was defeated, or a batch entry
+       failed or was rejected
+    2  usage or configuration error
+
+An internal error (a generator's failed post-check, a ProtocolViolation) is
+not caught: it aborts the command, batch included, with a traceback and
+Python's exit status 1. All randomness flows from a single seed through
+random.Random (Mersenne Twister), so identical configs replay
+byte-identically.
 """
 
 from __future__ import annotations
@@ -16,12 +25,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import adversary as adv
-from .checkers import (
-    BoundParams,
-    bound_for,
-    check_variant,
-    monitor_invariants,
-)
+from .checkers import Experiment, experiment
 from .ring_model import (
     AC,
     BRE,
@@ -29,14 +33,11 @@ from .ring_model import (
     RE,
     ST,
     DynClass,
-    EvolvingRing,
     ring_from_json,
     ring_to_json,
     verify_class,
 )
-from .sim_engine import run, trace_to_jsonl
-
-EXPECTED_VARIANT = {ST: "G", BRE: "G", RE: "G_E", AC: "G_W", COT: "G_EW"}
+from .sim_engine import trace_to_jsonl
 
 USAGE_ERROR = 2
 VERDICT_FAILURE = 1
@@ -53,6 +54,8 @@ def _parse_ids(text: str) -> list[int]:
         raise CliError(f"bad --ids value {text!r}")
     if len(ids) != len(set(ids)) or any(i <= 0 for i in ids):
         raise CliError("ids must be distinct positive integers")
+    if len(ids) < 4:
+        raise CliError("at least 4 robots are required")
     return ids
 
 
@@ -88,20 +91,9 @@ def _dyn_class(tag: Optional[str], delta: Optional[int]) -> Optional[DynClass]:
     return DynClass(tag)
 
 
-def default_horizon(ring: EvolvingRing, dyn: DynClass, R: int, id_rmin: int) -> int:
-    """Bound for bounded classes; a cycle-length heuristic for the rest."""
-    if dyn.tag in (ST, BRE, AC):
-        return bound_for(BoundParams(dyn, ring.n, R, id_rmin))
-    delta = max(1, len(ring.schedule.cycle))
-    base = bound_for(BoundParams(DynClass(BRE, delta), ring.n, R, id_rmin))
-    return 4 * base + len(ring.schedule.prefix)
-
-
-def cmd_run(args: argparse.Namespace) -> int:
+def _experiment(args: argparse.Namespace) -> Experiment:
+    """ids -> seed -> class -> ring -> placement -> judged run."""
     ids = _parse_ids(args.ids)
-    R = len(ids)
-    if R < 4:
-        raise CliError("at least 4 robots are required")
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     dyn = _dyn_class(args.dyn_class, args.delta)
@@ -116,49 +108,31 @@ def cmd_run(args: argparse.Namespace) -> int:
         ring = adv.generate(adv.GeneratorSpec(dyn, args.n, seed))
     if args.n and ring.n != args.n:
         raise CliError("--n disagrees with the schedule")
-    n = ring.n
 
-    placement = _placement_for(ids, n, args.placement, rng)
-    id_rmin = min(ids)
-    bound = None
-    if dyn is not None and dyn.tag in (ST, BRE, AC):
-        bound = bound_for(BoundParams(dyn, n, R, id_rmin))
-    horizon = args.horizon or (
-        default_horizon(ring, dyn, R, id_rmin) if dyn is not None else 10_000
-    )
+    placement = _placement_for(ids, ring.n, args.placement, rng)
+    return experiment(ring, placement, dyn, seed, args.horizon)
 
-    trace, outcome = run(
-        ring,
-        placement,
-        horizon,
-        class_claim=dyn.tag if dyn else None,
-        seed=seed,
-    )
-    verdict = check_variant(trace, horizon, bound)
-    violations = monitor_invariants(trace)
-    doc = verdict.to_dict()
-    doc["violations"] = [list(v) for v in violations]
-    doc["final_positions"] = outcome.final_positions
-    doc["halted_at_horizon"] = outcome.halted_at_horizon
+
+def _verdict_doc(exp: Experiment) -> dict:
+    return {**exp.verdict.to_dict(), "violations": [list(v) for v in exp.violations]}
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    exp = _experiment(args)
+    doc = _verdict_doc(exp)
+    doc["final_positions"] = exp.outcome.final_positions
+    doc["halted_at_horizon"] = exp.outcome.halted_at_horizon
 
     if args.trace_out:
-        Path(args.trace_out).write_text(trace_to_jsonl(trace))
+        Path(args.trace_out).write_text(trace_to_jsonl(exp.trace))
     if args.verdict_out:
         Path(args.verdict_out).write_text(json.dumps(doc, indent=2) + "\n")
     print(json.dumps(doc))
-
-    if dyn is None:
-        return 0
-    expected = EXPECTED_VARIANT[dyn.tag]
-    return 0 if expected in verdict.variants and not violations else VERDICT_FAILURE
+    return 0 if exp.ok else VERDICT_FAILURE
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
     ids = _parse_ids(args.ids)
-    if len(ids) < 4:
-        raise CliError("at least 4 robots are required")
-    if args.horizon < 1:
-        raise CliError("horizon must be >= 1")
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
     n = args.n
@@ -182,58 +156,54 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
 def cmd_batch(args: argparse.Namespace) -> int:
     entries = json.loads(Path(args.spec).read_text())
+    if not isinstance(entries, list):
+        raise CliError("a batch spec must be a JSON list of entries")
     report = {"runs": [], "matrix": {}}
     per_class: dict[str, list[set[str]]] = {}
     for i, entry in enumerate(entries):
         try:
-            ns = _run_namespace(entry)
-            ids = _parse_ids(ns.ids)
-            seed = _resolve_seed(ns.seed)
-            rng = random.Random(seed)
-            dyn = _dyn_class(ns.dyn_class, ns.delta)
-            if dyn is None:
-                raise CliError("batch entries need a class")
-            ring = adv.generate(adv.GeneratorSpec(dyn, ns.n, seed))
-            placement = _placement_for(ids, ring.n, ns.placement, rng)
-            id_rmin = min(ids)
-            bound = (
-                bound_for(BoundParams(dyn, ring.n, len(ids), id_rmin))
-                if dyn.tag in (ST, BRE, AC)
-                else None
-            )
-            horizon = ns.horizon or default_horizon(ring, dyn, len(ids), id_rmin)
-            trace, _ = run(ring, placement, horizon, class_claim=dyn.tag, seed=seed)
-            verdict = check_variant(trace, horizon, bound)
-            report["runs"].append(
-                {
-                    "index": i,
-                    "class": dyn.tag,
-                    "seed": seed,
-                    "ok": EXPECTED_VARIANT[dyn.tag] in verdict.variants,
-                    **verdict.to_dict(),
-                }
-            )
-            per_class.setdefault(dyn.tag, []).append(set(verdict.variants))
-        except Exception as exc:  # noqa: BLE001 - batch must keep going
+            exp = _experiment(_run_namespace(entry))
+        except (CliError, ValueError) as exc:  # a bad entry; internal errors abort
             report["runs"].append(
                 {"index": i, "ok": False, "error": str(exc), "error_type": type(exc).__name__}
             )
+            continue
+        tag = exp.trace.class_claim
+        report["runs"].append(
+            {"index": i, "class": tag, "seed": exp.trace.seed, "ok": exp.ok, **_verdict_doc(exp)}
+        )
+        per_class.setdefault(tag, []).append(set(exp.verdict.variants))
     for tag, variant_sets in per_class.items():
-        common = set.intersection(*variant_sets) if variant_sets else set()
-        report["matrix"][tag] = sorted(common)
+        report["matrix"][tag] = sorted(set.intersection(*variant_sets))
     print(json.dumps(report, indent=2))
     if args.report_out:
         Path(args.report_out).write_text(json.dumps(report, indent=2) + "\n")
-    # Exit 1 if any entry raised or missed its class's expected variant.
+    # Exit 1 if any entry was rejected, missed its expected variant or fired a monitor.
     return 0 if all(r["ok"] for r in report["runs"]) else VERDICT_FAILURE
 
 
-def _run_namespace(entry: dict) -> argparse.Namespace:
+_ENTRY_TYPES = {
+    "n": int, "ids": str, "class": str, "delta": int,
+    "placement": str, "seed": int, "horizon": int,
+}
+
+
+def _run_namespace(entry: object) -> argparse.Namespace:
+    """The `run` arguments of one batch entry, after checking its keys and types."""
+    if not isinstance(entry, dict):
+        raise CliError("a batch entry must be a JSON object")
+    for key, value in entry.items():
+        kind = _ENTRY_TYPES.get(key)
+        if kind is None:
+            raise CliError(f"unknown batch entry key {key!r}")
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CliError(f"batch entry key {key!r} must be {kind.__name__}")
     return argparse.Namespace(
         n=entry.get("n", 0),
         ids=entry.get("ids", ""),
         dyn_class=entry.get("class"),
         delta=entry.get("delta"),
+        schedule=None,
         placement=entry.get("placement"),
         seed=entry.get("seed"),
         horizon=entry.get("horizon"),
@@ -246,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate one gathering run")
     p_run.add_argument("--n", type=int, default=0)
-    p_run.add_argument("--r", type=int, default=None, help="robot count (checked against --ids)")
     p_run.add_argument("--ids", required=True)
     p_run.add_argument("--class", dest="dyn_class", choices=[COT, AC, RE, BRE, ST])
     p_run.add_argument("--delta", type=int)
@@ -281,13 +250,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "r", None) is not None and args.r != len(_parse_ids(args.ids)):
-            raise CliError("--r disagrees with --ids")
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (FileNotFoundError, ValueError, json.JSONDecodeError) as exc:
+    except (CliError, FileNotFoundError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -111,13 +111,6 @@ class View:
     n: int
     R: int
 
-    def exists_edge(self, direction: Direction, when: str = "current") -> bool:
-        if direction is Direction.RIGHT:
-            return self.edge_right_current if when == "current" else self.edge_right_previous
-        if direction is Direction.LEFT:
-            return self.edge_left_current if when == "current" else self.edge_left_previous
-        raise ValueError("ExistsEdge takes right or left")
-
     def mate_ids(self) -> frozenset[int]:
         return frozenset(m.id for m in self.mates)
 
@@ -157,7 +150,7 @@ def _head_walker_without_walker_mate(view: View) -> bool:
     me = view.self_vars
     return (
         me.state is RobotState.HEAD_WALKER
-        and view.exists_edge(Direction.LEFT, "previous")
+        and view.edge_left_previous
         and not view.has_moved
         and view.mate_ids() != me.walker_mate
     )
@@ -248,7 +241,7 @@ def _guard(rule: str, view: View) -> bool:
         return (
             me.state is RobotState.RIGHTER
             and any(_with_min_waiting(m) for m in view.mates)
-            and view.exists_edge(Direction.RIGHT, "current")
+            and view.edge_right_current
         )
     if rule == "M1":
         return me.state in (RobotState.POTENTIAL_MIN, RobotState.RIGHTER) and min_discovery(view)
@@ -256,7 +249,7 @@ def _guard(rule: str, view: View) -> bool:
         return (
             me.state in NOT_WALKER
             and any(_with_head_walker(m) for m in view.mates)
-            and view.exists_edge(Direction.RIGHT, "current")
+            and view.edge_right_current
         )
     if rule == "M3":
         return me.state in NOT_WALKER and any(_with_head_walker(m) for m in view.mates)
@@ -312,7 +305,7 @@ def _walk(vars: RobotVars, view: View) -> RobotVars:
     else:
         new_dir = Direction.RIGHT
     steps = vars.walk_steps
-    if new_dir is Direction.RIGHT and view.exists_edge(Direction.RIGHT, "current"):
+    if new_dir is Direction.RIGHT and view.edge_right_current:
         steps += 1
     return replace(vars, dir=new_dir, walk_steps=steps)
 
@@ -376,7 +369,7 @@ def _become_tail_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
 
 def _move_right(vars: RobotVars, view: View) -> RobotVars:
     steps = vars.right_steps
-    if view.exists_edge(Direction.RIGHT, "current"):
+    if view.edge_right_current:
         steps += 1
     return replace(vars, dir=Direction.RIGHT, right_steps=steps)
 
@@ -386,7 +379,7 @@ def _initiate_search(vars: RobotVars, view: View) -> RobotVars:
     state = RobotState.POTENTIAL_MIN if vars.id == candidate else RobotState.DUMB_SEARCHER
     steps = vars.right_steps
     # A robot firing this rule is a righter, hence already headed right.
-    if state is RobotState.POTENTIAL_MIN and view.exists_edge(Direction.RIGHT, "current"):
+    if state is RobotState.POTENTIAL_MIN and view.edge_right_current:
         steps += 1
     return replace(vars, id_potential_min=candidate, state=state, right_steps=steps)
 

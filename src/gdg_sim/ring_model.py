@@ -103,16 +103,6 @@ def step_left(v: int, n: int) -> int:
     return (v - 1) % n
 
 
-def seg(u: int, v: int, n: int) -> list[int]:
-    """Nodes strictly between u and v walking rightward; empty for neighbours."""
-    out = []
-    w = step_right(u, n)
-    while w != v:
-        out.append(w)
-        w = step_right(w, n)
-    return out
-
-
 def footprint(ring: EvolvingRing) -> set[int]:
     """Edges present at least once anywhere in the schedule."""
     present: set[int] = set()

@@ -12,13 +12,7 @@ from typing import Optional
 import pytest
 
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
-from gdg_sim.checkers import (
-    BoundParams,
-    bound_for,
-    check_safety,
-    check_variant,
-    monitor_invariants,
-)
+from gdg_sim.checkers import check_safety, default_horizon, experiment, monitor_invariants
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -66,16 +60,6 @@ def _build_ring(dyn: DynClass, n: int, seed: int) -> EvolvingRing:
     return ring
 
 
-def _horizon_for(dyn, ring, R, id_rmin, bound):
-    if bound is not None:
-        return min(bound + 1, 8000)
-    delta = max(1, len(ring.schedule.cycle))
-    heuristic = 4 * bound_for(
-        BoundParams(DynClass(BRE, delta), ring.n, R, id_rmin)
-    ) + len(ring.schedule.prefix)
-    return min(heuristic, 5000)
-
-
 def _make_run(dyn: DynClass, seed: int) -> RunRec:
     rng = random.Random(seed)
     n = rng.randint(4, 12)
@@ -83,14 +67,9 @@ def _make_run(dyn: DynClass, seed: int) -> RunRec:
     ids = tuple(sorted(rng.sample(range(1, 33), R)))
     placement = {rid: rng.randrange(n) for rid in ids}
     ring = _build_ring(dyn, n, seed)
-    id_rmin = min(ids)
-    bound = (
-        bound_for(BoundParams(dyn, n, R, id_rmin))
-        if dyn.tag in (ST, BRE, AC)
-        else None
-    )
-    horizon = _horizon_for(dyn, ring, R, id_rmin, bound)
-    trace, outcome = run(ring, placement, horizon, class_claim=dyn.tag, seed=seed)
+    cap = 5000 if dyn.tag in (RE, COT) else 8000
+    horizon = min(default_horizon(ring, dyn, R, min(ids)), cap)
+    exp = experiment(ring, placement, dyn, seed, horizon)
     return RunRec(
         dyn=dyn,
         n=n,
@@ -98,14 +77,14 @@ def _make_run(dyn: DynClass, seed: int) -> RunRec:
         ids=ids,
         placement=placement,
         seed=seed,
-        horizon=horizon,
-        bound=bound,
+        horizon=exp.horizon,
+        bound=exp.bound,
         ring=ring,
-        trace=trace,
-        verdict=check_variant(trace, horizon, bound),
-        violations=monitor_invariants(trace),
-        termination_rounds=outcome.termination_rounds,
-        jsonl=trace_to_jsonl(trace),
+        trace=exp.trace,
+        verdict=exp.verdict,
+        violations=exp.violations,
+        termination_rounds=exp.outcome.termination_rounds,
+        jsonl=trace_to_jsonl(exp.trace),
     )
 
 

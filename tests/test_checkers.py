@@ -6,6 +6,7 @@ from gdg_sim.checkers import (
     bound_for,
     check_safety,
     check_variant,
+    experiment,
     monitor_invariants,
 )
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
@@ -209,3 +210,27 @@ class TestMonitors:
         ]
         hits = monitor_invariants(trace_of(events))
         assert ("dir-right", 0) in hits
+
+
+class TestExperiment:
+    PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
+
+    def test_bounded_class_runs_through_its_bound(self):
+        exp = experiment(static_ring(4), self.PLACEMENT, DynClass(ST), seed=3)
+        assert exp.bound == bound_for(BoundParams(DynClass(ST), 4, 4, 1))
+        assert exp.horizon == exp.trace.horizon == exp.bound + 1
+        assert (exp.trace.class_claim, exp.trace.seed) == (ST, 3)
+        assert "G" in exp.verdict.variants and exp.violations == [] and exp.ok
+
+    def test_missed_variant_is_not_ok(self):
+        exp = experiment(static_ring(4), self.PLACEMENT, DynClass(ST), horizon=1)
+        assert "G" not in exp.verdict.variants and not exp.ok
+
+    def test_unbounded_class_has_no_bound(self):
+        exp = experiment(static_ring(4), self.PLACEMENT, DynClass(COT))
+        assert exp.bound is None and exp.ok
+
+    def test_run_without_class_is_ok(self):
+        exp = experiment(static_ring(4), self.PLACEMENT, None, horizon=1)
+        assert (exp.bound, exp.horizon, exp.trace.class_claim) == (None, 1, None)
+        assert exp.ok

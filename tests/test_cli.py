@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from gdg_sim import adversary, checkers
+from gdg_sim.checkers import BoundParams, bound_for
 from gdg_sim.cli import main
+from gdg_sim.ring_model import ST, DynClass
 from gdg_sim.ring_model import ring_from_json
 from gdg_sim.sim_engine import trace_from_jsonl
 
@@ -171,3 +174,86 @@ def test_batch_missed_variant_exits_one(tmp_path, capsys):
     run = json.loads(capsys.readouterr().out)["runs"][0]
     assert not run["ok"]
     assert "G" not in run["variants"]
+
+
+def test_run_zero_horizon_is_usage_error(capsys):
+    code = main(
+        ["run", "--n", "4", "--ids", "1,2,3,4", "--class", "st", "--seed", "1", "--horizon", "0"]
+    )
+    assert code == 2
+    assert "horizon must be >= 1" in capsys.readouterr().err
+
+
+def test_batch_zero_horizon_is_error_row(tmp_path, capsys):
+    code = _batch(tmp_path, [{"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1, "horizon": 0}])
+    assert code == 1
+    row = json.loads(capsys.readouterr().out)["runs"][0]
+    assert (row["ok"], row["error_type"]) == (False, "ValueError")
+    assert "horizon must be >= 1" in row["error"]
+
+
+def test_run_default_horizon_covers_the_bound(tmp_path, capsys):
+    trace_out = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "run", "--n", "4", "--ids", "1,2,3,4", "--class", "st", "--seed", "1",
+            "--trace-out", str(trace_out),
+        ]
+    )
+    assert code == 0
+    bound = bound_for(BoundParams(DynClass(ST), 4, 4, 1))
+    assert trace_from_jsonl(trace_out.read_text()).horizon == bound + 1
+
+
+GOOD_ENTRY = {"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ([4, "1,2,3,4", "st"], "JSON object"),
+        ("st", "JSON object"),
+        ({**GOOD_ENTRY, "sed": 3}, "unknown batch entry key 'sed'"),
+        ({**GOOD_ENTRY, "seed": "x"}, "'seed' must be int"),
+        ({**GOOD_ENTRY, "seed": None}, "'seed' must be int"),
+        ({**GOOD_ENTRY, "ids": 1234}, "'ids' must be str"),
+        ({**GOOD_ENTRY, "class": 3}, "'class' must be str"),
+        ({**GOOD_ENTRY, "n": True}, "'n' must be int"),
+        ({**GOOD_ENTRY, "horizon": 1.5}, "'horizon' must be int"),
+        ({**GOOD_ENTRY, "placement": [0, 1, 2, 3]}, "'placement' must be str"),
+    ],
+)
+def test_batch_rejects_malformed_entry(tmp_path, capsys, entry, message):
+    code = _batch(tmp_path, [GOOD_ENTRY, entry])
+    assert code == 1
+    good, bad = json.loads(capsys.readouterr().out)["runs"]
+    assert good["ok"]
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "CliError")
+    assert message in bad["error"]
+
+
+def test_batch_spec_must_be_a_list(tmp_path, capsys):
+    assert _batch(tmp_path, GOOD_ENTRY) == 2
+
+
+def test_batch_internal_error_aborts(tmp_path, capsys, monkeypatch):
+    def broken(spec):
+        raise AssertionError("generated ring failed st verification")
+
+    monkeypatch.setattr(adversary, "generate", broken)
+    with pytest.raises(AssertionError, match="failed st verification"):
+        _batch(tmp_path, [GOOD_ENTRY])
+
+
+def test_batch_reports_monitor_violations(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(checkers, "monitor_invariants", lambda trace: [("min-id", 0)])
+    code = _batch(tmp_path, [GOOD_ENTRY])
+    assert code == 1
+    row = json.loads(capsys.readouterr().out)["runs"][0]
+    assert "G" in row["variants"]
+    assert (row["ok"], row["violations"]) == (False, [["min-id", 0]])
+
+
+def test_r_flag_is_gone(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--r", "4", "--ids", "1,2,3,4", "--class", "st"])

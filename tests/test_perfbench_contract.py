@@ -1,0 +1,41 @@
+"""The package API that the benchmark in perfbench/ calls must keep working.
+
+Both checks run in a subprocess, as the benchmark does, so that the
+tracer's attribute wrapping cannot leak into other tests.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _python(*args):
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_selftest_passes():
+    done = _python("perfbench/selftest.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "FAIL" not in done.stdout
+
+
+def test_tracer_finds_every_wrapped_attribute():
+    # Entering the tracer looks up every module attribute it wraps.
+    script = (
+        "import sys; sys.path[:0] = ['perfbench', 'src']\n"
+        "from tracing import Tracer\n"
+        "from gdg_sim import sim_engine\n"
+        "run = sim_engine.run\n"
+        "with Tracer() as tracer:\n"
+        "    print(len(tracer._undo), sim_engine.run is run)\n"
+        "print(len(tracer._undo), sim_engine.run is run)\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    inside, after = done.stdout.split("\n")[:2]
+    assert int(inside.split()[0]) > 0 and inside.endswith("False")
+    assert after == "0 True"

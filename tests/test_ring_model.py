@@ -18,7 +18,6 @@ from gdg_sim.ring_model import (
     right_edge_of,
     ring_from_json,
     ring_to_json,
-    seg,
     splice,
     static_ring,
     step_right,
@@ -60,12 +59,6 @@ class TestGeometry:
 
     def test_right_move_wraps(self):
         assert step_right(3, 4) == 0
-
-    def test_seg_adjacent_is_empty(self):
-        assert seg(0, 1, 4) == []
-
-    def test_seg_enumerates_rightward(self):
-        assert seg(0, 3, 4) == [1, 2]
 
 
 class TestRemoveEdgeInterval:
