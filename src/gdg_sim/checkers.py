@@ -119,8 +119,8 @@ def check_safety(trace: Trace) -> bool:
 
 
 def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Verdict:
-    rounds, _ = _termination_info(trace)
-    safety = check_safety(trace)
+    rounds, nodes = _termination_info(trace)
+    safety = len(set(nodes.values())) <= 1  # check_safety, from the same scan
     done = sorted(rounds.values())
     variants: set[str] = set()
     if safety and len(done) >= trace.R - 1:

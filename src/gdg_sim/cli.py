@@ -6,12 +6,12 @@ Exit codes:
        an invariant monitor, the adversary was defeated, or a batch entry
        failed or was rejected
     2  usage or configuration error
+    3  internal error: a generator's failed post-check, a ProtocolViolation
+       or another bug aborts the command, batch included, and its traceback
+       goes to stderr
 
-An internal error (a generator's failed post-check, a ProtocolViolation) is
-not caught: it aborts the command, batch included, with a traceback and
-Python's exit status 1. All randomness flows from a single seed through
-random.Random (Mersenne Twister), so identical configs replay
-byte-identically.
+All randomness flows from a single seed through random.Random (Mersenne
+Twister), so identical configs replay byte-identically.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import os
 import random
 import sys
+import traceback
 from pathlib import Path
 from typing import Optional
 
@@ -41,6 +42,7 @@ from .sim_engine import trace_to_jsonl
 
 USAGE_ERROR = 2
 VERDICT_FAILURE = 1
+INTERNAL_ERROR = 3
 
 
 class CliError(Exception):
@@ -138,8 +140,12 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     n = args.n
     r1 = args.r1 if args.r1 is not None else sorted(ids)[-1]
     r2 = args.r2 if args.r2 is not None else sorted(ids)[-2]
+    if r1 == r2 or r1 not in ids or r2 not in ids:
+        raise CliError("--r1 and --r2 must be two distinct ids from --ids")
     placement = _placement_for(ids, n, args.placement, rng)
     if placement[r1] == placement[r2]:  # targets must start apart
+        if args.placement not in (None, "random"):
+            raise CliError("--placement puts --r1 and --r2 on one node")
         placement[r2] = (placement[r1] + 1 + rng.randrange(n - 1)) % n
 
     result = adv.adaptive_ac_adversary(n, len(ids), placement, r1, r2, args.horizon)
@@ -254,6 +260,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (CliError, FileNotFoundError, ValueError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:  # an internal error, not a bad input
+        traceback.print_exc()
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -1,16 +1,22 @@
-"""The GDG robot state machine: predicates, actions, and guarded rules.
+"""The GDG robot state machine: predicates, actions, and one rule table.
 
 Everything here is a pure function of a robot's Look-phase view, so rule
-evaluation for distinct robots in one round is order-independent. The rule
-identifiers (Term1..M11) are listed in dispatch priority order and are the
-stable strings recorded in traces.
+evaluation for distinct robots in one round is order-independent.
+
+`RULES` holds the 21 guarded rules in dispatch priority order; the first
+enabled one fires. Each entry is the whole rule: its name (Term1..M11, the
+stable string recorded in traces), the states it fires from, an optional
+witness, an optional extra condition on the view, and its action. A witness
+is a per-mate predicate: some co-located robot must satisfy it, and the
+action learns from the smallest-id one that does. `RULE_ORDER` is the
+names of `RULES`, in order.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 UNSET = -1  # robot ids are >= 1, so -1 is an unambiguous "not learned yet"
 
@@ -34,44 +40,18 @@ class Direction(enum.Enum):
     BOT = "bot"
 
 
-SEARCHERS = frozenset({RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER})
-MIN_STATES = frozenset({RobotState.MIN_WAITING_WALKER, RobotState.MIN_TAIL_WALKER})
-WAITING_STATES = frozenset({RobotState.WAITING_WALKER, RobotState.MIN_WAITING_WALKER})
-WALKERS = frozenset(
-    {RobotState.HEAD_WALKER, RobotState.TAIL_WALKER, RobotState.MIN_TAIL_WALKER}
-)
-NOT_WALKER = frozenset(
-    {
-        RobotState.RIGHTER,
-        RobotState.POTENTIAL_MIN,
-        RobotState.DUMB_SEARCHER,
-        RobotState.AWARE_SEARCHER,
-    }
-)
-
-# Dispatch priority: the first enabled rule in this order fires.
-RULE_ORDER = (
-    "Term1",
-    "Term2",
-    "T1",
-    "T2",
-    "T3",
-    "W1",
-    "K1",
-    "K2",
-    "K3",
-    "K4",
-    "M1",
-    "M2",
-    "M3",
-    "M4",
-    "M5",
-    "M6",
-    "M7",
-    "M8",
-    "M9",
-    "M10",
-    "M11",
+# State groups are tuples: finding an Enum member in a short tuple is an
+# identity scan, while a frozenset lookup calls Enum's Python-level __hash__.
+ALL_STATES = tuple(RobotState)
+SEARCHERS = (RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER)
+MIN_STATES = (RobotState.MIN_WAITING_WALKER, RobotState.MIN_TAIL_WALKER)
+WAITING_STATES = (RobotState.WAITING_WALKER, RobotState.MIN_WAITING_WALKER)
+WALKERS = (RobotState.HEAD_WALKER, RobotState.TAIL_WALKER, RobotState.MIN_TAIL_WALKER)
+NOT_WALKER = (
+    RobotState.RIGHTER,
+    RobotState.POTENTIAL_MIN,
+    RobotState.DUMB_SEARCHER,
+    RobotState.AWARE_SEARCHER,
 )
 
 
@@ -146,57 +126,9 @@ def gathering_predicates(view: View) -> tuple[bool, bool]:
     return g_e, g_ew
 
 
-def _head_walker_without_walker_mate(view: View) -> bool:
-    me = view.self_vars
-    return (
-        me.state is RobotState.HEAD_WALKER
-        and view.edge_left_previous
-        and not view.has_moved
-        and view.mate_ids() != me.walker_mate
-    )
-
-
-def _all_but_two_waiting_walker(view: View) -> bool:
-    return len(view.mates) == view.R - 3 and all(
-        r.state in WAITING_STATES for r in (view.self_vars,) + view.mates
-    )
-
-
-def _all_but_one_righter(view: View) -> bool:
-    return len(view.mates) == view.R - 2 and all(
-        r.state is RobotState.RIGHTER for r in (view.self_vars,) + view.mates
-    )
-
-
-def _dumb_searcher_min_revelation(view: View) -> bool:
-    me = view.self_vars
-    return me.state is RobotState.DUMB_SEARCHER and any(
-        m.state is RobotState.RIGHTER and m.id > me.id_potential_min
-        for m in view.mates
-    )
-
-
-# Per-mate predicates for the existentially quantified guards.
-
-
-def _with_min_waiting(m: RobotVars) -> bool:
-    return m.state is RobotState.MIN_WAITING_WALKER
-
-
-def _with_head_walker(m: RobotVars) -> bool:
-    return m.state is RobotState.HEAD_WALKER
-
-
-def _with_min_tail_walker(m: RobotVars) -> bool:
-    return m.state is RobotState.MIN_TAIL_WALKER
-
-
-def _with_aware_searcher(m: RobotVars) -> bool:
-    return m.state is RobotState.AWARE_SEARCHER
-
-
-def _with_searcher(m: RobotVars) -> bool:
-    return m.state in SEARCHERS
+def _mate_in(*states: RobotState) -> Callable[[RobotVars], bool]:
+    """Witness predicate: the mate is in one of `states`."""
+    return lambda m: m.state in states
 
 
 def select_witness(view: View, predicate) -> RobotVars:
@@ -205,86 +137,6 @@ def select_witness(view: View, predicate) -> RobotVars:
     if not hits:
         raise ProtocolViolation("witness requested but no mate satisfies the guard")
     return min(hits, key=lambda m: m.id)
-
-
-# ---------------------------------------------------------------------------
-# Guards, in dispatch order
-# ---------------------------------------------------------------------------
-
-
-def _guard(rule: str, view: View) -> bool:
-    me = view.self_vars
-    g_e, g_ew = gathering_predicates(view)
-    if rule == "Term1":
-        return g_e
-    if rule == "Term2":
-        return g_ew
-    if rule == "T1":
-        return me.state is RobotState.LEFT_WALKER
-    if rule == "T2":
-        return _head_walker_without_walker_mate(view)
-    if rule == "T3":
-        return me.state in WALKERS and me.walk_steps == view.n
-    if rule == "W1":
-        return me.state in WALKERS
-    if rule == "K1":
-        return _all_but_two_waiting_walker(view)
-    if rule == "K2":
-        return me.state in WAITING_STATES
-    if rule == "K3":
-        return me.state in (
-            RobotState.POTENTIAL_MIN,
-            RobotState.DUMB_SEARCHER,
-            RobotState.AWARE_SEARCHER,
-        ) and any(_with_min_waiting(m) for m in view.mates)
-    if rule == "K4":
-        return (
-            me.state is RobotState.RIGHTER
-            and any(_with_min_waiting(m) for m in view.mates)
-            and view.edge_right_current
-        )
-    if rule == "M1":
-        return me.state in (RobotState.POTENTIAL_MIN, RobotState.RIGHTER) and min_discovery(view)
-    if rule == "M2":
-        return (
-            me.state in NOT_WALKER
-            and any(_with_head_walker(m) for m in view.mates)
-            and view.edge_right_current
-        )
-    if rule == "M3":
-        return me.state in NOT_WALKER and any(_with_head_walker(m) for m in view.mates)
-    if rule == "M4":
-        return me.state in NOT_WALKER and any(_with_min_tail_walker(m) for m in view.mates)
-    if rule == "M5":
-        return me.state is RobotState.POTENTIAL_MIN and any(
-            _with_aware_searcher(m) for m in view.mates
-        )
-    if rule == "M6":
-        return _all_but_one_righter(view)
-    if rule == "M7":
-        return me.state is RobotState.RIGHTER and any(_with_searcher(m) for m in view.mates)
-    if rule == "M8":
-        return me.state in (RobotState.POTENTIAL_MIN, RobotState.RIGHTER)
-    if rule == "M9":
-        return _dumb_searcher_min_revelation(view)
-    if rule == "M10":
-        return me.state is RobotState.DUMB_SEARCHER and any(
-            _with_aware_searcher(m) for m in view.mates
-        )
-    if rule == "M11":
-        return me.state in SEARCHERS
-    raise ValueError(f"unknown rule {rule!r}")
-
-
-def first_enabled_rule(view: View) -> str:
-    if view.self_vars.terminated:
-        raise ProtocolViolation("terminated robots do not compute")
-    for rule in RULE_ORDER:
-        if _guard(rule, view):
-            return rule
-    raise ProtocolViolation(
-        f"no rule enabled for robot {view.self_vars.id} in state {view.self_vars.state}"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,56 +244,183 @@ def _search(vars: RobotVars, view: View) -> RobotVars:
     return vars
 
 
+def _terminate(vars: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return replace(vars, terminated=True)
+
+
+def _learn_then_search(vars: RobotVars, view: View, witness: RobotVars) -> RobotVars:
+    return _search(_become_aware_searcher(vars, witness), view)
+
+
+# ---------------------------------------------------------------------------
+# The rule table, in dispatch order
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, slots=True)
+class Rule:
+    """One guarded rule.
+
+    It is enabled when the robot's state is in `states`, some mate satisfies
+    `witness` (if set) and `condition(view)` holds (if set). Firing it runs
+    `action(self_vars, view, witness)`, where the witness is the mate that
+    `select_witness` picks with the same predicate, or None.
+    """
+
+    name: str
+    states: tuple[RobotState, ...]
+    action: Callable[[RobotVars, View, Optional[RobotVars]], RobotVars]
+    witness: Optional[Callable[[RobotVars], bool]] = None
+    condition: Optional[Callable[[View], bool]] = None
+
+
+RULES = (
+    Rule("Term1", ALL_STATES, _terminate, condition=lambda view: gathering_predicates(view)[0]),
+    Rule("Term2", ALL_STATES, _terminate, condition=lambda view: gathering_predicates(view)[1]),
+    Rule("T1", (RobotState.LEFT_WALKER,), lambda me, view, w: replace(me, dir=Direction.LEFT)),
+    Rule(
+        "T2",
+        (RobotState.HEAD_WALKER,),
+        lambda me, view, w: replace(me, state=RobotState.LEFT_WALKER, dir=Direction.BOT),
+        # a head walker without its walker mates: its left edge was there
+        # last round, it did not move, and its mates are not its walker mates
+        condition=lambda view: (
+            view.edge_left_previous
+            and not view.has_moved
+            and view.mate_ids() != view.self_vars.walker_mate
+        ),
+    ),
+    Rule(
+        "T3",
+        WALKERS,
+        lambda me, view, w: _stop_moving(me),
+        condition=lambda view: view.self_vars.walk_steps == view.n,
+    ),
+    Rule("W1", WALKERS, lambda me, view, w: _walk(me, view)),
+    Rule(
+        "K1",
+        WAITING_STATES,
+        lambda me, view, w: _initiate_walk(me, view),
+        # all robots but two are here, and all of them are waiting
+        condition=lambda view: len(view.mates) == view.R - 3
+        and all(m.state in WAITING_STATES for m in view.mates),
+    ),
+    Rule("K2", WAITING_STATES, lambda me, view, w: _stop_moving(me)),
+    Rule(
+        "K3",
+        (RobotState.POTENTIAL_MIN, RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER),
+        lambda me, view, w: _become_waiting_walker(me, w),
+        witness=_mate_in(RobotState.MIN_WAITING_WALKER),
+    ),
+    Rule(
+        "K4",
+        (RobotState.RIGHTER,),
+        lambda me, view, w: _become_aware_searcher(me, w),
+        witness=_mate_in(RobotState.MIN_WAITING_WALKER),
+        condition=lambda view: view.edge_right_current,
+    ),
+    Rule(
+        "M1",
+        (RobotState.POTENTIAL_MIN, RobotState.RIGHTER),
+        lambda me, view, w: _become_min_waiting_walker(me),
+        condition=min_discovery,
+    ),
+    Rule(
+        "M2",
+        NOT_WALKER,
+        lambda me, view, w: _become_aware_searcher(me, w),
+        witness=_mate_in(RobotState.HEAD_WALKER),
+        condition=lambda view: view.edge_right_current,
+    ),
+    Rule(
+        "M3",
+        NOT_WALKER,
+        lambda me, view, w: _stop_moving(_become_aware_searcher(me, w)),
+        witness=_mate_in(RobotState.HEAD_WALKER),
+    ),
+    Rule(
+        "M4",
+        NOT_WALKER,
+        lambda me, view, w: _walk(_become_tail_walker(me, w), view),
+        witness=_mate_in(RobotState.MIN_TAIL_WALKER),
+    ),
+    Rule(
+        "M5",
+        (RobotState.POTENTIAL_MIN,),
+        _learn_then_search,
+        witness=_mate_in(RobotState.AWARE_SEARCHER),
+    ),
+    Rule(
+        "M6",
+        (RobotState.RIGHTER,),
+        lambda me, view, w: _initiate_search(me, view),
+        # all robots but one are here, and all of them are righters
+        condition=lambda view: len(view.mates) == view.R - 2
+        and all(m.state is RobotState.RIGHTER for m in view.mates),
+    ),
+    Rule("M7", (RobotState.RIGHTER,), _learn_then_search, witness=_mate_in(*SEARCHERS)),
+    Rule(
+        "M8",
+        (RobotState.POTENTIAL_MIN, RobotState.RIGHTER),
+        lambda me, view, w: _move_right(me, view),
+    ),
+    Rule(
+        "M9",
+        (RobotState.DUMB_SEARCHER,),
+        lambda me, view, w: _learn_then_search(me, view, me),  # learns from itself
+        # a righter larger than the candidate it carries reveals that
+        # candidate as the minimum
+        condition=lambda view: any(
+            m.state is RobotState.RIGHTER and m.id > view.self_vars.id_potential_min
+            for m in view.mates
+        ),
+    ),
+    Rule(
+        "M10",
+        (RobotState.DUMB_SEARCHER,),
+        _learn_then_search,
+        witness=_mate_in(RobotState.AWARE_SEARCHER),
+    ),
+    Rule("M11", SEARCHERS, lambda me, view, w: _search(me, view)),
+)
+
+# Dispatch priority: the first enabled rule in this order fires.
+RULE_ORDER = tuple(rule.name for rule in RULES)
+_BY_NAME = {rule.name: rule for rule in RULES}
+
+
+def _rule(name: str) -> Rule:
+    try:
+        return _BY_NAME[name]
+    except KeyError:
+        raise ValueError(f"unknown rule {name!r}") from None
+
+
+def _guard(rule: str, view: View) -> bool:
+    entry = _rule(rule)
+    return (
+        view.self_vars.state in entry.states
+        and (entry.witness is None or any(map(entry.witness, view.mates)))
+        and (entry.condition is None or entry.condition(view))
+    )
+
+
+def first_enabled_rule(view: View) -> str:
+    if view.self_vars.terminated:
+        raise ProtocolViolation("terminated robots do not compute")
+    for rule in RULE_ORDER:
+        if _guard(rule, view):
+            return rule
+    raise ProtocolViolation(
+        f"no rule enabled for robot {view.self_vars.id} in state {view.self_vars.state}"
+    )
+
+
 def apply_rule(rule: str, view: View) -> RobotVars:
     """Run the action of `rule` against the frozen view; returns updated vars."""
-    vars = view.self_vars
-    if rule in ("Term1", "Term2"):
-        return replace(vars, terminated=True)
-    if rule == "T1":
-        return replace(vars, dir=Direction.LEFT)
-    if rule == "T2":
-        return replace(vars, state=RobotState.LEFT_WALKER, dir=Direction.BOT)
-    if rule == "T3":
-        return _stop_moving(vars)
-    if rule == "W1":
-        return _walk(vars, view)
-    if rule == "K1":
-        return _initiate_walk(vars, view)
-    if rule == "K2":
-        return _stop_moving(vars)
-    if rule == "K3":
-        return _become_waiting_walker(vars, select_witness(view, _with_min_waiting))
-    if rule == "K4":
-        return _become_aware_searcher(vars, select_witness(view, _with_min_waiting))
-    if rule == "M1":
-        return _become_min_waiting_walker(vars)
-    if rule == "M2":
-        return _become_aware_searcher(vars, select_witness(view, _with_head_walker))
-    if rule == "M3":
-        out = _become_aware_searcher(vars, select_witness(view, _with_head_walker))
-        return _stop_moving(out)
-    if rule == "M4":
-        out = _become_tail_walker(vars, select_witness(view, _with_min_tail_walker))
-        return _walk(out, view)
-    if rule == "M5":
-        out = _become_aware_searcher(vars, select_witness(view, _with_aware_searcher))
-        return _search(out, view)
-    if rule == "M6":
-        return _initiate_search(vars, view)
-    if rule == "M7":
-        out = _become_aware_searcher(vars, select_witness(view, _with_searcher))
-        return _search(out, view)
-    if rule == "M8":
-        return _move_right(vars, view)
-    if rule == "M9":
-        out = _become_aware_searcher(vars, vars)  # learns from itself
-        return _search(out, view)
-    if rule == "M10":
-        out = _become_aware_searcher(vars, select_witness(view, _with_aware_searcher))
-        return _search(out, view)
-    if rule == "M11":
-        return _search(vars, view)
-    raise ValueError(f"unknown rule {rule!r}")
+    entry = _rule(rule)
+    witness = select_witness(view, entry.witness) if entry.witness else None
+    return entry.action(view.self_vars, view, witness)
 
 
 def compute(view: View) -> tuple[RobotVars, str]:

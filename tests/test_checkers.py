@@ -1,5 +1,6 @@
 import pytest
 
+from gdg_sim import checkers
 from gdg_sim.checkers import (
     BoundNotApplicable,
     BoundParams,
@@ -81,7 +82,24 @@ class TestSafetyAndVariants:
     def test_safety_fails_on_split_termination(self):
         trace = self._terminating_trace({1: (2, 3), 2: (2, 1), 3: (2, 3), 4: (2, 3)})
         assert not check_safety(trace)
-        assert check_variant(trace, horizon=10).variants == frozenset()
+        verdict = check_variant(trace, horizon=10)
+        assert verdict.variants == frozenset()
+        assert not verdict.safety_ok
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_check_variant_scans_the_trace_once(self, split, monkeypatch):
+        node_of_2 = 1 if split else 3
+        trace = self._terminating_trace({1: (2, 3), 2: (2, node_of_2), 3: (2, 3), 4: (5, 3)})
+        scans = []
+        real = checkers._termination_info
+
+        def counted(t):
+            scans.append(t)
+            return real(t)
+
+        monkeypatch.setattr(checkers, "_termination_info", counted)
+        assert check_variant(trace, horizon=10).safety_ok is not split
+        assert len(scans) == 1
 
     def test_full_gathering_within_bound(self):
         trace = self._terminating_trace({1: (2, 3), 2: (2, 3), 3: (2, 3), 4: (5, 3)})

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gdg_sim import adversary, checkers
+from gdg_sim import adversary, checkers, gdg_protocol
 from gdg_sim.checkers import BoundParams, bound_for
 from gdg_sim.cli import main
 from gdg_sim.ring_model import ST, DynClass
@@ -117,6 +117,47 @@ def test_adversary_never_defeated(tmp_path, capsys):
     assert doc["defeated_at"] is None
     ring = ring_from_json(sched.read_text())
     assert ring.n == 4
+
+
+@pytest.mark.parametrize("targets", [["--r1", "99"], ["--r2", "0"], ["--r1", "2", "--r2", "2"]])
+def test_adversary_bad_targets_are_usage_errors(capsys, targets):
+    code = main(["adversary", "--n", "4", "--ids", "1,2,3,4", "--horizon", "10", *targets])
+    assert code == 2
+    assert "--r1 and --r2 must be two distinct ids" in capsys.readouterr().err
+
+
+def test_adversary_explicit_placement_with_colocated_targets_is_usage_error(
+    tmp_path, capsys
+):
+    trace_out = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "adversary", "--n", "6", "--ids", "1,2,3,4", "--placement", "0,0,0,0",
+            "--horizon", "5", "--trace-out", str(trace_out),
+        ]
+    )
+    assert code == 2
+    assert "--placement puts --r1 and --r2 on one node" in capsys.readouterr().err
+    assert not trace_out.exists()
+
+
+def test_adversary_explicit_placement_is_kept(capsys, monkeypatch):
+    seen = []
+    real = adversary.adaptive_ac_adversary
+
+    def spy(n, R, placement, r1, r2, horizon):
+        seen.append((dict(placement), r1, r2))
+        return real(n, R, placement, r1, r2, horizon)
+
+    monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
+    code = main(
+        [
+            "adversary", "--n", "6", "--ids", "1,2,3,4", "--placement", "0,0,0,3",
+            "--horizon", "5",
+        ]
+    )
+    assert code == 0
+    assert seen == [({1: 0, 2: 0, 3: 0, 4: 3}, 4, 3)]
 
 
 def test_batch_aggregates(tmp_path, capsys):
@@ -241,8 +282,21 @@ def test_batch_internal_error_aborts(tmp_path, capsys, monkeypatch):
         raise AssertionError("generated ring failed st verification")
 
     monkeypatch.setattr(adversary, "generate", broken)
-    with pytest.raises(AssertionError, match="failed st verification"):
-        _batch(tmp_path, [GOOD_ENTRY])
+    assert _batch(tmp_path, [GOOD_ENTRY]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""  # aborted before any report
+    assert err.startswith("Traceback")
+    assert "AssertionError: generated ring failed st verification" in err
+
+
+def test_protocol_violation_is_internal_error(capsys, monkeypatch):
+    def stuck(view):
+        raise gdg_protocol.ProtocolViolation("no rule enabled")
+
+    monkeypatch.setattr(gdg_protocol, "first_enabled_rule", stuck)
+    code = main(["run", "--n", "4", "--ids", "1,2,3,4", "--class", "st"])
+    assert code == 3
+    assert "ProtocolViolation: no rule enabled" in capsys.readouterr().err
 
 
 def test_batch_reports_monitor_violations(tmp_path, capsys, monkeypatch):

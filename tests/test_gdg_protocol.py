@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from gdg_sim.gdg_protocol import (
     Direction,
     ProtocolViolation,
+    RULE_ORDER,
     RobotState,
     RobotVars,
     View,
@@ -325,6 +326,130 @@ class TestWitness:
     def test_missing_witness_raises(self):
         with pytest.raises(ProtocolViolation):
             select_witness(make_view(robot(9)), lambda m: True)
+
+
+# ---------------------------------------------------------------------------
+# Every rule: a view in which it is the first enabled one
+# ---------------------------------------------------------------------------
+
+HEAD = robot(8, RobotState.HEAD_WALKER, id_min=1, id_potential_min=1, id_head_walker=8)
+MIN_WAITING = robot(1, RobotState.MIN_WAITING_WALKER, id_min=1, id_potential_min=1)
+AWARE = robot(6, RobotState.AWARE_SEARCHER, id_min=1, id_potential_min=1)
+
+# In priority order; each view enables its rule and no earlier one.
+FIRST_ENABLED = {
+    "Term1": make_view(robot(1), [robot(2), robot(3), robot(4)], R=4),
+    "Term2": make_view(
+        robot(1, RobotState.MIN_WAITING_WALKER),
+        [robot(3, RobotState.WAITING_WALKER), robot(4)],
+        R=4,
+    ),
+    "T1": make_view(robot(2, RobotState.LEFT_WALKER)),
+    "T2": make_view(
+        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5),
+        [robot(1, RobotState.TAIL_WALKER)],
+    ),
+    "T3": make_view(robot(5, RobotState.HEAD_WALKER, walk_steps=4, id_head_walker=5), n=4),
+    "W1": make_view(
+        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1}), id_head_walker=5),
+        [robot(1, RobotState.MIN_TAIL_WALKER, id_head_walker=5)],
+        R=5,
+    ),
+    "K1": make_view(
+        robot(1, RobotState.MIN_WAITING_WALKER),
+        [robot(4, RobotState.WAITING_WALKER), robot(7, RobotState.WAITING_WALKER)],
+        R=5,
+    ),
+    "K2": make_view(robot(4, RobotState.WAITING_WALKER), [robot(9)], R=5),
+    "K3": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [MIN_WAITING], R=5),
+    "K4": make_view(robot(4), [MIN_WAITING], R=5),
+    "M1": make_view(robot(1, RobotState.POTENTIAL_MIN, id_potential_min=1), [robot(5)], R=5),
+    "M2": make_view(robot(2), [HEAD], R=5),
+    "M3": make_view(robot(2), [HEAD], R=5, right_cur=False),
+    "M4": make_view(
+        AWARE,
+        [robot(1, RobotState.MIN_TAIL_WALKER, id_min=1, id_head_walker=8)],
+        R=5,
+    ),
+    "M5": make_view(robot(2, RobotState.POTENTIAL_MIN, id_potential_min=2), [AWARE], R=5),
+    "M6": make_view(robot(1), [robot(2), robot(3)], R=4),
+    "M7": make_view(robot(4), [robot(6, RobotState.DUMB_SEARCHER, id_potential_min=2)], R=5),
+    "M8": make_view(robot(3)),
+    "M9": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [robot(6)], R=5),
+    "M10": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [AWARE], R=5),
+    "M11": make_view(robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2), R=5),
+}
+
+
+def test_first_enabled_covers_every_rule_in_priority_order():
+    assert tuple(FIRST_ENABLED) == RULE_ORDER
+
+
+@pytest.mark.parametrize("rule", RULE_ORDER)
+def test_rule_is_first_enabled(rule):
+    view = FIRST_ENABLED[rule]
+    assert first_enabled_rule(view) == rule
+    assert compute(view) == (apply_rule(rule, view), rule)
+
+
+class TestUnpinnedActions:
+    def test_term2_freezes(self):
+        out = apply_rule("Term2", FIRST_ENABLED["Term2"])
+        assert out.terminated
+        assert out.state is RobotState.MIN_WAITING_WALKER
+
+    def test_t1_turns_left(self):
+        out = apply_rule("T1", FIRST_ENABLED["T1"])
+        assert (out.state, out.dir) == (RobotState.LEFT_WALKER, Direction.LEFT)
+
+    def test_t2_becomes_parked_left_walker(self):
+        out = apply_rule("T2", FIRST_ENABLED["T2"])
+        assert (out.state, out.dir) == (RobotState.LEFT_WALKER, Direction.BOT)
+        assert out.walker_mate == frozenset({1, 2})
+
+    def test_t3_stops_after_full_walk(self):
+        out = apply_rule("T3", FIRST_ENABLED["T3"])
+        assert (out.state, out.dir, out.walk_steps) == (RobotState.HEAD_WALKER, Direction.BOT, 4)
+
+    def test_k2_parks(self):
+        out = apply_rule("K2", FIRST_ENABLED["K2"])
+        assert (out.state, out.dir) == (RobotState.WAITING_WALKER, Direction.BOT)
+
+    def test_k4_learns_min_from_min_waiting(self):
+        out = apply_rule("K4", FIRST_ENABLED["K4"])
+        assert (out.state, out.dir) == (RobotState.AWARE_SEARCHER, Direction.RIGHT)
+        assert (out.id_potential_min, out.id_min) == (1, 1)
+
+    def test_m2_learns_min_from_head_walker_and_keeps_going(self):
+        out = apply_rule("M2", FIRST_ENABLED["M2"])
+        assert (out.state, out.dir) == (RobotState.AWARE_SEARCHER, Direction.RIGHT)
+        assert (out.id_potential_min, out.id_min) == (1, 1)
+
+    def test_m5_learns_from_smallest_aware_searcher_then_searches(self):
+        me = robot(2, RobotState.POTENTIAL_MIN, id_potential_min=2)
+        other = robot(9, RobotState.AWARE_SEARCHER, id_min=5, id_potential_min=5)
+        out = apply_rule("M5", make_view(me, [other, AWARE], R=5))
+        assert out.state is RobotState.AWARE_SEARCHER
+        assert (out.id_potential_min, out.id_min) == (1, 1)
+        assert out.dir is Direction.RIGHT  # not the largest id here
+
+    def test_m8_moves_right_counting_present_edges(self):
+        out = apply_rule("M8", make_view(robot(3, right_steps=2, dir=Direction.BOT)))
+        assert (out.state, out.dir, out.right_steps) == (RobotState.RIGHTER, Direction.RIGHT, 3)
+        blocked = apply_rule("M8", make_view(robot(3, right_steps=2), right_cur=False))
+        assert blocked.right_steps == 2
+
+    def test_m10_dumb_searcher_learns_min_and_searches(self):
+        out = apply_rule("M10", FIRST_ENABLED["M10"])
+        assert out.state is RobotState.AWARE_SEARCHER
+        assert (out.id_potential_min, out.id_min) == (1, 1)
+        assert out.dir is Direction.RIGHT
+        me = robot(7, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        assert apply_rule("M10", make_view(me, [AWARE], R=5)).dir is Direction.LEFT
+
+    def test_unknown_rule_raises(self):
+        with pytest.raises(ValueError, match="unknown rule"):
+            apply_rule("M12", FIRST_ENABLED["M8"])
 
 
 # ---------------------------------------------------------------------------
