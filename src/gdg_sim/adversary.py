@@ -159,7 +159,12 @@ def adaptive_ac_adversary(
     horizon: int,
     compute_fn: ComputeFn = compute,
 ) -> AdversaryResult:
-    """Keep robots r1 and r2 apart for `horizon` rounds on an AC schedule."""
+    """Keep robots r1 and r2 apart for `horizon` rounds on an AC schedule.
+
+    R is the number of robots and must equal len(placement).
+    """
+    if R != len(placement):
+        raise ValueError(f"R={R} but the placement has {len(placement)} robots")
     if r1 == r2 or placement[r1] == placement[r2]:
         raise ValueError("targets must be distinct robots on distinct nodes")
     if horizon < 1:

@@ -3,6 +3,12 @@
 All robots compute against the same frozen configuration, then move
 simultaneously. Identical inputs yield bit-identical traces: robots are
 always processed in id order and every decision is deterministic.
+
+Id order is an invariant, not a per-round sort: ``initial_configuration``
+keys every dict in increasing robot id and ``step`` keeps that order, so
+nothing sorts again. RobotRecords are immutable and shared: ``step`` and
+``trace_from_jsonl`` take equal records from one table, bounded by the
+number of distinct records rather than by the horizon.
 """
 
 from __future__ import annotations
@@ -27,6 +33,10 @@ ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
 @dataclass(frozen=True, slots=True)
 class Configuration:
+    """A round's start. Its dicts are keyed in increasing robot id and never
+    mutated, so iterating one visits robots in id order and a later
+    configuration may share a dict with an earlier one."""
+
     round: int
     positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
@@ -40,6 +50,18 @@ class RobotRecord:
     dir: str
     rule: str  # fired rule, or "terminated" for already-terminated robots
     moved: bool
+
+
+# The shared records, keyed by their fields.
+_RECORDS: dict[tuple[int, str, str, str, bool], RobotRecord] = {}
+
+
+def _record(position: int, state: str, dir: str, rule: str, moved: bool) -> RobotRecord:
+    key = (position, state, dir, rule, moved)
+    rec = _RECORDS.get(key)
+    if rec is None:
+        rec = _RECORDS[key] = RobotRecord(position, state, dir, rule, moved)
+    return rec
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,13 +95,9 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
     for node in placement.values():
         if not 0 <= node < n:
             raise ValueError("placement node out of range")
-    vars = {rid: RobotVars(id=rid) for rid in placement}
-    return Configuration(
-        round=0,
-        positions=dict(placement),
-        vars=vars,
-        prev_positions=dict(placement),
-    )
+    positions = {rid: placement[rid] for rid in sorted(placement)}
+    vars = {rid: RobotVars(id=rid) for rid in positions}
+    return Configuration(round=0, positions=positions, vars=vars, prev_positions=positions)
 
 
 def build_view(
@@ -99,8 +117,8 @@ def build_view(
     right, left = right_edge_of(node, n), left_edge_of(node, n)
     mates = tuple(
         config.vars[other]
-        for other in sorted(config.vars)
-        if other != robot_id and config.positions[other] == node
+        for other, at in config.positions.items()
+        if at == node and other != robot_id
     )
     return View(
         self_vars=config.vars[robot_id],
@@ -131,52 +149,28 @@ def step(
     if (prev_snap is None) != (t == 0):
         raise ValueError("prev_snap must be None exactly at round 0")
     n = len(snap)
+    positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
-    rules: dict[int, str] = {}
-    for rid in sorted(config.vars):
-        vars = config.vars[rid]
+    robots: dict[int, RobotRecord] = {}
+    for rid, vars in config.vars.items():
+        node = target = config.positions[rid]
         if vars.terminated:
-            new_vars[rid] = vars
-            rules[rid] = "terminated"
-            continue
-        view = build_view(config, snap, prev_snap, rid)
-        new_vars[rid], rules[rid] = compute_fn(view)
-
-    new_positions: dict[int, int] = {}
-    moved: dict[int, bool] = {}
-    for rid in sorted(config.vars):
-        node = config.positions[rid]
-        vars = new_vars[rid]
-        target = node
-        if not vars.terminated:
-            if vars.dir is Direction.RIGHT and snap[right_edge_of(node, n)]:
-                target = step_right(node, n)
-            elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
-                target = step_left(node, n)
-        new_positions[rid] = target
-        moved[rid] = target != node
-
-    event = TraceEvent(
-        round=t,
-        robots={
-            rid: RobotRecord(
-                position=new_positions[rid],
-                state=new_vars[rid].state.value,
-                dir=new_vars[rid].dir.value,
-                rule=rules[rid],
-                moved=moved[rid],
-            )
-            for rid in sorted(config.vars)
-        },
-        snapshot=snap,
-    )
+            rule = "terminated"
+        else:
+            vars, rule = compute_fn(build_view(config, snap, prev_snap, rid))
+            if not vars.terminated:
+                if vars.dir is Direction.RIGHT and snap[right_edge_of(node, n)]:
+                    target = step_right(node, n)
+                elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
+                    target = step_left(node, n)
+        positions[rid] = target
+        new_vars[rid] = vars
+        # Enum's _value_ is the plain attribute behind its slower .value.
+        robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
     next_config = Configuration(
-        round=t + 1,
-        positions=new_positions,
-        vars=new_vars,
-        prev_positions=dict(config.positions),
+        round=t + 1, positions=positions, vars=new_vars, prev_positions=config.positions
     )
-    return next_config, event
+    return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
 
 
 def run(
@@ -228,9 +222,16 @@ def run(
 # ---------------------------------------------------------------------------
 
 
+def _dumps(obj: object) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def trace_to_jsonl(trace: Trace) -> str:
+    """Encode a trace. Each line equals _dumps of the same dicts, but is
+    assembled from fragments that encode each distinct snapshot and each
+    distinct (robot id, record) once per trace."""
     lines = [
-        json.dumps(
+        _dumps(
             {
                 "n": trace.n,
                 "R": trace.R,
@@ -238,17 +239,25 @@ def trace_to_jsonl(trace: Trace) -> str:
                 "class": trace.class_claim,
                 "seed": trace.seed,
                 "horizon": trace.horizon,
-            },
-            separators=(",", ":"),
+            }
         )
     ]
+    snapshots: dict[Snapshot, str] = {}
+    # Keyed by record identity, which hashes faster than the record's fields:
+    # equal records from step or trace_from_jsonl are one object, and the
+    # trace keeps every record alive while it is encoded.
+    fragments: dict[tuple[int, int], str] = {}
     for ev in trace.events:
-        lines.append(
-            json.dumps(
-                {
-                    "round": ev.round,
-                    "snapshot": list(ev.snapshot),
-                    "robots": {
+        snap = snapshots.get(ev.snapshot)
+        if snap is None:
+            snap = snapshots[ev.snapshot] = _dumps(list(ev.snapshot))
+        parts = []
+        for rid, rec in ev.robots.items():
+            part = fragments.get((rid, id(rec)))
+            if part is None:
+                # '"rid":{...}', the dict entry without its enclosing braces.
+                part = fragments[rid, id(rec)] = _dumps(
+                    {
                         str(rid): {
                             "pos": rec.position,
                             "state": rec.state,
@@ -256,12 +265,11 @@ def trace_to_jsonl(trace: Trace) -> str:
                             "rule": rec.rule,
                             "moved": rec.moved,
                         }
-                        for rid, rec in ev.robots.items()
-                    },
-                },
-                separators=(",", ":"),
-            )
-        )
+                    }
+                )[1:-1]
+            parts.append(part)
+        robots = ",".join(parts)
+        lines.append('{"round":%d,"snapshot":%s,"robots":{%s}}' % (ev.round, snap, robots))
     return "\n".join(lines) + "\n"
 
 
@@ -271,22 +279,11 @@ def trace_from_jsonl(text: str) -> Trace:
     events = []
     for ln in lines[1:]:
         doc = json.loads(ln)
-        events.append(
-            TraceEvent(
-                round=doc["round"],
-                snapshot=tuple(doc["snapshot"]),
-                robots={
-                    int(rid): RobotRecord(
-                        position=rec["pos"],
-                        state=rec["state"],
-                        dir=rec["dir"],
-                        rule=rec["rule"],
-                        moved=rec["moved"],
-                    )
-                    for rid, rec in doc["robots"].items()
-                },
-            )
-        )
+        robots = {
+            int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
+            for rid, rec in doc["robots"].items()
+        }
+        events.append(TraceEvent(doc["round"], robots, tuple(doc["snapshot"])))
     return Trace(
         n=header["n"],
         R=header["R"],

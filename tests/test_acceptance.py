@@ -5,8 +5,11 @@ monitor, and replay criteria all inspect the same executions, and replays
 regenerate everything from the recorded seeds.
 """
 
+import hashlib
+import json
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -28,6 +31,11 @@ from gdg_sim.ring_model import (
 from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
 
 import test_oracle_trace as oracle
+
+# The benchmark's reference sha256 digests of concatenated JSONL traces.
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
+)
 
 
 @dataclass
@@ -322,3 +330,20 @@ def test_criterion_10_replay_determinism(corpus, adversary_runs, capsys):
         f"replayed {len(_all_runs(corpus))} runs and {len(adversary_runs)} "
         f"adversary schedules byte-identically; drift: {drift or 'none'}",
     )
+
+
+def _sha256(texts):
+    digest = hashlib.sha256()
+    for text in texts:
+        digest.update(text.encode())
+    return digest.hexdigest()
+
+
+def test_corpus_jsonl_bytes_match_reference_digest(corpus):
+    # Fixture order (st, ac, re, cot, bre), as the benchmark concatenates them.
+    assert _sha256(rec.jsonl for rec in _all_runs(corpus)) == DIGESTS["corpus"]
+
+
+def test_duel_jsonl_bytes_match_reference_digest(adversary_runs):
+    traces = (trace_to_jsonl(res.trace) for *_, res in adversary_runs)
+    assert _sha256(traces) == DIGESTS["duel"]

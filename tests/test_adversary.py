@@ -99,6 +99,11 @@ class TestAdaptiveAdversary:
                 3, 4, {1: 0, 2: 1, 3: 2, 4: 0}, 1, 2, 10, compute_fn=must_not_compute
             )
 
+    @pytest.mark.parametrize("R", [3, 5])
+    def test_rejects_robot_count_other_than_placement(self, R):
+        with pytest.raises(ValueError, match="placement has 4 robots"):
+            adaptive_ac_adversary(4, R, self.PLACEMENT, 3, 4, 20)
+
     # The acceptance suite's duels: (n, placement, target r1, target r2).
     DUELS = (
         (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),

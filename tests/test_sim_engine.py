@@ -1,9 +1,15 @@
+import json
+
 import pytest
 
 from gdg_sim import sim_engine
+from gdg_sim.adversary import never_move
 from gdg_sim.gdg_protocol import Direction, RobotState
 from gdg_sim.ring_model import EvolvingRing, Schedule, static_ring
 from gdg_sim.sim_engine import (
+    RobotRecord,
+    Trace,
+    TraceEvent,
     build_view,
     initial_configuration,
     run,
@@ -19,6 +25,33 @@ def ring_of(n, prefix, cycle):
 
 PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
 FULL = (1, 1, 1, 1)
+# Edge e0 vanishes after round 0: robots 1-3 terminate at round 10 and
+# robot 4 stays stranded, so later events mix terminated and active robots.
+STRANDED_RING = ring_of(4, [[1, 1, 1, 1]], [[0, 1, 1, 1]])
+STRANDED = {1: 0, 2: 2, 3: 2, 4: 3}
+
+
+def dump(doc):
+    return json.dumps(doc, separators=(",", ":"))
+
+
+def reference_jsonl(trace):
+    """The encoder as one json.dumps per line, which trace_to_jsonl must equal."""
+    header = {
+        "n": trace.n, "R": trace.R, "ids": list(trace.ids), "class": trace.class_claim,
+        "seed": trace.seed, "horizon": trace.horizon,
+    }
+    lines = [dump(header)]
+    for ev in trace.events:
+        robots = {
+            str(rid): {
+                "pos": rec.position, "state": rec.state, "dir": rec.dir,
+                "rule": rec.rule, "moved": rec.moved,
+            }
+            for rid, rec in ev.robots.items()
+        }
+        lines.append(dump({"round": ev.round, "snapshot": list(ev.snapshot), "robots": robots}))
+    return "\n".join(lines) + "\n"
 
 
 class TestBuildView:
@@ -31,8 +64,9 @@ class TestBuildView:
         assert not view.has_moved
         assert (view.n, view.R) == (4, 4)
 
-    def test_mates_sorted_by_id(self):
-        config = initial_configuration({1: 0, 2: 0, 3: 0, 4: 2}, 4)
+    @pytest.mark.parametrize("placement", [{1: 0, 2: 0, 3: 0, 4: 2}, {3: 0, 4: 2, 2: 0, 1: 0}])
+    def test_mates_sorted_by_id(self, placement):
+        config = initial_configuration(placement, 4)
         view = build_view(config, FULL, None, 2)
         assert [m.id for m in view.mates] == [1, 3]
 
@@ -84,6 +118,38 @@ class TestStep:
         assert config.vars == frozen
         assert all(rec.rule == "terminated" for rec in event.robots.values())
         assert all(not rec.moved for rec in event.robots.values())
+
+    def test_dicts_stay_in_id_order(self):
+        config = initial_configuration({4: 0, 1: 1, 3: 2, 2: 3}, 4)
+        for t in range(3):
+            for d in (config.positions, config.vars, config.prev_positions):
+                assert list(d) == [1, 2, 3, 4]
+            config, event = step(config, FULL, FULL if t else None)
+            assert list(event.robots) == [1, 2, 3, 4]
+
+    def test_builds_one_view_per_computing_robot(self, monkeypatch):
+        calls = []
+        build = sim_engine.build_view
+
+        def spy(config, snap, prev_snap, robot_id):
+            calls.append((config.round, robot_id))
+            return build(config, snap, prev_snap, robot_id)
+
+        monkeypatch.setattr(sim_engine, "build_view", spy)
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=15)
+        assert calls == [
+            (ev.round, rid)
+            for ev in trace.events
+            for rid, rec in ev.robots.items()
+            if rec.rule != "terminated"
+        ]
+        assert calls[-1] == (14, 4) and len(calls) == 11 * 4 + 4
+
+    def test_equal_records_are_shared(self):
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
+        first, last = trace.events[11].robots, trace.events[-1].robots
+        assert first[1].rule == "terminated"
+        assert all(first[rid] is last[rid] for rid in (1, 2, 3))
 
     @pytest.mark.parametrize("round, prev_snap", [(0, FULL), (1, None)])
     def test_prev_snapshot_must_match_round(self, round, prev_snap):
@@ -154,6 +220,58 @@ class TestTraceSerialization:
         a, _ = run(static_ring(4), PLACEMENT, horizon=100, class_claim="st", seed=7)
         b, _ = run(static_ring(4), PLACEMENT, horizon=100, class_claim="st", seed=7)
         assert trace_to_jsonl(a) == trace_to_jsonl(b)
+
+    @pytest.mark.parametrize("ring", [static_ring(4), STRANDED_RING], ids=["st", "stranded"])
+    def test_unsorted_placement_gives_the_same_trace(self, ring):
+        shuffled = {4: 3, 2: 2, 1: 0, 3: 2}
+        sorted_trace, _ = run(ring, dict(sorted(shuffled.items())), horizon=30, seed=1)
+        trace, _ = run(ring, shuffled, horizon=30, seed=1)
+        assert trace == sorted_trace
+        assert trace_to_jsonl(trace) == trace_to_jsonl(sorted_trace)
+        assert all(list(ev.robots) == sorted(ev.robots) for ev in trace.events)
+
+    @pytest.mark.parametrize(
+        "ring, placement, compute_fn",
+        [
+            (STRANDED_RING, STRANDED, sim_engine.compute),
+            (static_ring(4), PLACEMENT, never_move),  # "idle" is not a GDG rule
+        ],
+        ids=["terminated", "never_move"],
+    )
+    def test_encoder_equals_reference(self, ring, placement, compute_fn):
+        trace, _ = run(ring, placement, horizon=40, compute_fn=compute_fn, class_claim="x", seed=5)
+        rules = {rec.rule for ev in trace.events for rec in ev.robots.values()}
+        assert "terminated" in rules or rules == {"idle"}
+        text = trace_to_jsonl(trace)
+        assert text == reference_jsonl(trace)
+        assert trace_from_jsonl(text) == trace
+
+    def test_unshared_equal_records(self):
+        # Records built outside step are equal by value but distinct objects.
+        def rec(pos):
+            return RobotRecord(position=pos, state="righter", dir="right", rule="M8", moved=True)
+
+        events = tuple(
+            TraceEvent(t, {rid: rec((rid + t) % 4) for rid in (1, 2, 3, 4)}, FULL)
+            for t in range(6)
+        )
+        trace = Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim=None, seed=None, horizon=6,
+                      events=events)
+        text = trace_to_jsonl(trace)
+        assert text == reference_jsonl(trace)
+        loaded = trace_from_jsonl(text)
+        assert loaded == trace
+        assert loaded.events[0].robots[2] is loaded.events[1].robots[1]
+
+    def test_decoded_records_are_shared(self):
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
+        loaded = trace_from_jsonl(trace_to_jsonl(trace))
+        assert loaded == trace
+        assert all(
+            a is b
+            for ev, again in zip(trace.events, loaded.events)
+            for a, b in zip(ev.robots.values(), again.robots.values())
+        )
 
     def test_header_fields(self):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=5, class_claim="st", seed=3)
