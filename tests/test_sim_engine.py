@@ -64,9 +64,13 @@ class TestBuildView:
         assert not view.has_moved
         assert (view.n, view.R) == (4, 4)
 
-    @pytest.mark.parametrize("placement", [{1: 0, 2: 0, 3: 0, 4: 2}, {3: 0, 4: 2, 2: 0, 1: 0}])
-    def test_mates_sorted_by_id(self, placement):
-        config = initial_configuration(placement, 4)
+    def test_mates_sorted_by_id(self):
+        config = initial_configuration({1: 0, 2: 0, 3: 0, 4: 2}, 4)
+        view = build_view(config, FULL, None, 2)
+        assert [m.id for m in view.mates] == [1, 3]
+
+    def test_mates_sorted_by_id_from_unsorted_placement(self):
+        config = initial_configuration({3: 0, 4: 2, 2: 0, 1: 0}, 4)
         view = build_view(config, FULL, None, 2)
         assert [m.id for m in view.mates] == [1, 3]
 
