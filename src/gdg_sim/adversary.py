@@ -17,7 +17,7 @@ emits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .gdg_protocol import Direction, RobotVars, View
@@ -126,7 +126,7 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
 
 def never_move(view: View) -> tuple[RobotVars, str]:
     """Trivial algorithm under test: robots park forever."""
-    return replace(view.self_vars, dir=Direction.BOT), "idle"
+    return view.self_vars._replace(dir=Direction.BOT), "idle"
 
 
 @dataclass(frozen=True, slots=True)

@@ -181,7 +181,7 @@ WAITING_NAMES = {"waitingWalker", "minWaitingWalker"}
 RIGHTWARD_NAMES = {"righter", "potentialMin"}
 
 
-def monitor_invariants(trace: Trace, ids: Optional[list[int]] = None) -> list[tuple[str, int]]:
+def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """Check GDG execution invariants round by round; returns violations.
 
     Monitored properties:
@@ -195,14 +195,13 @@ def monitor_invariants(trace: Trace, ids: Optional[list[int]] = None) -> list[tu
       no-reentry    righter, potentialMin, and waiting states are not
                     re-entered once left
     """
-    all_ids = list(ids) if ids is not None else list(trace.ids)
-    rmin = min(all_ids)
+    rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
-    prev_states: dict[int, str] = {rid: "righter" for rid in all_ids}
+    prev_states: dict[int, str] = {rid: "righter" for rid in trace.ids}
     left_righter: set[int] = set()
     left_rightward: set[int] = set()
     left_waiting: set[int] = set()
-    dir_history_ok: dict[int, bool] = {rid: True for rid in all_ids}
+    dir_history_ok: dict[int, bool] = {rid: True for rid in trace.ids}
     tower_episodes = 0
     in_tower = False
 

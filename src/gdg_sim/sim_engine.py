@@ -190,20 +190,22 @@ def run(
     events: list[TraceEvent] = []
     termination: dict[int, Optional[int]] = {rid: None for rid in placement}
     prev_snap: Optional[Snapshot] = None
-    while config.round < horizon:
+    running = len(placement)
+    while running and config.round < horizon:
         snap = ring.snapshot(config.round)
         config, event = step(config, snap, prev_snap, compute_fn)
         prev_snap = snap
         events.append(event)
-        for rid, rec in event.robots.items():
+        running = 0
+        # Both dicts are in id order, so zip pairs each record with its vars.
+        for (rid, rec), vars in zip(event.robots.items(), config.vars.values()):
             if rec.rule in ("Term1", "Term2") and termination[rid] is None:
                 termination[rid] = event.round
-        if all(v.terminated for v in config.vars.values()):
-            break
+            running += not vars.terminated
     outcome = RunOutcome(
         termination_rounds=termination,
         final_positions=dict(config.positions),
-        halted_at_horizon=not all(v.terminated for v in config.vars.values()),
+        halted_at_horizon=running > 0,
     )
     trace = Trace(
         n=ring.n,

@@ -5,6 +5,7 @@ from gdg_sim.gdg_protocol import (
     Direction,
     ProtocolViolation,
     RULE_ORDER,
+    RULES,
     RobotState,
     RobotVars,
     View,
@@ -436,8 +437,14 @@ class TestUnpinnedActions:
     def test_m8_moves_right_counting_present_edges(self):
         out = apply_rule("M8", make_view(robot(3, right_steps=2, dir=Direction.BOT)))
         assert (out.state, out.dir, out.right_steps) == (RobotState.RIGHTER, Direction.RIGHT, 3)
+        heading_right = make_view(robot(3, right_steps=2))
+        assert apply_rule("M8", heading_right).right_steps == 3
+        assert heading_right.self_vars.right_steps == 2
         blocked = apply_rule("M8", make_view(robot(3, right_steps=2), right_cur=False))
         assert blocked.right_steps == 2
+        parked_view = make_view(robot(3, right_steps=2, dir=Direction.BOT), right_cur=False)
+        parked = apply_rule("M8", parked_view)
+        assert (parked.dir, parked.right_steps) == (Direction.RIGHT, 2)
 
     def test_m10_dumb_searcher_learns_min_and_searches(self):
         out = apply_rule("M10", FIRST_ENABLED["M10"])
@@ -511,3 +518,130 @@ def test_compute_is_total_and_deterministic(view):
 def test_terminated_only_via_term_rules(view):
     vars, rule = compute(view)
     assert vars.terminated == (rule in ("Term1", "Term2"))
+
+
+# ---------------------------------------------------------------------------
+# Value types: immutable, hashable, keyword-constructed
+# ---------------------------------------------------------------------------
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("rid", [0, -1])
+    def test_non_positive_id_rejected(self, rid):
+        with pytest.raises(ValueError, match="strictly positive"):
+            RobotVars(id=rid)
+
+    def test_robot_vars_fields_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            robot(3).state = RobotState.LEFT_WALKER
+
+    def test_view_fields_cannot_be_set(self):
+        with pytest.raises(AttributeError):
+            make_view(robot(3)).has_moved = True
+
+    def test_replace_returns_robot_vars(self):
+        out = robot(3)._replace(dir=Direction.LEFT)
+        assert type(out) is RobotVars
+        assert (out.id, out.dir) == (3, Direction.LEFT)
+
+    def test_equal_vars_from_different_actions_are_equal_and_hash_equal(self):
+        # K3 turns a searcher into this waiting walker; K2 parks one that was
+        # already waiting but still headed right.
+        via_k3 = apply_rule("K3", FIRST_ENABLED["K3"])
+        waiting = robot(4, RobotState.WAITING_WALKER, id_potential_min=1, id_min=1)
+        via_k2 = apply_rule("K2", make_view(waiting, [MIN_WAITING], R=5))
+        assert via_k3 is not via_k2
+        assert via_k3 == via_k2
+        assert hash(via_k3) == hash(via_k2)
+        assert len({via_k3, via_k2}) == 1
+
+    def test_keyword_construction_with_defaults(self):
+        me = RobotVars(id=3)
+        assert (me.state, me.dir, me.right_steps, me.walk_steps) == (
+            RobotState.RIGHTER, Direction.RIGHT, 0, 0
+        )
+        assert (me.id_potential_min, me.id_min, me.id_head_walker) == (-1, -1, -1)
+        assert (me.walker_mate, me.terminated) == (frozenset(), False)
+        assert RobotVars(3, RobotState.POTENTIAL_MIN, Direction.LEFT) == RobotVars(
+            id=3, state=RobotState.POTENTIAL_MIN, dir=Direction.LEFT
+        )
+        view = make_view(me, R=6, n=9)
+        assert (view.self_vars, view.mates, view.n, view.R) == (me, (), 9, 6)
+
+
+# ---------------------------------------------------------------------------
+# Actions that change nothing return their input
+# ---------------------------------------------------------------------------
+
+
+class TestUnchangedVars:
+    def test_blocked_m8_returns_its_input(self):
+        view = make_view(robot(3, right_steps=2), right_cur=False)
+        assert apply_rule("M8", view) is view.self_vars
+
+    def test_k2_at_bot_returns_its_input(self):
+        view = make_view(robot(4, RobotState.WAITING_WALKER, dir=Direction.BOT), [robot(9)], R=5)
+        assert apply_rule("K2", view) is view.self_vars
+
+    def test_lone_m11_returns_its_input(self):
+        view = FIRST_ENABLED["M11"]
+        assert apply_rule("M11", view) is view.self_vars
+
+    def test_m11_keeping_its_direction_returns_its_input(self):
+        me = robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        view = make_view(me, [robot(6, RobotState.DUMB_SEARCHER)], R=5)
+        assert apply_rule("M11", view) is me
+
+
+# ---------------------------------------------------------------------------
+# Dispatch against a reference walk of the rule table
+# ---------------------------------------------------------------------------
+
+
+def reference_first_enabled_rule(view):
+    """The first rule of RULES whose state, witness and condition all hold,
+    with Term1/Term2 decided by gathering_predicates alone and M1 by
+    reference_min_discovery."""
+    gathered = dict(zip(("Term1", "Term2"), gathering_predicates(view)))
+    for rule in RULES:
+        if view.self_vars.state not in rule.states:
+            continue
+        if rule.witness is not None and not any(rule.witness(m) for m in view.mates):
+            continue
+        if rule.name in gathered:
+            enabled = gathered[rule.name]
+        elif rule.name == "M1":
+            enabled = reference_min_discovery(view)
+        else:
+            enabled = rule.condition is None or rule.condition(view)
+        if enabled:
+            return rule.name
+    return None
+
+
+def reference_min_discovery(view):
+    """min_discovery as three separate scans of the mates."""
+    me = view.self_vars
+    return (
+        (me.state is RobotState.POTENTIAL_MIN
+         and any(m.state is RobotState.RIGHTER and me.id < m.id for m in view.mates))
+        or any(m.id_min == me.id for m in view.mates)
+        or any(
+            m.state in (RobotState.DUMB_SEARCHER, RobotState.POTENTIAL_MIN)
+            and me.id < m.id_potential_min
+            for m in view.mates
+        )
+        or me.right_steps == 4 * me.id * view.n
+    )
+
+
+@settings(max_examples=500)
+@given(views())
+def test_min_discovery_matches_reference(view):
+    assert min_discovery(view) == reference_min_discovery(view)
+
+
+@settings(max_examples=500)
+@given(views())
+def test_dispatch_matches_reference_walk(view):
+    assert first_enabled_rule(view) == reference_first_enabled_rule(view)

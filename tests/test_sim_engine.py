@@ -4,7 +4,7 @@ import pytest
 
 from gdg_sim import sim_engine
 from gdg_sim.adversary import never_move
-from gdg_sim.gdg_protocol import Direction, RobotState
+from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars
 from gdg_sim.ring_model import EvolvingRing, Schedule, static_ring
 from gdg_sim.sim_engine import (
     RobotRecord,
@@ -180,6 +180,16 @@ class TestRun:
         trace, outcome = run(static_ring(4), PLACEMENT, horizon=3)
         assert outcome.halted_at_horizon
         assert len(trace.events) == 3
+
+    def test_stops_once_every_robot_terminated_under_any_label(self):
+        def halt(view):
+            return RobotVars(id=view.self_vars.id, terminated=True), "halt"
+
+        trace, outcome = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=halt)
+        assert len(trace.events) == 1
+        assert not outcome.halted_at_horizon
+        # only Term1/Term2 count as terminations of the algorithm
+        assert outcome.termination_rounds == {1: None, 2: None, 3: None, 4: None}
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
