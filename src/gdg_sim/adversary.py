@@ -16,6 +16,7 @@ emits.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -53,7 +54,9 @@ def _all_present(n: int) -> Snapshot:
     return (1,) * n
 
 
+@functools.cache
 def _absent_one(n: int, e: int) -> Snapshot:
+    """Cached: the adversary asks for one of these n snapshots every round."""
     return tuple(0 if i == e else 1 for i in range(n))
 
 

@@ -104,8 +104,12 @@ def _termination_info(trace: Trace) -> tuple[dict[int, int], dict[int, int]]:
     """(termination round, final node) per robot that fired Term1/Term2."""
     rounds: dict[int, int] = {}
     nodes: dict[int, int] = {}
+    last = None
     for ev in trace.events:
-        for rid, rec in ev.robots.items():
+        if ev.robots is last:  # a repeated round fires no rule for the first time
+            continue
+        last = ev.robots
+        for rid, rec in last.items():
             if rec.rule in ("Term1", "Term2") and rid not in rounds:
                 rounds[rid] = ev.round
                 nodes[rid] = rec.position
@@ -194,6 +198,13 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
       dir-right     righter/potentialMin robots have always headed right
       no-reentry    righter, potentialMin, and waiting states are not
                     re-entered once left
+
+    An event whose robots dict is the previous event's repeats its round,
+    and the monitors' state is a fixed point after one such repeat: no state
+    is left or entered, the tower-min flag already holds this round's value,
+    and the direction history only records again what it recorded. So from
+    the second repeat in a row on, an event yields exactly the violations of
+    the event before, which are copied with the new round.
     """
     rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
@@ -204,8 +215,19 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     dir_history_ok: dict[int, bool] = {rid: True for rid in trace.ids}
     tower_episodes = 0
     in_tower = False
+    last = None
+    repeats = 0
+    start = end = 0  # violations[start:end] came from the last event checked in full
 
     for ev in trace.events:
+        if ev.robots is last:
+            repeats += 1
+            if repeats > 1:
+                violations.extend((name, ev.round) for name, _ in violations[start:end])
+                continue
+        else:
+            last, repeats = ev.robots, 0
+        start = len(violations)
         states = {rid: rec.state for rid, rec in ev.robots.items()}
         positions = {rid: rec.position for rid, rec in ev.robots.items()}
 
@@ -270,5 +292,6 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
             if prev_states[rid] in WAITING_NAMES and st not in WAITING_NAMES:
                 left_waiting.add(rid)
         prev_states = states
+        end = len(violations)
 
     return violations

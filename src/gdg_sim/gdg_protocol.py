@@ -85,6 +85,24 @@ class RobotVars(_RobotVarsFields):
             raise ValueError("robot ids must be strictly positive")
         return super().__new__(cls, id, *args, **kwargs)
 
+    # NamedTuple's _make and _replace build the tuple directly, skipping
+    # __new__, so both check the id again. _replace is every action's copy:
+    # it builds in one frame, where the inherited one calls _make.
+    @classmethod
+    def _make(cls, iterable) -> RobotVars:
+        result = super()._make(iterable)
+        if result.id <= 0:
+            raise ValueError("robot ids must be strictly positive")
+        return result
+
+    def _replace(self, /, **changes) -> RobotVars:
+        result = tuple.__new__(RobotVars, map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        if result.id <= 0:
+            raise ValueError("robot ids must be strictly positive")
+        return result
+
 
 class View(NamedTuple):
     """What one robot observes during its Look phase."""

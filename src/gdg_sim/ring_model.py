@@ -185,10 +185,13 @@ def verify_class(ring: EvolvingRing, c: DynClass) -> bool:
     """Decide membership of the ring in a dynamics class."""
     n = ring.n
     snaps = ring.schedule.prefix + ring.schedule.cycle
+    # ST and AC test each snapshot alone, so each distinct one is tested once.
     if c.tag == ST:
-        return all(all(snap) for snap in snaps)
+        return all(all(snap) for snap in set(snaps))
     if c.tag == AC:
-        return all(_ring_connected_with_edges(n, {e for e, b in enumerate(s) if b}) for s in snaps)
+        return all(
+            _ring_connected_with_edges(n, {e for e, b in enumerate(s) if b}) for s in set(snaps)
+        )
     fp = footprint(ring)
     recurrent = eventual_underlying(ring)
     if c.tag == RE:

@@ -9,13 +9,21 @@ keys every dict in increasing robot id and ``step`` keeps that order, so
 nothing sorts again. RobotRecords are immutable and shared: ``step`` and
 ``trace_from_jsonl`` take equal records from one table, bounded by the
 number of distinct records rather than by the horizon.
+
+A round that repeats the last one shares its dicts: when every record a
+round produces equals the previous round's, ``step`` returns the previous
+round's ``robots`` dict itself, so ``ev.robots is prev.robots`` holds for
+consecutive events exactly when their records are equal. Likewise an
+unchanged ``vars`` dict is passed on. Consumers of a trace (``run``, the
+checkers, the JSONL encoder) skip their per-robot work on such a repeated
+event, and ``trace_from_jsonl`` restores the same sharing when it decodes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .gdg_protocol import Direction, RobotVars, View, compute
 from .ring_model import (
@@ -31,16 +39,25 @@ from .ring_model import (
 ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(NamedTuple):
     """A round's start. Its dicts are keyed in increasing robot id and never
     mutated, so iterating one visits robots in id order and a later
-    configuration may share a dict with an earlier one."""
+    configuration may share a dict with an earlier one.
+
+    robots holds the records of the round that produced this configuration
+    (empty at round 0). ``step`` compares the next round's records with it,
+    and when all are equal it hands on this very dict; an equal ``vars``
+    dict is handed on the same way, so ``vars`` is the previous
+    configuration's dict exactly when no robot's variables changed.
+
+    A NamedTuple, like RobotVars: ``step`` builds one every round, and a
+    tuple builds in half the time of a frozen dataclass."""
 
     round: int
     positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
     prev_positions: dict[int, int]
+    robots: dict[int, RobotRecord]
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,7 +114,9 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
             raise ValueError("placement node out of range")
     positions = {rid: placement[rid] for rid in sorted(placement)}
     vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(round=0, positions=positions, vars=vars, prev_positions=positions)
+    return Configuration(
+        round=0, positions=positions, vars=vars, prev_positions=positions, robots={}
+    )
 
 
 def build_view(
@@ -149,13 +168,17 @@ def step(
     if (prev_snap is None) != (t == 0):
         raise ValueError("prev_snap must be None exactly at round 0")
     n = len(snap)
+    last = config.robots
     positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
     robots: dict[int, RobotRecord] = {}
     for rid, vars in config.vars.items():
         node = target = config.positions[rid]
         if vars.terminated:
-            rule = "terminated"
+            # From its first "terminated" record on, a robot's record is fixed.
+            rec = last.get(rid)
+            if rec is None or rec.rule != "terminated":
+                rec = _record(node, vars.state._value_, vars.dir._value_, "terminated", False)
         else:
             vars, rule = compute_fn(build_view(config, snap, prev_snap, rid))
             if not vars.terminated:
@@ -163,12 +186,23 @@ def step(
                     target = step_right(node, n)
                 elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
                     target = step_left(node, n)
+            # Enum's _value_ is the plain attribute behind its slower .value.
+            rec = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
         positions[rid] = target
         new_vars[rid] = vars
-        # Enum's _value_ is the plain attribute behind its slower .value.
-        robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
+        robots[rid] = rec
+    # Dict equality tests each value by identity first, and equal records
+    # are one object, so a repeated round costs one C-level pass here.
+    if robots == last:
+        robots = last
+    if new_vars == config.vars:
+        new_vars = config.vars
     next_config = Configuration(
-        round=t + 1, positions=positions, vars=new_vars, prev_positions=config.positions
+        round=t + 1,
+        positions=positions,
+        vars=new_vars,
+        prev_positions=config.positions,
+        robots=robots,
     )
     return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
 
@@ -191,17 +225,23 @@ def run(
     termination: dict[int, Optional[int]] = {rid: None for rid in placement}
     prev_snap: Optional[Snapshot] = None
     running = len(placement)
+    robots, vars = config.robots, config.vars
     while running and config.round < horizon:
         snap = ring.snapshot(config.round)
         config, event = step(config, snap, prev_snap, compute_fn)
         prev_snap = snap
         events.append(event)
-        running = 0
-        # Both dicts are in id order, so zip pairs each record with its vars.
-        for (rid, rec), vars in zip(event.robots.items(), config.vars.values()):
-            if rec.rule in ("Term1", "Term2") and termination[rid] is None:
-                termination[rid] = event.round
-            running += not vars.terminated
+        # A dict shared with the round before repeats that round: its Term1
+        # and Term2 records are already counted, and the same vars leave as
+        # many robots running.
+        if event.robots is not robots:
+            robots = event.robots
+            for rid, rec in robots.items():
+                if rec.rule in ("Term1", "Term2") and termination[rid] is None:
+                    termination[rid] = event.round
+        if config.vars is not vars:
+            vars = config.vars
+            running = sum(not v.terminated for v in vars.values())
     outcome = RunOutcome(
         termination_rounds=termination,
         final_positions=dict(config.positions),
@@ -231,7 +271,8 @@ def _dumps(obj: object) -> str:
 def trace_to_jsonl(trace: Trace) -> str:
     """Encode a trace. Each line equals _dumps of the same dicts, but is
     assembled from fragments that encode each distinct snapshot and each
-    distinct (robot id, record) once per trace."""
+    distinct (robot id, record) once per trace, and an event that shares the
+    previous event's robots dict shares its text."""
     lines = [
         _dumps(
             {
@@ -249,28 +290,30 @@ def trace_to_jsonl(trace: Trace) -> str:
     # equal records from step or trace_from_jsonl are one object, and the
     # trace keeps every record alive while it is encoded.
     fragments: dict[tuple[int, int], str] = {}
+    last, robots = None, ""
     for ev in trace.events:
         snap = snapshots.get(ev.snapshot)
         if snap is None:
             snap = snapshots[ev.snapshot] = _dumps(list(ev.snapshot))
-        parts = []
-        for rid, rec in ev.robots.items():
-            part = fragments.get((rid, id(rec)))
-            if part is None:
-                # '"rid":{...}', the dict entry without its enclosing braces.
-                part = fragments[rid, id(rec)] = _dumps(
-                    {
-                        str(rid): {
-                            "pos": rec.position,
-                            "state": rec.state,
-                            "dir": rec.dir,
-                            "rule": rec.rule,
-                            "moved": rec.moved,
+        if ev.robots is not last:  # a repeated round repeats the text of the last
+            last, parts = ev.robots, []
+            for rid, rec in last.items():
+                part = fragments.get((rid, id(rec)))
+                if part is None:
+                    # '"rid":{...}', the dict entry without its enclosing braces.
+                    part = fragments[rid, id(rec)] = _dumps(
+                        {
+                            str(rid): {
+                                "pos": rec.position,
+                                "state": rec.state,
+                                "dir": rec.dir,
+                                "rule": rec.rule,
+                                "moved": rec.moved,
+                            }
                         }
-                    }
-                )[1:-1]
-            parts.append(part)
-        robots = ",".join(parts)
+                    )[1:-1]
+                parts.append(part)
+            robots = ",".join(parts)
         lines.append('{"round":%d,"snapshot":%s,"robots":{%s}}' % (ev.round, snap, robots))
     return "\n".join(lines) + "\n"
 
@@ -279,12 +322,22 @@ def trace_from_jsonl(text: str) -> Trace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = json.loads(lines[0])
     events = []
+    tail = robots = None
     for ln in lines[1:]:
-        doc = json.loads(ln)
-        robots = {
-            int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
-            for rid, rec in doc["robots"].items()
-        }
+        # In trace_to_jsonl's key order a line ends with its robots, so a
+        # line whose text after the robots key equals the line before's
+        # repeats that round's robots: only its round and snapshot are read,
+        # and its event shares the robots dict, as step's events do.
+        head, key, rest = ln.partition(',"robots":')
+        if key and rest == tail:
+            doc = json.loads(head + "}")
+        else:
+            doc = json.loads(ln)
+            tail = rest if key and list(doc) == ["round", "snapshot", "robots"] else None
+            robots = {
+                int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
+                for rid, rec in doc["robots"].items()
+            }
         events.append(TraceEvent(doc["round"], robots, tuple(doc["snapshot"])))
     return Trace(
         n=header["n"],

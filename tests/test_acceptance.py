@@ -7,6 +7,7 @@ regenerate everything from the recorded seeds.
 
 import hashlib
 import json
+import operator
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,14 @@ from gdg_sim.ring_model import (
     remove_edge_interval,
     verify_class,
 )
-from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
+from gdg_sim.sim_engine import (
+    RobotRecord,
+    Trace,
+    TraceEvent,
+    run,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
 
 import test_oracle_trace as oracle
 
@@ -347,3 +355,32 @@ def test_corpus_jsonl_bytes_match_reference_digest(corpus):
 def test_duel_jsonl_bytes_match_reference_digest(adversary_runs):
     traces = (trace_to_jsonl(res.trace) for *_, res in adversary_runs)
     assert _sha256(traces) == DIGESTS["duel"]
+
+
+def _repeats(trace, same):
+    """Events whose robots are the previous event's, by the test `same`."""
+    return sum(same(b.robots, a.robots) for a, b in zip(trace.events, trace.events[1:]))
+
+
+# The expected numbers are the events whose records all equal the round
+# before's, counted by record equality before step shared such dicts.
+@pytest.mark.parametrize("which, expected", [("duel", 29_871), ("cot", 70_702)])
+def test_repeated_rounds_share_one_robots_dict(corpus, adversary_runs, which, expected):
+    if which == "duel":
+        traces = [res.trace for *_, res in adversary_runs]
+    else:
+        traces = [rec.trace for rec in corpus[COT]]
+    shared = sum(_repeats(trace, operator.is_) for trace in traces)
+    equal = sum(_repeats(trace, operator.eq) for trace in traces)
+    assert shared == equal == expected
+
+
+def test_decoded_duels_share_the_simulated_repeats(adversary_runs):
+    for *_, res in adversary_runs:
+        loaded = trace_from_jsonl(trace_to_jsonl(res.trace))
+        assert loaded == res.trace
+        shared = [b.robots is a.robots for a, b in zip(loaded.events, loaded.events[1:])]
+        assert any(shared)
+        assert shared == [
+            b.robots is a.robots for a, b in zip(res.trace.events, res.trace.events[1:])
+        ]

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdg_sim import checkers
 from gdg_sim.checkers import (
@@ -11,7 +12,7 @@ from gdg_sim.checkers import (
     monitor_invariants,
 )
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
-from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run
+from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
 
 
 def rec(pos, state="righter", dir="right", rule="M8", moved=False):
@@ -252,3 +253,85 @@ class TestExperiment:
         exp = experiment(static_ring(4), self.PLACEMENT, None, horizon=1)
         assert (exp.bound, exp.horizon, exp.trace.class_claim) == (None, 1, None)
         assert exp.ok
+
+
+# Traces whose repeated rounds share one robots dict, as step's do, built
+# from blocks of (robots, repeats); the unshared copy gives every event a
+# fresh dict of fresh records.
+def shared_trace(blocks):
+    events = []
+    for robots, repeats in blocks:
+        events += [TraceEvent(len(events) + k, robots, (1, 1, 1, 1)) for k in range(repeats)]
+    return trace_of(events)
+
+
+def unshared(trace):
+    events = tuple(
+        TraceEvent(
+            ev.round,
+            {rid: RobotRecord(r.position, r.state, r.dir, r.rule, r.moved)
+             for rid, r in ev.robots.items()},
+            ev.snapshot,
+        )
+        for ev in trace.events
+    )
+    return Trace(trace.n, trace.R, trace.ids, trace.class_claim, trace.seed, trace.horizon, events)
+
+
+STATES = ("righter", "potentialMin", "dumbSearcher", "waitingWalker", "minWaitingWalker",
+          "headWalker")
+records = st.builds(
+    rec,
+    pos=st.integers(0, 1),
+    state=st.sampled_from(STATES),
+    dir=st.sampled_from(("right", "left", "bot")),
+    rule=st.sampled_from(("M8", "K2", "Term1", "Term2", "terminated")),
+    moved=st.booleans(),
+)
+blocks = st.lists(
+    st.tuples(st.fixed_dictionaries({rid: records for rid in (1, 2, 3, 4)}), st.integers(1, 4)),
+    min_size=1,
+    max_size=8,
+)
+
+# Each block list holds a violation for at least three repeated events.
+MIN_WAITING = rec(0, "minWaitingWalker", "bot", "K2")
+STANDING = {
+    "min-id": [({1: rec(1), 2: MIN_WAITING, 3: rec(2), 4: rec(3)}, 4)],
+    "dir-right": [({1: rec(0, dir="left"), 2: rec(1), 3: rec(2), 4: rec(3)}, 4)],
+    "waiting-still": [
+        ({1: MIN_WAITING, 2: rec(0, "waitingWalker", "bot", "K2", moved=True),
+          3: rec(2), 4: rec(3)}, 4),
+    ],
+    "no-reentry": [
+        ({1: rec(0), 2: rec(1), 3: rec(2), 4: rec(3)}, 1),
+        ({1: rec(0, "dumbSearcher", "left", "M11"), 2: rec(1), 3: rec(2), 4: rec(3)}, 1),
+        ({1: rec(0), 2: rec(1), 3: rec(2), 4: rec(3)}, 4),
+    ],
+}
+
+
+def assert_same_on_unshared(trace):
+    copy = unshared(trace)
+    assert all(a.robots is not b.robots for a, b in zip(copy.events, copy.events[1:]))
+    assert monitor_invariants(trace) == monitor_invariants(copy)
+    for bound in (None, 2, 6):
+        assert check_variant(trace, trace.horizon, bound) == check_variant(
+            copy, copy.horizon, bound
+        )
+    assert trace_to_jsonl(trace) == trace_to_jsonl(copy)
+
+
+class TestRepeatedRounds:
+    @settings(max_examples=300, deadline=None)
+    @given(blocks)
+    def test_shared_trace_judged_as_its_unshared_copy(self, blocks):
+        assert_same_on_unshared(shared_trace(blocks))
+
+    @pytest.mark.parametrize("name", sorted(STANDING))
+    def test_standing_violation_repeats_every_round(self, name):
+        trace = shared_trace(STANDING[name])
+        assert_same_on_unshared(trace)
+        last = trace.events[-1].round
+        hits = {t for found, t in monitor_invariants(trace) if found == name}
+        assert set(range(last - 3, last + 1)) <= hits

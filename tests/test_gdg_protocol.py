@@ -531,6 +531,20 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="strictly positive"):
             RobotVars(id=rid)
 
+    @pytest.mark.parametrize("rid", [0, -1])
+    def test_replace_and_make_check_the_id(self, rid):
+        # Both build the tuple without calling RobotVars.__new__.
+        with pytest.raises(ValueError, match="strictly positive"):
+            robot(3)._replace(id=rid)
+        with pytest.raises(ValueError, match="strictly positive"):
+            RobotVars._make((rid,) + robot(3)[1:])
+        assert RobotVars._make(robot(3)) == robot(3)
+        assert type(RobotVars._make(robot(3))) is RobotVars
+
+    def test_replace_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="unexpected field names"):
+            robot(3)._replace(colour="red")
+
     def test_robot_vars_fields_cannot_be_set(self):
         with pytest.raises(AttributeError):
             robot(3).state = RobotState.LEFT_WALKER

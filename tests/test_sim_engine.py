@@ -155,6 +155,38 @@ class TestStep:
         assert first[1].rule == "terminated"
         assert all(first[rid] is last[rid] for rid in (1, 2, 3))
 
+    def test_repeated_round_shares_the_previous_dicts(self):
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
+        events = trace.events
+        # Consecutive events share their robots dict exactly when their
+        # records are equal; from round 12 on only robot 4 waits at its gap.
+        shared = [b.robots is a.robots for a, b in zip(events, events[1:])]
+        assert shared == [b.robots == a.robots for a, b in zip(events, events[1:])]
+        assert shared.index(True) == 11 and all(shared[11:])
+        config = initial_configuration(STRANDED, 4)
+        prev_snap = None
+        for t in range(14):
+            before = config
+            config, event = step(config, STRANDED_RING.snapshot(t), prev_snap)
+            prev_snap = STRANDED_RING.snapshot(t)
+            assert config.robots is event.robots
+        assert event.robots is before.robots
+        assert config.vars is before.vars
+
+    def test_changed_vars_are_not_shared_under_equal_records(self):
+        # A counter the records do not show: equal records, new vars.
+        def count(view):
+            me = view.self_vars
+            return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
+
+        config = initial_configuration(PLACEMENT, 4)
+        config, first = step(config, FULL, None, count)
+        before = config
+        config, again = step(config, FULL, FULL, count)
+        assert again.robots is first.robots
+        assert config.vars is not before.vars
+        assert [v.walk_steps for v in config.vars.values()] == [2, 2, 2, 2]
+
     @pytest.mark.parametrize("round, prev_snap", [(0, FULL), (1, None)])
     def test_prev_snapshot_must_match_round(self, round, prev_snap):
         config = initial_configuration(PLACEMENT, 4)
@@ -190,6 +222,22 @@ class TestRun:
         assert not outcome.halted_at_horizon
         # only Term1/Term2 count as terminations of the algorithm
         assert outcome.termination_rounds == {1: None, 2: None, 3: None, 4: None}
+
+    def test_stops_when_robots_terminate_under_their_previous_label(self):
+        # Each robot parks, then terminates on its third compute under the
+        # same label, so that round's records equal the round before's.
+        computes = {}
+
+        def park_then_halt(view):
+            rid = view.self_vars.id
+            computes[rid] = computes.get(rid, 0) + 1
+            me = view.self_vars._replace(dir=Direction.BOT, terminated=computes[rid] == 3)
+            return me, "idle"
+
+        trace, outcome = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=park_then_halt)
+        assert trace.events[2].robots is trace.events[1].robots
+        assert len(trace.events) == 3
+        assert not outcome.halted_at_horizon
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -286,6 +334,26 @@ class TestTraceSerialization:
             for ev, again in zip(trace.events, loaded.events)
             for a, b in zip(ev.robots.values(), again.robots.values())
         )
+
+    def test_decoded_trace_shares_the_repeated_rounds(self):
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
+        loaded = trace_from_jsonl(trace_to_jsonl(trace))
+        assert loaded == trace
+        assert loaded.events[-1].robots is loaded.events[-2].robots
+        for (a, b), (c, d) in zip(
+            zip(trace.events, trace.events[1:]), zip(loaded.events, loaded.events[1:])
+        ):
+            assert (b.robots is a.robots) == (d.robots is c.robots)
+
+    @pytest.mark.parametrize("order", [("robots", "snapshot", "round"),
+                                       ("round", "robots", "snapshot")])
+    def test_decodes_lines_in_another_key_order(self, order):
+        # Only trace_to_jsonl's own key order takes the shared-robots path.
+        trace, _ = run(STRANDED_RING, STRANDED, horizon=20)
+        header, *lines = trace_to_jsonl(trace).splitlines()
+        docs = [json.loads(ln) for ln in lines]
+        text = "\n".join([header] + [dump({key: doc[key] for key in order}) for doc in docs])
+        assert trace_from_jsonl(text) == trace
 
     def test_header_fields(self):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=5, class_claim="st", seed=3)
