@@ -39,13 +39,16 @@ from . import sim_engine
 from .sim_engine import ComputeFn, Trace, TraceEvent, compute
 
 
+# Longest cycle, and longest RE prefix, that generate draws.
+CYCLE_BUDGET = 8
+PREFIX_BUDGET = 6
+
+
 @dataclass(frozen=True, slots=True)
 class GeneratorSpec:
     dyn_class: DynClass
     n: int
     seed: int
-    cycle_budget: int = 8
-    prefix_budget: int = 6  # RE/COT only
     missing_edge: Optional[int] = None  # COT: the eventual missing edge
     kill_round: Optional[int] = None  # COT: first round the edge is gone
 
@@ -69,13 +72,13 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
     if tag == ST:
         ring = static_ring(n)
     elif tag == AC:
-        length = rng.randint(2, max(2, spec.cycle_budget))
+        length = rng.randint(2, CYCLE_BUDGET)
         snaps = tuple(_absent_one(n, i % n) for i in range(length))
         ring = EvolvingRing(n, Schedule((), snaps))
     elif tag == BRE:
         delta = spec.dyn_class.delta
         assert delta is not None and delta >= 1
-        length = delta * rng.randint(1, max(1, spec.cycle_budget // delta) or 1)
+        length = delta * rng.randint(1, max(1, CYCLE_BUDGET // delta))
         # Each edge gets one guaranteed slot per delta-aligned block, so any
         # window of delta consecutive rounds hits it; other slots are random.
         phases = [rng.randrange(delta) for _ in range(n)]
@@ -89,12 +92,12 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
             )
         ring = EvolvingRing(n, Schedule((), tuple(snaps)))
     elif tag == RE:
-        length = rng.randint(1, max(1, spec.cycle_budget))
+        length = rng.randint(1, CYCLE_BUDGET)
         snaps = [[rng.randint(0, 1) for _ in range(n)] for _ in range(length)]
         for e in range(n):  # every footprint edge must recur
             if not any(s[e] for s in snaps):
                 snaps[rng.randrange(length)][e] = 1
-        prefix_len = rng.randint(0, max(0, spec.prefix_budget))
+        prefix_len = rng.randint(0, PREFIX_BUDGET)
         prefix = []
         for _ in range(prefix_len):
             row = [rng.randint(0, 1) for _ in range(n)]
@@ -107,7 +110,7 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
         kill = spec.kill_round if spec.kill_round is not None else rng.randint(1, 20)
         kill = max(1, kill)  # the edge must exist at least once before dying
         prefix = tuple(_all_present(n) for _ in range(kill))
-        cycle_len = rng.randint(1, max(1, spec.cycle_budget))
+        cycle_len = rng.randint(1, CYCLE_BUDGET)
         cycle = []
         for _ in range(cycle_len):
             row = [rng.randint(0, 1) for _ in range(n)]
@@ -200,14 +203,13 @@ def adaptive_ac_adversary(
         config, event = sim_engine.step(config, snap, prev_snap, compute_fn)
         snapshots.append(snap)
         events.append(event)
-        if config.positions[r1] == config.positions[r2] and defeated is None:
+        if config.positions[r1] == config.positions[r2]:
             defeated = event.round
             break
 
     # Close the schedule: repeat the last emitted snapshot forever (at most
     # one absent edge, so the extension stays always-connected).
-    tail = snapshots[-1] if snapshots else _all_present(n)
-    ring = EvolvingRing(n, Schedule(tuple(snapshots), (tail,)))
+    ring = EvolvingRing(n, Schedule(tuple(snapshots), (snapshots[-1],)))
     trace = Trace(
         n=n,
         R=R,

@@ -24,7 +24,7 @@ VARIANTS = ("G", "G_E", "G_W", "G_EW")
 # The variant each dynamics class guarantees (arXiv 1805.05137).
 EXPECTED_VARIANT = {ST: "G", BRE: "G", RE: "G_E", AC: "G_W", COT: "G_EW"}
 
-# Default bound constants, validated empirically; configurable per check.
+# Bound constants (c1, c2, c3), validated empirically.
 AC_DEFAULTS = (16, 3, 12)
 BRE_DEFAULTS = (4, 3, 8)
 
@@ -35,9 +35,6 @@ class BoundParams:
     n: int
     R: int
     id_rmin: int
-    c1: Optional[int] = None
-    c2: Optional[int] = None
-    c3: Optional[int] = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,20 +61,12 @@ def bound_for(p: BoundParams) -> int:
     """Explicit round bound for the bounded variants in AC, BRE, and ST."""
     tag = p.dyn_class.tag
     if tag == AC:
-        c1, c2, c3 = (
-            p.c1 if p.c1 is not None else AC_DEFAULTS[0],
-            p.c2 if p.c2 is not None else AC_DEFAULTS[1],
-            p.c3 if p.c3 is not None else AC_DEFAULTS[2],
-        )
+        c1, c2, c3 = AC_DEFAULTS
         return c1 * p.id_rmin * p.n * p.n + c2 * p.R * p.n + c3 * p.n * p.n
     if tag in (BRE, ST):
         delta = p.dyn_class.delta if tag == BRE else 1
         assert delta is not None
-        c1, c2, c3 = (
-            p.c1 if p.c1 is not None else BRE_DEFAULTS[0],
-            p.c2 if p.c2 is not None else BRE_DEFAULTS[1],
-            p.c3 if p.c3 is not None else BRE_DEFAULTS[2],
-        )
+        c1, c2, c3 = BRE_DEFAULTS
         return c1 * p.n * delta * p.id_rmin + c2 * p.n * delta * p.R + c3 * p.n * delta
     raise BoundNotApplicable(f"no round bound for class {tag}")
 

@@ -83,10 +83,6 @@ def static_ring(n: int) -> EvolvingRing:
     return EvolvingRing(n, Schedule(prefix=(), cycle=((1,) * n,)))
 
 
-def edge_present(ring: EvolvingRing, e: int, t: int) -> bool:
-    return bool(ring.snapshot(t)[e])
-
-
 def right_edge_of(v: int, n: int) -> int:
     return v
 
@@ -119,60 +115,24 @@ def eventual_underlying(ring: EvolvingRing) -> set[int]:
     return present
 
 
-def _mask_edge(snap: Snapshot, e: int) -> Snapshot:
-    return snap[:e] + (0,) + snap[e + 1 :]
-
-
-def _unroll(ring: EvolvingRing, upto: int) -> list[Snapshot]:
-    return [ring.snapshot(t) for t in range(upto)]
-
-
-def remove_edge_interval(
-    ring: EvolvingRing, e: int, t_start: int, t_end: Optional[int]
-) -> EvolvingRing:
+def remove_edge_interval(ring: EvolvingRing, e: int, t_start: int, t_end: int) -> EvolvingRing:
     """Copy of the ring with edge e forced absent on [t_start, t_end].
 
-    t_end=None means "forever": the cycle is re-baked with e masked and the
-    prefix extended to t_start so the representation stays closed.
+    The schedule is unrolled far enough that the masked rounds sit in the
+    prefix, and the original cycle is kept with its phase realigned.
     """
     if t_start < 0:
         raise ValueError("interval start must be >= 0")
-    if t_end is not None and t_start > t_end:
+    if t_start > t_end:
         raise ValueError("invalid interval: start > end")
     sched = ring.schedule
-    if t_end is None:
-        # Extend the prefix to t_start, mask e from there on, and re-bake the
-        # cycle with e absent; the cycle phase at t_start is preserved.
-        cut = max(t_start, len(sched.prefix))
-        prefix = list(_unroll(ring, cut))
-        for t in range(t_start, cut):
-            prefix[t] = _mask_edge(prefix[t], e)
-        shift = (cut - len(sched.prefix)) % len(sched.cycle)
-        cycle = sched.cycle[shift:] + sched.cycle[:shift]
-        cycle = tuple(_mask_edge(s, e) for s in cycle)
-        return EvolvingRing(ring.n, Schedule(tuple(prefix), cycle))
-    # Finite interval: unroll far enough that the masked region sits in the
-    # prefix, then keep the original cycle with its phase realigned.
     horizon = max(t_end + 1, len(sched.prefix))
-    prefix = list(_unroll(ring, horizon))
+    prefix = [ring.snapshot(t) for t in range(horizon)]
     for t in range(t_start, t_end + 1):
-        prefix[t] = _mask_edge(prefix[t], e)
+        prefix[t] = prefix[t][:e] + (0,) + prefix[t][e + 1 :]
     shift = (horizon - len(sched.prefix)) % len(sched.cycle)
     cycle = sched.cycle[shift:] + sched.cycle[:shift]
     return EvolvingRing(ring.n, Schedule(tuple(prefix), cycle))
-
-
-def splice(a: EvolvingRing, t: int, b: EvolvingRing) -> EvolvingRing:
-    """Ring equal to a up to round t and to b strictly after."""
-    if a.n != b.n:
-        raise ValueError("cannot splice rings of different sizes")
-    cut = max(t + 1, len(b.schedule.prefix))
-    prefix = tuple(_unroll(a, t + 1)) + tuple(
-        b.snapshot(s) for s in range(t + 1, cut)
-    )
-    shift = (cut - len(b.schedule.prefix)) % len(b.schedule.cycle)
-    cycle = b.schedule.cycle[shift:] + b.schedule.cycle[:shift]
-    return EvolvingRing(a.n, Schedule(prefix, cycle))
 
 
 def _ring_connected_with_edges(n: int, edges: set[int]) -> bool:
@@ -227,15 +187,21 @@ def ring_to_json(ring: EvolvingRing) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _snapshot_from_json(row: list) -> Snapshot:
-    snap = tuple(int(b) for b in row)
-    if snap != tuple(row):  # int() would turn 0.5 into a valid-looking 0
+def _snapshots_from_json(rows: object) -> tuple[Snapshot, ...]:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("prefix and cycle must be lists of snapshots")
+    # Only exact ints: True and 0.0 would pass EvolvingRing's test as 1 and 0.
+    if any(type(b) is not int for row in rows for b in row):
         raise ValueError("schedule bits must be 0 or 1")
-    return snap
+    return tuple(tuple(row) for row in rows)
 
 
 def ring_from_json(text: str) -> EvolvingRing:
     doc = json.loads(text)
-    prefix = tuple(_snapshot_from_json(row) for row in doc["prefix"])
-    cycle = tuple(_snapshot_from_json(row) for row in doc["cycle"])
-    return EvolvingRing(int(doc["n"]), Schedule(prefix, cycle))
+    if not isinstance(doc, dict) or set(doc) != {"n", "prefix", "cycle"}:
+        raise ValueError('a schedule must be an object with the keys "n", "prefix" and "cycle"')
+    if type(doc["n"]) is not int:
+        raise ValueError("n must be an integer")
+    prefix = _snapshots_from_json(doc["prefix"])
+    cycle = _snapshots_from_json(doc["cycle"])
+    return EvolvingRing(doc["n"], Schedule(prefix, cycle))

@@ -45,10 +45,12 @@ class Configuration(NamedTuple):
     configuration may share a dict with an earlier one.
 
     robots holds the records of the round that produced this configuration
-    (empty at round 0). ``step`` compares the next round's records with it,
-    and when all are equal it hands on this very dict; an equal ``vars``
-    dict is handed on the same way, so ``vars`` is the previous
-    configuration's dict exactly when no robot's variables changed.
+    (empty at round 0). A robot's record says whether it moved in that
+    round, which ``build_view`` reports as ``has_moved``. ``step`` compares
+    the next round's records with it, and when all are equal it hands on
+    this very dict; an equal ``vars`` dict is handed on the same way, so
+    ``vars`` is the previous configuration's dict exactly when no robot's
+    variables changed.
 
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
     tuple builds in half the time of a frozen dataclass."""
@@ -56,7 +58,6 @@ class Configuration(NamedTuple):
     round: int
     positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
-    prev_positions: dict[int, int]
     robots: dict[int, RobotRecord]
 
 
@@ -101,22 +102,17 @@ class Trace:
 
 @dataclass(frozen=True, slots=True)
 class RunOutcome:
-    termination_rounds: dict[int, Optional[int]]
     final_positions: dict[int, int]
     halted_at_horizon: bool
 
 
 def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
-    if len(set(placement)) != len(placement):
-        raise ValueError("robot ids must be distinct")
     for node in placement.values():
         if not 0 <= node < n:
             raise ValueError("placement node out of range")
     positions = {rid: placement[rid] for rid in sorted(placement)}
     vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(
-        round=0, positions=positions, vars=vars, prev_positions=positions, robots={}
-    )
+    return Configuration(round=0, positions=positions, vars=vars, robots={})
 
 
 def build_view(
@@ -127,7 +123,8 @@ def build_view(
 ) -> View:
     """What one robot looks at: this round's snapshot and the previous one.
 
-    prev_snap is None at round 0, where no edge counts as previously present.
+    prev_snap is None at round 0, where no edge counts as previously present
+    and no robot has moved.
     """
     if robot_id not in config.vars:
         raise KeyError(f"unknown robot id {robot_id}")
@@ -146,7 +143,7 @@ def build_view(
         edge_left_current=bool(snap[left]),
         edge_right_previous=prev_snap is not None and bool(prev_snap[right]),
         edge_left_previous=prev_snap is not None and bool(prev_snap[left]),
-        has_moved=node != config.prev_positions[robot_id],
+        has_moved=robot_id in config.robots and config.robots[robot_id].moved,
         n=n,
         R=len(config.vars),
     )
@@ -201,7 +198,6 @@ def step(
         round=t + 1,
         positions=positions,
         vars=new_vars,
-        prev_positions=config.positions,
         robots=robots,
     )
     return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
@@ -222,28 +218,19 @@ def run(
         raise ValueError("at least 4 robots are required")
     config = initial_configuration(placement, ring.n)
     events: list[TraceEvent] = []
-    termination: dict[int, Optional[int]] = {rid: None for rid in placement}
     prev_snap: Optional[Snapshot] = None
     running = len(placement)
-    robots, vars = config.robots, config.vars
+    vars = config.vars
     while running and config.round < horizon:
         snap = ring.snapshot(config.round)
         config, event = step(config, snap, prev_snap, compute_fn)
         prev_snap = snap
         events.append(event)
-        # A dict shared with the round before repeats that round: its Term1
-        # and Term2 records are already counted, and the same vars leave as
-        # many robots running.
-        if event.robots is not robots:
-            robots = event.robots
-            for rid, rec in robots.items():
-                if rec.rule in ("Term1", "Term2") and termination[rid] is None:
-                    termination[rid] = event.round
+        # A vars dict shared with the round before leaves as many robots running.
         if config.vars is not vars:
             vars = config.vars
             running = sum(not v.terminated for v in vars.values())
     outcome = RunOutcome(
-        termination_rounds=termination,
         final_positions=dict(config.positions),
         halted_at_horizon=running > 0,
     )

@@ -16,7 +16,13 @@ from typing import Optional
 import pytest
 
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
-from gdg_sim.checkers import check_safety, default_horizon, experiment, monitor_invariants
+from gdg_sim.checkers import (
+    _termination_info,
+    check_safety,
+    default_horizon,
+    experiment,
+    monitor_invariants,
+)
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -25,7 +31,6 @@ from gdg_sim.ring_model import (
     ST,
     DynClass,
     EvolvingRing,
-    edge_present,
     remove_edge_interval,
     verify_class,
 )
@@ -99,7 +104,7 @@ def _make_run(dyn: DynClass, seed: int) -> RunRec:
         trace=exp.trace,
         verdict=exp.verdict,
         violations=exp.violations,
-        termination_rounds=exp.outcome.termination_rounds,
+        termination_rounds=_termination_info(exp.trace)[0],
         jsonl=trace_to_jsonl(exp.trace),
     )
 
@@ -186,8 +191,8 @@ def test_criterion_4_re_eventual_gathering(corpus, capsys):
     bad = [r.seed for r in corpus[RE] if "G_E" not in r.verdict.variants]
     shapes_ok = all(
         any(
-            not edge_present(r.ring, e, 0)
-            and any(edge_present(r.ring, e, len(r.ring.schedule.prefix) + k)
+            not r.ring.snapshot(0)[e]
+            and any(r.ring.snapshot(len(r.ring.schedule.prefix) + k)[e]
                     for k in range(len(r.ring.schedule.cycle)))
             for e in range(r.n)
         )
@@ -206,7 +211,7 @@ def test_criterion_5_cot_degraded_gathering(corpus, capsys):
     stranded = [
         r.seed
         for r in corpus[COT]
-        if sum(1 for t in r.termination_rounds.values() if t is not None) == r.R - 1
+        if len(r.termination_rounds) == r.R - 1
     ]
     ok = len(corpus[COT]) >= 50 and not bad and len(stranded) >= 1
     report(

@@ -16,7 +16,6 @@ from gdg_sim.ring_model import (
     ST,
     DynClass,
     EvolvingRing,
-    edge_present,
     verify_class,
 )
 
@@ -49,8 +48,8 @@ class TestGenerators:
     def test_cot_kill_round_and_edge_are_honored(self):
         spec = GeneratorSpec(DynClass(COT), n=6, seed=0, missing_edge=2, kill_round=5)
         ring = generate(spec)
-        assert all(edge_present(ring, 2, t) for t in range(5))
-        assert all(not edge_present(ring, 2, t) for t in range(5, 40))
+        assert all(ring.snapshot(t)[2] for t in range(5))
+        assert all(not ring.snapshot(t)[2] for t in range(5, 40))
 
 
 class TestAdaptiveAdversary:
@@ -71,7 +70,7 @@ class TestAdaptiveAdversary:
         span = len(res.ring.schedule.prefix) + len(res.ring.schedule.cycle)
         for t in range(span):
             absent = sum(
-                1 for e in range(6) if not edge_present(res.ring, e, t)
+                1 for e in range(6) if not res.ring.snapshot(t)[e]
             )
             assert absent <= 1
         assert verify_class(res.ring, DynClass(AC))
@@ -80,7 +79,7 @@ class TestAdaptiveAdversary:
         res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 100)
         for ev in res.trace.events:
             for e in range(4):
-                assert edge_present(res.ring, e, ev.round) == bool(ev.snapshot[e])
+                assert res.ring.snapshot(ev.round)[e] == bool(ev.snapshot[e])
 
     def test_rejects_colocated_targets(self):
         with pytest.raises(ValueError):

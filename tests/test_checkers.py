@@ -46,10 +46,6 @@ class TestBoundFor:
         doubled = bound_for(BoundParams(DynClass(BRE, 2), n=6, R=5, id_rmin=2))
         assert doubled == 2 * base == 372
 
-    def test_custom_constants(self):
-        p = BoundParams(DynClass(AC), n=4, R=4, id_rmin=1, c1=1, c2=0, c3=0)
-        assert bound_for(p) == 16
-
     @pytest.mark.parametrize("tag", [COT, RE])
     def test_unbounded_classes_refuse(self, tag):
         with pytest.raises(BoundNotApplicable):

@@ -89,6 +89,36 @@ def test_schedule_with_non_binary_bits_usage_error(tmp_path, capsys, bit):
     assert "0 or 1" in capsys.readouterr().err
 
 
+CYCLE = [[1, 1, 1, 1]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [4, [], CYCLE],
+        {"n": 4, "prefix": []},
+        {"n": 4, "prefix": [], "cycle": CYCLE, "delta": 2},
+        {"n": 4.9, "prefix": [], "cycle": CYCLE},
+        {"n": "4", "prefix": [], "cycle": CYCLE},
+        {"n": True, "prefix": [], "cycle": CYCLE},
+        {"n": 4, "prefix": [], "cycle": [[1, True, 1, 1]]},
+        {"n": 4, "prefix": [], "cycle": [[1, 0.5, 1, 1]]},
+        {"n": 4, "prefix": [], "cycle": [1, 1, 1, 1]},
+        {"n": 4, "prefix": 0, "cycle": CYCLE},
+    ],
+    ids=[
+        "list", "no-cycle", "unknown-key", "float-n", "string-n", "bool-n", "bool-bit",
+        "float-bit", "flat-cycle", "int-prefix",
+    ],
+)
+def test_malformed_schedule_usage_error(tmp_path, capsys, doc):
+    sched = tmp_path / "ring.json"
+    sched.write_text(json.dumps(doc))
+    code = main(["run", "--ids", "1,2,3,4", "--schedule", str(sched)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("GDG_SEED", "99")
     out_a = tmp_path / "a.jsonl"

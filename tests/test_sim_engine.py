@@ -4,6 +4,7 @@ import pytest
 
 from gdg_sim import sim_engine
 from gdg_sim.adversary import never_move
+from gdg_sim.checkers import _termination_info
 from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars
 from gdg_sim.ring_model import EvolvingRing, Schedule, static_ring
 from gdg_sim.sim_engine import (
@@ -86,6 +87,14 @@ class TestBuildView:
         assert view.edge_right_previous
         assert not view.edge_left_previous
 
+    def test_has_moved_reads_the_last_round(self):
+        config = initial_configuration(PLACEMENT, 4)
+        assert not any(build_view(config, FULL, None, rid).has_moved for rid in PLACEMENT)
+        # e0 is absent in round 0, so robot 1 at node 0 cannot step right.
+        config, _ = step(config, (0, 1, 1, 1), None)
+        moved = {rid: build_view(config, FULL, (0, 1, 1, 1), rid).has_moved for rid in PLACEMENT}
+        assert moved == {1: False, 2: True, 3: True, 4: True}
+
     def test_unknown_robot(self):
         config = initial_configuration(PLACEMENT, 4)
         with pytest.raises(KeyError):
@@ -126,7 +135,7 @@ class TestStep:
     def test_dicts_stay_in_id_order(self):
         config = initial_configuration({4: 0, 1: 1, 3: 2, 2: 3}, 4)
         for t in range(3):
-            for d in (config.positions, config.vars, config.prev_positions):
+            for d in (config.positions, config.vars):
                 assert list(d) == [1, 2, 3, 4]
             config, event = step(config, FULL, FULL if t else None)
             assert list(event.robots) == [1, 2, 3, 4]
@@ -201,11 +210,11 @@ class TestRun:
         trace, outcome = run(static_ring(4), PLACEMENT, horizon=200, seed=0)
         assert not outcome.halted_at_horizon
         assert len(set(outcome.final_positions.values())) == 1
-        assert all(r is not None for r in outcome.termination_rounds.values())
+        assert set(_termination_info(trace)[0]) == set(PLACEMENT)
 
     def test_immediate_gathering(self):
         trace, outcome = run(static_ring(4), {1: 2, 2: 2, 3: 2, 4: 2}, horizon=10)
-        assert outcome.termination_rounds == {1: 0, 2: 0, 3: 0, 4: 0}
+        assert _termination_info(trace)[0] == {1: 0, 2: 0, 3: 0, 4: 0}
         assert len(trace.events) == 1
 
     def test_horizon_halt(self):
@@ -221,7 +230,7 @@ class TestRun:
         assert len(trace.events) == 1
         assert not outcome.halted_at_horizon
         # only Term1/Term2 count as terminations of the algorithm
-        assert outcome.termination_rounds == {1: None, 2: None, 3: None, 4: None}
+        assert _termination_info(trace)[0] == {}
 
     def test_stops_when_robots_terminate_under_their_previous_label(self):
         # Each robot parks, then terminates on its third compute under the
