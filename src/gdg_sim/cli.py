@@ -65,9 +65,12 @@ def _resolve_seed(value: Optional[int]) -> int:
     if value is not None:
         return value
     env = os.environ.get("GDG_SEED")
-    if env is not None:
+    if env is None:
+        return 0
+    try:
         return int(env)
-    return 0
+    except ValueError:
+        raise CliError(f"bad GDG_SEED value {env!r}")
 
 
 def _placement_for(
@@ -75,7 +78,10 @@ def _placement_for(
 ) -> dict[int, int]:
     if placement is None or placement == "random":
         return {rid: rng.randrange(n) for rid in sorted(ids)}
-    nodes = [int(x) for x in placement.split(",") if x.strip()]
+    try:
+        nodes = [int(x) for x in placement.split(",") if x.strip()]
+    except ValueError:
+        raise CliError(f"bad --placement value {placement!r}")
     if len(nodes) != len(ids):
         raise CliError("--placement must list one node per id")
     if any(not 0 <= v < n for v in nodes):

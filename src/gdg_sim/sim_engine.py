@@ -17,6 +17,12 @@ consecutive events exactly when their records are equal. Likewise an
 unchanged ``vars`` dict is passed on. Consumers of a trace (``run``, the
 checkers, the JSONL encoder) skip their per-robot work on such a repeated
 event, and ``trace_from_jsonl`` restores the same sharing when it decodes.
+
+The Look phase reads a per-node grouping: each configuration's ``towers``
+maps every occupied node to the vars of the robots on it, built once per
+configuration, so ``build_view`` finds a robot's mates in its own tower
+instead of scanning every position. A round that hands on both the
+``robots`` and the ``vars`` dict hands on ``towers`` too, without regrouping.
 """
 
 from __future__ import annotations
@@ -52,6 +58,11 @@ class Configuration(NamedTuple):
     ``vars`` is the previous configuration's dict exactly when no robot's
     variables changed.
 
+    towers maps each occupied node to the vars of the robots on it, in id
+    order; ``build_view`` takes a robot's mates from it. Equal records put
+    every robot where it was, so when ``step`` hands on both ``robots`` and
+    ``vars`` it hands on this very dict as well.
+
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
     tuple builds in half the time of a frozen dataclass."""
 
@@ -59,6 +70,7 @@ class Configuration(NamedTuple):
     positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
     robots: dict[int, RobotRecord]
+    towers: dict[int, tuple[RobotVars, ...]]  # node -> vars of its robots
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,13 +118,29 @@ class RunOutcome:
     halted_at_horizon: bool
 
 
+def _towers(
+    positions: dict[int, int], vars: dict[int, RobotVars]
+) -> dict[int, tuple[RobotVars, ...]]:
+    """Group the robots by node. Both dicts are keyed in the same id order,
+    so zipping their values pairs each robot's node with its vars and every
+    tower comes out in id order."""
+    towers: dict[int, list[RobotVars]] = {}
+    for node, me in zip(positions.values(), vars.values()):
+        tower = towers.get(node)
+        if tower is None:
+            towers[node] = [me]
+        else:
+            tower.append(me)
+    return {node: tuple(tower) for node, tower in towers.items()}
+
+
 def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
     for node in placement.values():
         if not 0 <= node < n:
             raise ValueError("placement node out of range")
     positions = {rid: placement[rid] for rid in sorted(placement)}
     vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(round=0, positions=positions, vars=vars, robots={})
+    return Configuration(0, positions, vars, {}, _towers(positions, vars))
 
 
 def build_view(
@@ -126,26 +154,29 @@ def build_view(
     prev_snap is None at round 0, where no edge counts as previously present
     and no robot has moved.
     """
-    if robot_id not in config.vars:
+    me = config.vars.get(robot_id)
+    if me is None:
         raise KeyError(f"unknown robot id {robot_id}")
-    n = len(snap)
     node = config.positions[robot_id]
-    right, left = right_edge_of(node, n), left_edge_of(node, n)
-    mates = tuple(
-        config.vars[other]
-        for other, at in config.positions.items()
-        if at == node and other != robot_id
-    )
+    tower = config.towers[node]
+    if len(tower) == 1:
+        mates: tuple[RobotVars, ...] = ()
+    else:
+        i = tower.index(me)  # ids differ, so only this robot's vars match
+        mates = tower[:i] + tower[i + 1 :]
+    rec = config.robots.get(robot_id)
+    # right_edge_of(node) is node, and left_edge_of(node) is node - 1, which
+    # as an index wraps to edge n - 1 at node 0, as left_edge_of(0, n) does.
     return View(
-        self_vars=config.vars[robot_id],
-        mates=mates,
-        edge_right_current=bool(snap[right]),
-        edge_left_current=bool(snap[left]),
-        edge_right_previous=prev_snap is not None and bool(prev_snap[right]),
-        edge_left_previous=prev_snap is not None and bool(prev_snap[left]),
-        has_moved=robot_id in config.robots and config.robots[robot_id].moved,
-        n=n,
-        R=len(config.vars),
+        me,
+        mates,
+        bool(snap[node]),
+        bool(snap[node - 1]),
+        prev_snap is not None and bool(prev_snap[node]),
+        prev_snap is not None and bool(prev_snap[node - 1]),
+        rec is not None and rec.moved,
+        len(snap),
+        len(config.vars),
     )
 
 
@@ -165,6 +196,8 @@ def step(
     if (prev_snap is None) != (t == 0):
         raise ValueError("prev_snap must be None exactly at round 0")
     n = len(snap)
+    if prev_snap is not None and len(prev_snap) != n:
+        raise ValueError("prev_snap must have as many edges as snap")
     last = config.robots
     positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
@@ -194,12 +227,11 @@ def step(
         robots = last
     if new_vars == config.vars:
         new_vars = config.vars
-    next_config = Configuration(
-        round=t + 1,
-        positions=positions,
-        vars=new_vars,
-        robots=robots,
-    )
+    if robots is last and new_vars is config.vars:
+        towers = config.towers  # nobody moved and no vars changed
+    else:
+        towers = _towers(positions, new_vars)
+    next_config = Configuration(t + 1, positions, new_vars, robots, towers)
     return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
 
 

@@ -133,6 +133,24 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert out_a.read_text() == out_b.read_text()
 
 
+@pytest.mark.parametrize(
+    "env, args, message",
+    [
+        ({"GDG_SEED": "abc"}, [], "bad GDG_SEED value 'abc'"),
+        ({}, ["--placement", "0,1,x,2"], "bad --placement value '0,1,x,2'"),
+    ],
+    ids=["seed-env", "placement"],
+)
+@pytest.mark.parametrize("command", ["run", "adversary"])
+def test_bad_integer_input_is_named(capsys, monkeypatch, command, env, args, message):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    common = ["--n", "4", "--ids", "1,2,3,4"]
+    extra = ["--class", "st"] if command == "run" else ["--horizon", "10"]
+    assert main([command, *common, *extra, *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_adversary_never_defeated(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     code = main(
@@ -292,6 +310,7 @@ GOOD_ENTRY = {"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1}
         ({**GOOD_ENTRY, "n": True}, "'n' must be int"),
         ({**GOOD_ENTRY, "horizon": 1.5}, "'horizon' must be int"),
         ({**GOOD_ENTRY, "placement": [0, 1, 2, 3]}, "'placement' must be str"),
+        ({**GOOD_ENTRY, "placement": "0,1,x,2"}, "bad --placement value '0,1,x,2'"),
     ],
 )
 def test_batch_rejects_malformed_entry(tmp_path, capsys, entry, message):

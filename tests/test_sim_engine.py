@@ -1,12 +1,23 @@
 import json
+import random
 
 import pytest
 
 from gdg_sim import sim_engine
-from gdg_sim.adversary import never_move
+from gdg_sim.adversary import GeneratorSpec, generate, never_move
 from gdg_sim.checkers import _termination_info
-from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars
-from gdg_sim.ring_model import EvolvingRing, Schedule, static_ring
+from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
+from gdg_sim.ring_model import (
+    AC,
+    BRE,
+    ST,
+    DynClass,
+    EvolvingRing,
+    Schedule,
+    left_edge_of,
+    right_edge_of,
+    static_ring,
+)
 from gdg_sim.sim_engine import (
     RobotRecord,
     Trace,
@@ -55,6 +66,66 @@ def reference_jsonl(trace):
     return "\n".join(lines) + "\n"
 
 
+def reference_build_view(config, snap, prev_snap, robot_id):
+    """build_view as a scan of every robot's position for the mates, with
+    the edges from ring_model and the View built by keyword."""
+    if robot_id not in config.vars:
+        raise KeyError(f"unknown robot id {robot_id}")
+    n = len(snap)
+    node = config.positions[robot_id]
+    right, left = right_edge_of(node, n), left_edge_of(node, n)
+    mates = tuple(
+        config.vars[other]
+        for other, at in config.positions.items()
+        if at == node and other != robot_id
+    )
+    return View(
+        self_vars=config.vars[robot_id],
+        mates=mates,
+        edge_right_current=bool(snap[right]),
+        edge_left_current=bool(snap[left]),
+        edge_right_previous=prev_snap is not None and bool(prev_snap[right]),
+        edge_left_previous=prev_snap is not None and bool(prev_snap[left]),
+        has_moved=robot_id in config.robots and config.robots[robot_id].moved,
+        n=n,
+        R=len(config.vars),
+    )
+
+
+def regroup(config):
+    """Node -> vars of the robots on it, in id order, from positions and vars."""
+    towers = {}
+    for rid in sorted(config.positions):
+        towers.setdefault(config.positions[rid], []).append(config.vars[rid])
+    return {node: tuple(tower) for node, tower in towers.items()}
+
+
+def check_views_against_reference(ring, placement, horizon):
+    """Step a run round by round, checking every computing robot's view and
+    every configuration's towers; return the largest tower seen and the
+    number of rounds that handed the towers on."""
+    config = initial_configuration(placement, ring.n)
+    prev_snap, largest, shared = None, 0, 0
+    for t in range(horizon):
+        assert config.towers == regroup(config)
+        largest = max(largest, *map(len, config.towers.values()))
+        snap = ring.snapshot(t)
+        for rid, vars in config.vars.items():
+            if not vars.terminated:
+                view = build_view(config, snap, prev_snap, rid)
+                assert view == reference_build_view(config, snap, prev_snap, rid)
+        before = config
+        config, _ = step(config, snap, prev_snap)
+        prev_snap = snap
+        if config.robots is before.robots and config.vars is before.vars:
+            assert config.towers is before.towers
+            shared += 1
+        if all(v.terminated for v in config.vars.values()):
+            break
+    assert config.towers == regroup(config)
+    return largest, shared
+
+
 class TestBuildView:
     def test_round_zero_has_no_history(self):
         config = initial_configuration(PLACEMENT, 4)
@@ -99,6 +170,41 @@ class TestBuildView:
         config = initial_configuration(PLACEMENT, 4)
         with pytest.raises(KeyError):
             build_view(config, FULL, None, 9)
+
+    @pytest.mark.parametrize(
+        "n, node, absent", [(n, v, e) for n in (4, 5) for v in range(n) for e in range(n)]
+    )
+    def test_edge_flags_follow_ring_model(self, n, node, absent):
+        # build_view indexes the snapshot with node and node - 1 itself.
+        full = (1,) * n
+        gap = tuple(int(e != absent) for e in range(n))
+        config = initial_configuration({1: node, 2: 0, 3: 1, 4: 2}, n)
+        expected = (bool(gap[right_edge_of(node, n)]), bool(gap[left_edge_of(node, n)]))
+        now = build_view(config, gap, full, 1)
+        before = build_view(config, full, gap, 1)
+        assert (now.edge_right_current, now.edge_left_current) == expected
+        assert (before.edge_right_previous, before.edge_left_previous) == expected
+        assert now.edge_right_previous and now.edge_left_previous
+        assert before.edge_right_current and before.edge_left_current
+
+    @pytest.mark.parametrize(
+        "dyn, seed", [(DynClass(ST), 7016), (DynClass(BRE, 3), 7022), (DynClass(AC), 7002)]
+    )
+    def test_views_equal_the_reference_on_large_towers(self, dyn, seed):
+        # Runs with n=32 and R=16, drawn as the benchmark's crowd draws them;
+        # these seeds gather within 260 rounds, so the cap of 300 keeps each
+        # case short and still reaches the tower of all 16 robots.
+        rng = random.Random(seed)
+        ids = sorted(rng.sample(range(1, 65), 16))
+        placement = {rid: rng.randrange(32) for rid in ids}
+        largest, _ = check_views_against_reference(
+            generate(GeneratorSpec(dyn, 32, seed)), placement, horizon=300
+        )
+        assert largest == 16
+
+    def test_stranded_run_hands_the_towers_on(self):
+        largest, shared = check_views_against_reference(STRANDED_RING, STRANDED, horizon=40)
+        assert (largest, shared) == (3, 28)
 
 
 class TestStep:
@@ -196,6 +302,20 @@ class TestStep:
         assert config.vars is not before.vars
         assert [v.walk_steps for v in config.vars.values()] == [2, 2, 2, 2]
 
+    def test_towers_follow_vars_changed_under_equal_records(self):
+        def count(view):
+            me = view.self_vars
+            return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
+
+        config = initial_configuration({1: 0, 2: 0, 3: 1, 4: 1}, 4)
+        config, first = step(config, FULL, None, count)
+        before = config
+        config, again = step(config, FULL, FULL, count)
+        assert again.robots is first.robots
+        assert config.towers is not before.towers
+        assert config.towers == regroup(config)
+        assert build_view(config, FULL, FULL, 1).mates == (config.vars[2],)
+
     @pytest.mark.parametrize("round, prev_snap", [(0, FULL), (1, None)])
     def test_prev_snapshot_must_match_round(self, round, prev_snap):
         config = initial_configuration(PLACEMENT, 4)
@@ -203,6 +323,12 @@ class TestStep:
             config, _ = step(config, FULL, FULL if config.round else None)
         with pytest.raises(ValueError):
             step(config, FULL, prev_snap)
+
+    @pytest.mark.parametrize("snap, prev_snap", [((1,) * 6, (1, 1, 1, 0)), (FULL, (1, 1, 1))])
+    def test_prev_snapshot_must_match_snapshot_length(self, snap, prev_snap):
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        with pytest.raises(ValueError):
+            step(config, snap, prev_snap)
 
 
 class TestRun:
