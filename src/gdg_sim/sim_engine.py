@@ -23,6 +23,16 @@ maps every occupied node to the vars of the robots on it, built once per
 configuration, so ``build_view`` finds a robot's mates in its own tower
 instead of scanning every position. A round that hands on both the
 ``robots`` and the ``vars`` dict hands on ``towers`` too, without regrouping.
+
+A fixed configuration skips Compute. A round is a function of the
+configuration's dicts and the pair (snap, prev_snap), because ``compute_fn``
+must be a pure function of its View. When a round hands on both the
+``robots`` and the ``vars`` dict, the next configuration differs from the
+last only in its round number, so the same pair would repeat the same round
+again. Each configuration's ``fixed`` holds the pairs known to do so, and
+``step`` answers such a pair by handing every dict on, without building a
+view or computing. The set only grows while every round hands the dicts on,
+and holds at most one entry per distinct pair the configuration met.
 """
 
 from __future__ import annotations
@@ -42,6 +52,9 @@ from .ring_model import (
 )
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
+# It must be a pure function of its View: step skips the rounds it proves
+# would repeat (Configuration.fixed), so a compute_fn that keeps state of its
+# own is not called on every round.
 ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
 
@@ -58,19 +71,33 @@ class Configuration(NamedTuple):
     ``vars`` is the previous configuration's dict exactly when no robot's
     variables changed.
 
+    n is the size of the ring the robots stand on; ``step`` rejects a
+    snapshot of another length.
+
     towers maps each occupied node to the vars of the robots on it, in id
     order; ``build_view`` takes a robot's mates from it. Equal records put
     every robot where it was, so when ``step`` hands on both ``robots`` and
     ``vars`` it hands on this very dict as well.
 
+    fixed holds the (snap, prev_snap) pairs known to repeat this
+    configuration: stepping it under such a pair hands on every dict again.
+    Sound because a round reads nothing but the dicts and the pair, and a
+    round that hands on both ``robots`` and ``vars`` leaves the dicts as they
+    were, so a pair that did so once does so again. Such a round passes on
+    this set plus its own pair; every other round passes on an empty set, as
+    ``initial_configuration`` does. The pairs hold for the compute_fn that
+    stepped the configuration, so a run steps all its configurations with one.
+
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
     tuple builds in half the time of a frozen dataclass."""
 
     round: int
+    n: int
     positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
     robots: dict[int, RobotRecord]
     towers: dict[int, tuple[RobotVars, ...]]  # node -> vars of its robots
+    fixed: frozenset[tuple[Snapshot, Optional[Snapshot]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +167,7 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
             raise ValueError("placement node out of range")
     positions = {rid: placement[rid] for rid in sorted(placement)}
     vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(0, positions, vars, {}, _towers(positions, vars))
+    return Configuration(0, n, positions, vars, {}, _towers(positions, vars), frozenset())
 
 
 def build_view(
@@ -186,19 +213,29 @@ def step(
     prev_snap: Optional[Snapshot],
     compute_fn: ComputeFn = compute,
 ) -> tuple[Configuration, TraceEvent]:
-    """One full Look-Compute-Move round on the ring of size len(snap).
+    """One full Look-Compute-Move round on the ring of size config.n.
 
     snap is the snapshot of round config.round and prev_snap the one of the
     round before, or None at round 0. Nothing else of the schedule is read,
-    so a caller can choose each snapshot as the run goes.
+    so a caller can choose each snapshot as the run goes. compute_fn must be
+    a pure function of its View, the same for every round of a run: a pair
+    in config.fixed is answered without calling it.
     """
     t = config.round
     if (prev_snap is None) != (t == 0):
         raise ValueError("prev_snap must be None exactly at round 0")
-    n = len(snap)
+    n = config.n
+    if len(snap) != n:
+        raise ValueError(f"snap must have one edge per node of the {n}-ring")
     if prev_snap is not None and len(prev_snap) != n:
         raise ValueError("prev_snap must have as many edges as snap")
     last = config.robots
+    fixed = config.fixed
+    if fixed and (snap, prev_snap) in fixed:
+        return (
+            Configuration(t + 1, n, config.positions, config.vars, last, config.towers, fixed),
+            TraceEvent(t, last, snap),
+        )
     positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
     robots: dict[int, RobotRecord] = {}
@@ -229,9 +266,11 @@ def step(
         new_vars = config.vars
     if robots is last and new_vars is config.vars:
         towers = config.towers  # nobody moved and no vars changed
+        fixed = fixed | {(snap, prev_snap)}
     else:
         towers = _towers(positions, new_vars)
-    next_config = Configuration(t + 1, positions, new_vars, robots, towers)
+        fixed = frozenset()
+    next_config = Configuration(t + 1, n, positions, new_vars, robots, towers, fixed)
     return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
 
 
@@ -243,7 +282,11 @@ def run(
     class_claim: Optional[str] = None,
     seed: Optional[int] = None,
 ) -> tuple[Trace, RunOutcome]:
-    """Iterate rounds until all robots terminated or the horizon is reached."""
+    """Iterate rounds until all robots terminated or the horizon is reached.
+
+    compute_fn must be a pure function of its View: rounds that repeat a
+    fixed configuration do not call it (see Configuration.fixed).
+    """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(placement) < 4:

@@ -15,6 +15,7 @@ from typing import Optional
 
 import pytest
 
+from gdg_sim import sim_engine
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
 from gdg_sim.checkers import (
     _termination_info,
@@ -125,16 +126,19 @@ def corpus():
     return runs
 
 
+# The three 10,000-round duels: n, placement and the two targets.
+DUELS = [
+    (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),
+    (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
+    (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
+]
+
+
 @pytest.fixture(scope="module")
 def adversary_runs():
-    configs = [
-        (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),
-        (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
-        (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
-    ]
     return [
         (n, placement, r1, r2, adaptive_ac_adversary(n, len(placement), placement, r1, r2, 10_000))
-        for n, placement, r1, r2 in configs
+        for n, placement, r1, r2 in DUELS
     ]
 
 
@@ -378,6 +382,46 @@ def test_repeated_rounds_share_one_robots_dict(corpus, adversary_runs, which, ex
     shared = sum(_repeats(trace, operator.is_) for trace in traces)
     equal = sum(_repeats(trace, operator.eq) for trace in traces)
     assert shared == equal == expected
+
+
+# Step calls answered from Configuration.fixed: for the duels (forks
+# included) those that never called compute_fn, for the corpus the rounds
+# with a running robot that never built a view. The corpus is re-run and
+# must give the same traces.
+@pytest.mark.parametrize("which, expected", [("duel", (29_868, 30_021)),
+                                             ("corpus", (70_573, 108_452))])
+def test_fixed_configurations_skip_compute(corpus, monkeypatch, which, expected):
+    work = steps = skipped = 0
+    step = sim_engine.step
+
+    def counting_step(config, snap, prev_snap, compute_fn):
+        nonlocal steps, skipped
+        before = work
+        out = step(config, snap, prev_snap, compute_fn)
+        running = any(not v.terminated for v in config.vars.values())
+        steps += running
+        skipped += running and work == before
+        return out
+
+    def counted(fn):
+        def wrapper(*args):
+            nonlocal work
+            work += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sim_engine, "step", counting_step)
+    if which == "duel":
+        compute_fn = counted(sim_engine.compute)
+        for n, placement, r1, r2 in DUELS:
+            adaptive_ac_adversary(n, len(placement), placement, r1, r2, 10_000, compute_fn)
+    else:
+        monkeypatch.setattr(sim_engine, "build_view", counted(sim_engine.build_view))
+        for rec in _all_runs(corpus):
+            trace, _ = run(rec.ring, rec.placement, rec.horizon, class_claim=rec.dyn.tag,
+                           seed=rec.seed)
+            assert trace == rec.trace
+    assert (skipped, steps) == expected
 
 
 def test_decoded_duels_share_the_simulated_repeats(adversary_runs):

@@ -2,9 +2,10 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gdg_sim import sim_engine
-from gdg_sim.adversary import GeneratorSpec, generate, never_move
+from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate, never_move
 from gdg_sim.checkers import _termination_info
 from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
 from gdg_sim.ring_model import (
@@ -29,6 +30,7 @@ from gdg_sim.sim_engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from test_acceptance import DUELS
 
 
 def ring_of(n, prefix, cycle):
@@ -41,6 +43,10 @@ FULL = (1, 1, 1, 1)
 # robot 4 stays stranded, so later events mix terminated and active robots.
 STRANDED_RING = ring_of(4, [[1, 1, 1, 1]], [[0, 1, 1, 1]])
 STRANDED = {1: 0, 2: 2, 3: 2, 4: 3}
+GAP = (0, 1, 1, 1)
+# Periodic RE: e0 is absent for 8 rounds of every 9, so from STRANDED the
+# robots wait at the gap, with configurations that stay fixed for rounds.
+PERIODIC_RE_RING = ring_of(4, [FULL], [GAP] * 8 + [FULL])
 
 
 def dump(doc):
@@ -124,6 +130,51 @@ def check_views_against_reference(ring, placement, horizon):
             break
     assert config.towers == regroup(config)
     return largest, shared
+
+
+def shares(events):
+    """For each event after the first: does it share the previous robots dict?"""
+    return [b.robots is a.robots for a, b in zip(events, events[1:])]
+
+
+def stepped(ring, placement, horizon, compute_fn=sim_engine.compute, strip=False):
+    """Step a run as `run` does. Return its events, its final configuration,
+    the rounds answered from `fixed` and the largest `fixed` met. Every
+    `fixed` must hold only pairs its configuration's run has met. With strip,
+    each configuration loses its `fixed` before it is stepped, so every round
+    is computed: the reference that answered rounds must agree with."""
+    config = initial_configuration(placement, ring.n)
+    events, answered, met, largest, prev_snap = [], [], set(), 0, None
+    while config.round < horizon and not all(v.terminated for v in config.vars.values()):
+        if strip:
+            config = config._replace(fixed=frozenset())
+        assert config.fixed <= met
+        largest = max(largest, len(config.fixed))
+        snap = ring.snapshot(config.round)
+        if (snap, prev_snap) in config.fixed:
+            answered.append(config.round)
+        met.add((snap, prev_snap))
+        config, event = step(config, snap, prev_snap, compute_fn)
+        events.append(event)
+        prev_snap = snap
+    return events, config, answered, largest
+
+
+def check_against_reference(ring, placement, horizon, compute_fn=sim_engine.compute):
+    """Check that `run` and a `step` loop equal the reference that strips
+    `fixed`: the same events, sharing the same robots dicts, and the same
+    final configuration. Return the rounds answered from `fixed`."""
+    ref_events, ref_config, none, _ = stepped(ring, placement, horizon, compute_fn, strip=True)
+    assert none == []
+    events, config, answered, _ = stepped(ring, placement, horizon, compute_fn)
+    trace, outcome = run(ring, placement, horizon, compute_fn)
+    assert events == ref_events and list(trace.events) == ref_events
+    assert shares(events) == shares(trace.events) == shares(ref_events)
+    # The reference's last step may have filled its (unread) fixed again.
+    assert config._replace(fixed=frozenset()) == ref_config._replace(fixed=frozenset())
+    assert outcome.final_positions == ref_config.positions
+    assert outcome.halted_at_horizon == any(not v.terminated for v in ref_config.vars.values())
+    return answered
 
 
 class TestBuildView:
@@ -256,13 +307,18 @@ class TestStep:
 
         monkeypatch.setattr(sim_engine, "build_view", spy)
         trace, _ = run(STRANDED_RING, STRANDED, horizon=15)
+        # Round 12 hands on both dicts, so rounds 13 and 14 (robot 4 still
+        # running) are answered from `fixed` and build no view.
+        answered = {13, 14}
+        assert all(trace.events[t].robots[4].rule != "terminated" for t in answered)
         assert calls == [
             (ev.round, rid)
             for ev in trace.events
+            if ev.round not in answered
             for rid, rec in ev.robots.items()
             if rec.rule != "terminated"
         ]
-        assert calls[-1] == (14, 4) and len(calls) == 11 * 4 + 4
+        assert calls[-1] == (12, 4) and len(calls) == 11 * 4 + 2
 
     def test_equal_records_are_shared(self):
         trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
@@ -330,6 +386,108 @@ class TestStep:
         with pytest.raises(ValueError):
             step(config, snap, prev_snap)
 
+    def test_snapshot_must_match_the_ring(self):
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        with pytest.raises(ValueError, match="4-ring"):
+            step(config, (1,) * 6, (1,) * 6)
+
+    def test_ring_size_is_checked_before_fixed(self):
+        wide = (1,) * 6
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        with pytest.raises(ValueError, match="4-ring"):
+            step(config._replace(fixed=frozenset({(wide, wide)})), wide, wide)
+
+
+class TestFixed:
+    def test_stranded_run_equals_the_reference(self):
+        answered = check_against_reference(STRANDED_RING, STRANDED, horizon=200)
+        assert answered == list(range(13, 200))
+
+    def test_periodic_re_run_equals_the_reference(self):
+        answered = check_against_reference(PERIODIC_RE_RING, STRANDED, horizon=400)
+        assert len(answered) == 10
+
+    @pytest.mark.parametrize("n, placement, r1, r2", DUELS, ids=["n4", "n6", "n8"])
+    def test_duels_equal_the_reference(self, monkeypatch, n, placement, r1, r2):
+        step = sim_engine.step
+        calls = answered = largest = 0
+
+        def spy(config, snap, prev_snap, compute_fn):
+            nonlocal calls, answered, largest
+            calls += 1
+            answered += (snap, prev_snap) in config.fixed
+            largest = max(largest, len(config.fixed))
+            return step(config, snap, prev_snap, compute_fn)
+
+        def stripped(config, snap, prev_snap, compute_fn):
+            return step(config._replace(fixed=frozenset()), snap, prev_snap, compute_fn)
+
+        monkeypatch.setattr(sim_engine, "step", spy)
+        res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
+        monkeypatch.setattr(sim_engine, "step", stripped)
+        ref = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
+        assert res.trace == ref.trace and shares(res.trace.events) == shares(ref.trace.events)
+        assert (res.ring, res.defeated_at) == (ref.ring, ref.defeated_at)
+        assert calls > answered > calls * 0.9
+        assert 0 < largest <= (n + 1) ** 2
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_small_periodic_rings_equal_the_reference(self, data):
+        n = data.draw(st.integers(4, 6))
+        snapshot = st.tuples(*[st.integers(0, 1)] * n)
+        prefix = data.draw(st.lists(snapshot, max_size=2))
+        cycle = data.draw(st.lists(snapshot, min_size=1, max_size=3))
+        placement = {rid: data.draw(st.integers(0, n - 1)) for rid in (1, 2, 3, 4)}
+        ring = EvolvingRing(n, Schedule(tuple(prefix), tuple(cycle)))
+        check_against_reference(ring, placement, horizon=60)
+
+    @pytest.mark.parametrize(
+        "ring", [STRANDED_RING, PERIODIC_RE_RING], ids=["stranded", "periodic_re"]
+    )
+    def test_fixed_is_bounded_by_the_schedule_pairs(self, ring):
+        # From round |prefix| + 1 on, the cycle phase fixes the pair, and
+        # round 0's pair is never in fixed.
+        _, _, answered, largest = stepped(ring, STRANDED, horizon=400)
+        assert answered
+        assert largest <= len(ring.schedule.prefix) + len(ring.schedule.cycle)
+
+    def test_fixed_follows_changes_under_equal_records(self, monkeypatch):
+        # Robots park; robot 1 at node 0 counts the rounds its right edge e0
+        # is missing, which changes its vars but not its record.
+        def park_and_count_gaps(view):
+            me = view.self_vars
+            gaps = me.walk_steps + (not view.edge_right_current)
+            return me._replace(dir=Direction.BOT, walk_steps=gaps), "idle"
+
+        views = []
+        build = sim_engine.build_view
+
+        def spy(config, snap, prev_snap, robot_id):
+            views.append(config.round)
+            return build(config, snap, prev_snap, robot_id)
+
+        monkeypatch.setattr(sim_engine, "build_view", spy)
+        config = initial_configuration(PLACEMENT, 4)
+        pairs = [(FULL, None), (FULL, FULL), (GAP, FULL), (FULL, GAP), (FULL, FULL), (FULL, FULL)]
+        fixed, handed_on = [], []
+        for snap, prev_snap in pairs:
+            before = config
+            config, _ = step(config, snap, prev_snap, park_and_count_gaps)
+            fixed.append(config.fixed)
+            handed_on.append(config.robots is before.robots)
+        assert handed_on == [False, True, True, True, True, True]
+        assert config.vars[1].walk_steps == 1
+        assert fixed == [
+            frozenset(),
+            {(FULL, FULL)},
+            frozenset(),  # equal records, but robot 1's vars changed
+            {(FULL, GAP)},
+            {(FULL, GAP), (FULL, FULL)},  # known before the change: computed
+            {(FULL, GAP), (FULL, FULL)},
+        ]
+        assert views == [t for t in range(5) for _ in PLACEMENT]
+
 
 class TestRun:
     def test_gathers_on_static_ring(self):
@@ -360,14 +518,12 @@ class TestRun:
 
     def test_stops_when_robots_terminate_under_their_previous_label(self):
         # Each robot parks, then terminates on its third compute under the
-        # same label, so that round's records equal the round before's.
-        computes = {}
-
+        # same label, so that round's records equal the round before's. The
+        # count lives in the robot's vars, as a compute_fn must be pure.
         def park_then_halt(view):
-            rid = view.self_vars.id
-            computes[rid] = computes.get(rid, 0) + 1
-            me = view.self_vars._replace(dir=Direction.BOT, terminated=computes[rid] == 3)
-            return me, "idle"
+            me = view.self_vars
+            steps = me.walk_steps + 1
+            return me._replace(dir=Direction.BOT, walk_steps=steps, terminated=steps == 3), "idle"
 
         trace, outcome = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=park_then_halt)
         assert trace.events[2].robots is trace.events[1].robots
