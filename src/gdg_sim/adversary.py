@@ -1,17 +1,12 @@
 """Seeded ring generators per dynamics class, plus the adaptive adversary.
 
 The adaptive adversary targets two robots of a deterministic algorithm on
-an always-connected ring. It builds the schedule online: whenever the two
-targets are adjacent it withholds the edge between them, and when they are
-at distance two it forks the execution one round ahead to decide whether a
-single edge removal is needed. Every emitted snapshot misses at most one
-edge, so the schedule is always-connected by construction.
-
-The adversary steps the engine straight from its snapshots: each round
-hands the candidate snapshot and the last emitted one to
-``sim_engine.step``, so a round costs the same at any depth and a duel runs
-in time linear in its horizon. The only ring it builds is the schedule it
-emits.
+an always-connected ring. It is a snapshot source that ``sim_engine.run``
+drives like a ring: each round it withholds the edge between the targets
+when they are adjacent, and at distance two forks the execution one round
+ahead to decide whether a single edge removal is needed. Every snapshot
+misses at most one edge, so the schedule is always-connected by
+construction, and the only ring built is the schedule it emits.
 """
 
 from __future__ import annotations
@@ -21,7 +16,6 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
-from .gdg_protocol import Direction, RobotVars, View
 from .ring_model import (
     AC,
     BRE,
@@ -36,7 +30,7 @@ from .ring_model import (
     verify_class,
 )
 from . import sim_engine
-from .sim_engine import ComputeFn, Trace, TraceEvent, compute
+from .sim_engine import ComputeFn, Configuration, Trace, compute
 
 
 # Longest cycle, and longest RE prefix, that generate draws.
@@ -51,10 +45,6 @@ class GeneratorSpec:
     seed: int
     missing_edge: Optional[int] = None  # COT: the eventual missing edge
     kill_round: Optional[int] = None  # COT: first round the edge is gone
-
-
-def _all_present(n: int) -> Snapshot:
-    return (1,) * n
 
 
 @functools.cache
@@ -109,7 +99,7 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
         e = spec.missing_edge if spec.missing_edge is not None else rng.randrange(n)
         kill = spec.kill_round if spec.kill_round is not None else rng.randint(1, 20)
         kill = max(1, kill)  # the edge must exist at least once before dying
-        prefix = tuple(_all_present(n) for _ in range(kill))
+        prefix = ((1,) * n,) * kill
         cycle_len = rng.randint(1, CYCLE_BUDGET)
         cycle = []
         for _ in range(cycle_len):
@@ -130,13 +120,12 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
     return ring
 
 
-def never_move(view: View) -> tuple[RobotVars, str]:
-    """Trivial algorithm under test: robots park forever."""
-    return view.self_vars._replace(dir=Direction.BOT), "idle"
-
-
 @dataclass(frozen=True, slots=True)
 class AdversaryResult:
+    """ring repeats the emitted schedule's last snapshot forever, which keeps
+    the targets apart only once the duel has settled: on the acceptance duels
+    (n=4, 6, 8) every horizon up to 20, 58 and 46 closes a ring they meet on."""
+
     ring: EvolvingRing
     trace: Trace
     defeated_at: Optional[int]  # round at which the targets met, if ever
@@ -156,6 +145,32 @@ def _edge_between(a: int, b: int, n: int) -> int:
     raise ValueError("nodes are not adjacent")
 
 
+@dataclass(frozen=True, slots=True)
+class _Adversary:
+    n: int
+    r1: int
+    r2: int
+    compute_fn: ComputeFn
+
+    def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
+        n = self.n
+        p1, p2 = config.positions[self.r1], config.positions[self.r2]
+        d = _ring_distance(p1, p2, n)
+        if d == 1:
+            return _absent_one(n, _edge_between(p1, p2, n))
+        snap = (1,) * n
+        if d == 2:
+            # One-round fork under the all-present continuation: only if the
+            # targets would meet do we withhold the edge they meet across.
+            fork, _ = sim_engine.step(config, snap, prev_snap, self.compute_fn)
+            if fork.positions[self.r1] == fork.positions[self.r2]:
+                meeting = fork.positions[self.r1]
+                if _ring_distance(p1, meeting, n) == 1:
+                    return _absent_one(n, _edge_between(p1, meeting, n))
+                return _absent_one(n, _edge_between(p2, meeting, n))
+        return snap
+
+
 def adaptive_ac_adversary(
     n: int,
     R: int,
@@ -171,52 +186,25 @@ def adaptive_ac_adversary(
     """
     if R != len(placement):
         raise ValueError(f"R={R} but the placement has {len(placement)} robots")
+    for target in (r1, r2):
+        if target not in placement:
+            raise ValueError(f"target {target} is not a robot of the placement")
     if r1 == r2 or placement[r1] == placement[r2]:
         raise ValueError("targets must be distinct robots on distinct nodes")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
     if n < 4:
         raise ValueError("ring size must be >= 4")
-
-    config = sim_engine.initial_configuration(placement, n)
-    snapshots: list[Snapshot] = []
-    events: list[TraceEvent] = []
+    source = _Adversary(n, r1, r2, compute_fn)
+    trace, _ = sim_engine.run(source, placement, horizon, compute_fn, class_claim=AC)
     defeated: Optional[int] = None
-
-    while config.round < horizon:
-        prev_snap = snapshots[-1] if snapshots else None
-        p1, p2 = config.positions[r1], config.positions[r2]
-        d = _ring_distance(p1, p2, n)
-        snap = _all_present(n)
-        if d == 1:
-            snap = _absent_one(n, _edge_between(p1, p2, n))
-        elif d == 2:
-            # One-round fork under the all-present continuation: only if the
-            # targets would meet do we withhold the edge they meet across.
-            fork, _ = sim_engine.step(config, snap, prev_snap, compute_fn)
-            if fork.positions[r1] == fork.positions[r2]:
-                meeting = fork.positions[r1]
-                if _ring_distance(p1, meeting, n) == 1:
-                    snap = _absent_one(n, _edge_between(p1, meeting, n))
-                else:
-                    snap = _absent_one(n, _edge_between(p2, meeting, n))
-        config, event = sim_engine.step(config, snap, prev_snap, compute_fn)
-        snapshots.append(snap)
-        events.append(event)
-        if config.positions[r1] == config.positions[r2]:
-            defeated = event.round
+    last = None
+    for ev in trace.events:  # a repeated round puts every robot where it was
+        if ev.robots is not last and ev.robots[r1].position == ev.robots[r2].position:
+            defeated = ev.round
             break
+        last = ev.robots
 
     # Close the schedule: repeat the last emitted snapshot forever (at most
     # one absent edge, so the extension stays always-connected).
-    ring = EvolvingRing(n, Schedule(tuple(snapshots), (snapshots[-1],)))
-    trace = Trace(
-        n=n,
-        R=R,
-        ids=tuple(sorted(placement)),
-        class_claim=AC,
-        seed=None,
-        horizon=horizon,
-        events=tuple(events),
-    )
+    snapshots = tuple(ev.snapshot for ev in trace.events)
+    ring = EvolvingRing(n, Schedule(snapshots, (snapshots[-1],)))
     return AdversaryResult(ring=ring, trace=trace, defeated_at=defeated)

@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
+
+if TYPE_CHECKING:
+    from .sim_engine import Configuration
 
 Snapshot = tuple[int, ...]  # present[i] == 1 iff edge i exists this round
 
@@ -76,6 +79,9 @@ class EvolvingRing:
 
     def snapshot(self, t: int) -> Snapshot:
         return self.schedule.at(t)
+
+    def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
+        return self.snapshot(config.round)
 
 
 def static_ring(n: int) -> EvolvingRing:

@@ -284,6 +284,12 @@ def run(
 ) -> tuple[Trace, RunOutcome]:
     """Iterate rounds until all robots terminated or the horizon is reached.
 
+    ring may be any source with a size n and a ``next_snapshot(config,
+    prev_snap)`` that gives each round's snapshot, prev_snap being the one
+    of the round before (None at round 0). run asks once per round, in round
+    order, and not after the run stops, so the adaptive adversary can choose
+    each snapshot as the run goes; an EvolvingRing reads its schedule.
+
     compute_fn must be a pure function of its View: rounds that repeat a
     fixed configuration do not call it (see Configuration.fixed).
     """
@@ -297,7 +303,7 @@ def run(
     running = len(placement)
     vars = config.vars
     while running and config.round < horizon:
-        snap = ring.snapshot(config.round)
+        snap = ring.next_snapshot(config, prev_snap)
         config, event = step(config, snap, prev_snap, compute_fn)
         prev_snap = snap
         events.append(event)

@@ -5,9 +5,8 @@ from gdg_sim.adversary import (
     GeneratorSpec,
     adaptive_ac_adversary,
     generate,
-    never_move,
 )
-from gdg_sim import sim_engine
+from gdg_sim import adversary, sim_engine
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -18,6 +17,8 @@ from gdg_sim.ring_model import (
     EvolvingRing,
     verify_class,
 )
+from test_acceptance import DUELS
+from test_sim_engine import never_move
 
 
 class TestGenerators:
@@ -65,6 +66,15 @@ class TestAdaptiveAdversary:
         for ev in res.trace.events:
             assert ev.robots[3].position != ev.robots[4].position
 
+    def test_defeat_is_the_first_round_the_targets_share_a_node(self, monkeypatch):
+        # A source that withholds no edge lets GDG gather the targets.
+        monkeypatch.setattr(
+            adversary._Adversary, "next_snapshot", lambda self, config, prev: (1,) * self.n
+        )
+        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 500)
+        met = [ev.round for ev in res.trace.events if ev.robots[3].position == ev.robots[4].position]
+        assert met and res.defeated_at == met[0] > 0
+
     def test_schedule_is_always_connected(self):
         res = adaptive_ac_adversary(6, 4, {2: 0, 5: 1, 9: 3, 11: 5}, 9, 11, 300)
         span = len(res.ring.schedule.prefix) + len(res.ring.schedule.cycle)
@@ -98,23 +108,31 @@ class TestAdaptiveAdversary:
                 3, 4, {1: 0, 2: 1, 3: 2, 4: 0}, 1, 2, 10, compute_fn=must_not_compute
             )
 
+    def test_rejects_unknown_target(self):
+        with pytest.raises(ValueError, match="target 9 "):
+            adaptive_ac_adversary(4, 4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 9, 10)
+
+    def test_rejects_fewer_than_four_robots(self):
+        with pytest.raises(ValueError, match="at least 4 robots"):
+            adaptive_ac_adversary(4, 3, {1: 0, 2: 1, 3: 2}, 1, 2, 10)
+
     @pytest.mark.parametrize("R", [3, 5])
     def test_rejects_robot_count_other_than_placement(self, R):
         with pytest.raises(ValueError, match="placement has 4 robots"):
             adaptive_ac_adversary(4, R, self.PLACEMENT, 3, 4, 20)
-
-    # The acceptance suite's duels: (n, placement, target r1, target r2).
-    DUELS = (
-        (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),
-        (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
-        (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
-    )
 
     @pytest.mark.parametrize("n, placement, r1, r2", DUELS)
     def test_trace_equals_replay_of_schedule(self, n, placement, r1, r2):
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
         replay, _ = sim_engine.run(res.ring, placement, 2000)
         assert replay.events == res.trace.events
+
+    @pytest.mark.parametrize("n, placement, r1, r2", DUELS)
+    def test_closed_schedule_keeps_a_settled_duel_apart(self, n, placement, r1, r2):
+        res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
+        replay, _ = sim_engine.run(res.ring, placement, 6000)
+        assert replay.events[:2000] == res.trace.events
+        assert all(ev.robots[r1].position != ev.robots[r2].position for ev in replay.events)
 
     def test_steps_get_the_previous_emitted_snapshot(self, monkeypatch):
         # Only headWalker reads the previous snapshot, and the duels never
@@ -127,7 +145,7 @@ class TestAdaptiveAdversary:
             return step(config, snap, prev_snap, compute_fn)
 
         monkeypatch.setattr(sim_engine, "step", spy)
-        n, placement, r1, r2 = self.DUELS[1]
+        n, placement, r1, r2 = DUELS[1]
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 500)
         emitted = [ev.snapshot for ev in res.trace.events]
         assert len(calls) > len(emitted)  # the forks are checked too
@@ -144,7 +162,7 @@ class TestAdaptiveAdversary:
             init(ring)
 
         monkeypatch.setattr(EvolvingRing, "__post_init__", counted)
-        n, placement, r1, r2 = self.DUELS[1]
+        n, placement, r1, r2 = DUELS[1]
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, horizon)
         assert len(res.trace.events) == horizon
         assert len(builds) == 1 and builds[0] is res.ring

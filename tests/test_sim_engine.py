@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdg_sim import sim_engine
-from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate, never_move
+from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
 from gdg_sim.checkers import _termination_info
 from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
 from gdg_sim.ring_model import (
@@ -37,6 +37,11 @@ def ring_of(n, prefix, cycle):
     return EvolvingRing(n, Schedule(tuple(map(tuple, prefix)), tuple(map(tuple, cycle))))
 
 
+def never_move(view: View) -> tuple[RobotVars, str]:
+    """Trivial algorithm under test: robots park forever."""
+    return view.self_vars._replace(dir=Direction.BOT), "idle"
+
+
 PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
 FULL = (1, 1, 1, 1)
 # Edge e0 vanishes after round 0: robots 1-3 terminate at round 10 and
@@ -47,6 +52,20 @@ GAP = (0, 1, 1, 1)
 # Periodic RE: e0 is absent for 8 rounds of every 9, so from STRANDED the
 # robots wait at the gap, with configurations that stay fixed for rounds.
 PERIODIC_RE_RING = ring_of(4, [FULL], [GAP] * 8 + [FULL])
+
+
+class RecordingSource:
+    """A snapshot source that hands out a ring's snapshots as new objects and
+    records each request as (round, prev_snap)."""
+
+    def __init__(self, ring):
+        self.ring, self.n = ring, ring.n
+        self.asked, self.emitted = [], []
+
+    def next_snapshot(self, config, prev_snap):
+        self.asked.append((config.round, prev_snap))
+        self.emitted.append(tuple(list(self.ring.snapshot(config.round))))
+        return self.emitted[-1]
 
 
 def dump(doc):
@@ -553,6 +572,27 @@ class TestRun:
         for t, snap, prev_snap in calls:
             assert snap == ring.snapshot(t)
             assert prev_snap == (ring.snapshot(t - 1) if t else None)
+
+    @pytest.mark.parametrize(
+        "ring, horizon, halted",
+        [
+            (ring_of(4, [[1, 1, 1, 1], [0, 1, 1, 1]], [[1, 0, 1, 1], [1, 1, 0, 1]]), 6, True),
+            (static_ring(4), 200, False),
+        ],
+        ids=["horizon", "terminated"],
+    )
+    def test_source_is_asked_once_per_round(self, ring, horizon, halted):
+        source = RecordingSource(ring)
+        trace, outcome = run(source, PLACEMENT, horizon)
+        assert outcome.halted_at_horizon is halted
+        rounds = len(trace.events)
+        assert rounds == horizon if halted else rounds < horizon
+        # Asked in round order, and never again once every robot terminated.
+        assert [t for t, _ in source.asked] == list(range(rounds))
+        assert [ev.snapshot for ev in trace.events] == source.emitted
+        # Each request carries the very snapshot emitted the round before.
+        assert source.asked[0][1] is None
+        assert all(prev is source.emitted[t - 1] for t, prev in source.asked[1:])
 
     def test_permanent_gap_funnels_everyone(self):
         # e0 vanishes permanently after round 0. Rightbound robots pile up
