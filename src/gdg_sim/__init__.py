@@ -14,5 +14,5 @@ from .ring_model import (  # noqa: F401
     verify_class,
 )
 from .gdg_protocol import Direction, RobotState, RobotVars, View  # noqa: F401
-from .sim_engine import Trace, run, step  # noqa: F401
+from .sim_engine import Stop, Trace, run, step  # noqa: F401
 from .checkers import BoundParams, Verdict, bound_for, check_safety, check_variant  # noqa: F401

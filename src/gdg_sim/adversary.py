@@ -30,7 +30,7 @@ from .ring_model import (
     verify_class,
 )
 from . import sim_engine
-from .sim_engine import ComputeFn, Configuration, Trace, compute
+from .sim_engine import ComputeFn, Configuration, Stop, Trace, compute
 
 
 # Longest cycle, and longest RE prefix, that generate draws.
@@ -122,13 +122,16 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
 
 @dataclass(frozen=True, slots=True)
 class AdversaryResult:
-    """ring repeats the emitted schedule's last snapshot forever, which keeps
-    the targets apart only once the duel has settled: on the acceptance duels
-    (n=4, 6, 8) every horizon up to 20, 58 and 46 closes a ring they meet on."""
+    """ring closes the emitted schedule: with a proven cycle, as the emitted
+    prefix plus that cycle, on which plain ``run`` repeats the duel forever.
+    A horizon too short for the proof (below 23, 62 and 50 on the acceptance
+    duels, n=4, 6 and 8) repeats the last snapshot instead, which keeps the
+    targets apart only once the duel has settled."""
 
     ring: EvolvingRing
     trace: Trace
     defeated_at: Optional[int]  # round at which the targets met, if ever
+    stop: Stop
 
 
 def _ring_distance(a: int, b: int, n: int) -> int:
@@ -151,6 +154,9 @@ class _Adversary:
     r1: int
     r2: int
     compute_fn: ComputeFn
+
+    def phase(self, t: int) -> None:
+        return None  # the choice reads only the configuration and prev_snap
 
     def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
         n = self.n
@@ -194,7 +200,7 @@ def adaptive_ac_adversary(
     if n < 4:
         raise ValueError("ring size must be >= 4")
     source = _Adversary(n, r1, r2, compute_fn)
-    trace, _ = sim_engine.run(source, placement, horizon, compute_fn, class_claim=AC)
+    trace, stop = sim_engine.run(source, placement, horizon, compute_fn, class_claim=AC)
     defeated: Optional[int] = None
     last = None
     for ev in trace.events:  # a repeated round puts every robot where it was
@@ -203,8 +209,9 @@ def adaptive_ac_adversary(
             break
         last = ev.robots
 
-    # Close the schedule: repeat the last emitted snapshot forever (at most
-    # one absent edge, so the extension stays always-connected).
+    # Every snapshot misses at most one edge, so the closed ring is AC.
     snapshots = tuple(ev.snapshot for ev in trace.events)
-    ring = EvolvingRing(n, Schedule(snapshots, (snapshots[-1],)))
-    return AdversaryResult(ring=ring, trace=trace, defeated_at=defeated)
+    prefix, cycle = snapshots, (snapshots[-1],)
+    if stop.reason == "cycle":
+        prefix, cycle = snapshots[: stop.start], snapshots[stop.start : stop.start + stop.period]
+    return AdversaryResult(EvolvingRing(n, Schedule(prefix, cycle)), trace, defeated, stop)

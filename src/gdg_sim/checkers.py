@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
-from .sim_engine import RunOutcome, Trace, run
-
-VARIANTS = ("G", "G_E", "G_W", "G_EW")
+from .sim_engine import Stop, Trace, run
 
 # The variant each dynamics class guarantees (arXiv 1805.05137).
 EXPECTED_VARIANT = {ST: "G", BRE: "G", RE: "G_E", AC: "G_W", COT: "G_EW"}
@@ -136,7 +134,7 @@ def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Ve
 @dataclass(frozen=True, slots=True)
 class Experiment:
     trace: Trace
-    outcome: RunOutcome
+    stop: Stop
     horizon: int
     bound: Optional[int]
     verdict: Verdict
@@ -156,13 +154,11 @@ def experiment(
     bound = _class_bound(dyn, ring.n, R, id_rmin)
     if horizon is None:  # a run with no class claim gets 10,000 rounds
         horizon = 10_000 if dyn is None else default_horizon(ring, dyn, R, id_rmin)
-    trace, outcome = run(
-        ring, placement, horizon, class_claim=dyn.tag if dyn else None, seed=seed
-    )
+    trace, stop = run(ring, placement, horizon, class_claim=dyn.tag if dyn else None, seed=seed)
     verdict = check_variant(trace, horizon, bound)
     violations = monitor_invariants(trace)
     ok = dyn is None or (EXPECTED_VARIANT[dyn.tag] in verdict.variants and not violations)
-    return Experiment(trace, outcome, horizon, bound, verdict, violations, ok)
+    return Experiment(trace, stop, horizon, bound, verdict, violations, ok)
 
 
 # ---------------------------------------------------------------------------

@@ -122,14 +122,14 @@ def _experiment(args: argparse.Namespace) -> Experiment:
 
 
 def _verdict_doc(exp: Experiment) -> dict:
-    return {**exp.verdict.to_dict(), "violations": [list(v) for v in exp.violations]}
+    violations = [list(v) for v in exp.violations]
+    return {**exp.verdict.to_dict(), "violations": violations, "stop": exp.stop._asdict()}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     exp = _experiment(args)
     doc = _verdict_doc(exp)
-    doc["final_positions"] = exp.outcome.final_positions
-    doc["halted_at_horizon"] = exp.outcome.halted_at_horizon
+    doc["final_positions"] = {rid: rec.position for rid, rec in exp.trace.events[-1].robots.items()}
 
     if args.trace_out:
         Path(args.trace_out).write_text(trace_to_jsonl(exp.trace))
@@ -140,10 +140,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_adversary(args: argparse.Namespace) -> int:
+    n = args.n
+    if n < 4:  # before the placement draws nodes from range(n)
+        raise CliError("--n must be >= 4")
     ids = _parse_ids(args.ids)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
-    n = args.n
     r1 = args.r1 if args.r1 is not None else sorted(ids)[-1]
     r2 = args.r2 if args.r2 is not None else sorted(ids)[-2]
     if r1 == r2 or r1 not in ids or r2 not in ids:
@@ -159,11 +161,10 @@ def cmd_adversary(args: argparse.Namespace) -> int:
         Path(args.schedule_out).write_text(ring_to_json(result.ring) + "\n")
     if args.trace_out:
         Path(args.trace_out).write_text(trace_to_jsonl(result.trace))
-    if result.defeated_at is not None:
-        print(json.dumps({"defeated_at": result.defeated_at}))
-        return VERDICT_FAILURE
-    print(json.dumps({"defeated_at": None, "rounds": len(result.trace.events)}))
-    return 0
+    rounds = len(result.trace.events)
+    stop = result.stop._asdict()
+    print(json.dumps({"defeated_at": result.defeated_at, "rounds": rounds, "stop": stop}))
+    return 0 if result.defeated_at is None else VERDICT_FAILURE
 
 
 def cmd_batch(args: argparse.Namespace) -> int:

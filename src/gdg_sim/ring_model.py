@@ -54,13 +54,6 @@ class Schedule:
         if not self.cycle:
             raise ValueError("cycle must be non-empty")
 
-    def at(self, t: int) -> Snapshot:
-        if t < 0:
-            raise ValueError("round index must be >= 0")
-        if t < len(self.prefix):
-            return self.prefix[t]
-        return self.cycle[(t - len(self.prefix)) % len(self.cycle)]
-
 
 @dataclass(frozen=True, slots=True)
 class EvolvingRing:
@@ -77,8 +70,15 @@ class EvolvingRing:
         if not set().union(*snaps) <= {0, 1}:
             raise ValueError("schedule bits must be 0 or 1")
 
+    def phase(self, t: int) -> int:
+        """Round t's place in prefix + cycle; rounds of one phase get one snapshot."""
+        if t < 0:
+            raise ValueError("round index must be >= 0")
+        p = len(self.schedule.prefix)
+        return t if t < p else p + (t - p) % len(self.schedule.cycle)
+
     def snapshot(self, t: int) -> Snapshot:
-        return self.schedule.at(t)
+        return (self.schedule.prefix + self.schedule.cycle)[self.phase(t)]
 
     def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
         return self.snapshot(config.round)

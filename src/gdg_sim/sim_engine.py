@@ -14,25 +14,17 @@ A round that repeats the last one shares its dicts: when every record a
 round produces equals the previous round's, ``step`` returns the previous
 round's ``robots`` dict itself, so ``ev.robots is prev.robots`` holds for
 consecutive events exactly when their records are equal. Likewise an
-unchanged ``vars`` dict is passed on. Consumers of a trace (``run``, the
-checkers, the JSONL encoder) skip their per-robot work on such a repeated
-event, and ``trace_from_jsonl`` restores the same sharing when it decodes.
+unchanged ``vars`` dict is passed on. ``run``, the only code that knows
+about repeats, reads this sharing to prove that a run cycles and then copies
+the cycle's events instead of stepping them. Consumers of a trace (the
+checkers, the JSONL encoder) skip their per-robot work on a repeated event,
+and ``trace_from_jsonl`` restores the same sharing when it decodes.
 
 The Look phase reads a per-node grouping: each configuration's ``towers``
 maps every occupied node to the vars of the robots on it, built once per
 configuration, so ``build_view`` finds a robot's mates in its own tower
 instead of scanning every position. A round that hands on both the
 ``robots`` and the ``vars`` dict hands on ``towers`` too, without regrouping.
-
-A fixed configuration skips Compute. A round is a function of the
-configuration's dicts and the pair (snap, prev_snap), because ``compute_fn``
-must be a pure function of its View. When a round hands on both the
-``robots`` and the ``vars`` dict, the next configuration differs from the
-last only in its round number, so the same pair would repeat the same round
-again. Each configuration's ``fixed`` holds the pairs known to do so, and
-``step`` answers such a pair by handing every dict on, without building a
-view or computing. The set only grows while every round hands the dicts on,
-and holds at most one entry per distinct pair the configuration met.
 """
 
 from __future__ import annotations
@@ -52,8 +44,8 @@ from .ring_model import (
 )
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
-# It must be a pure function of its View: step skips the rounds it proves
-# would repeat (Configuration.fixed), so a compute_fn that keeps state of its
+# It must be a pure function of its View: run copies the rounds it proves
+# repeat instead of stepping them, so a compute_fn that keeps state of its
 # own is not called on every round.
 ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
@@ -79,15 +71,6 @@ class Configuration(NamedTuple):
     every robot where it was, so when ``step`` hands on both ``robots`` and
     ``vars`` it hands on this very dict as well.
 
-    fixed holds the (snap, prev_snap) pairs known to repeat this
-    configuration: stepping it under such a pair hands on every dict again.
-    Sound because a round reads nothing but the dicts and the pair, and a
-    round that hands on both ``robots`` and ``vars`` leaves the dicts as they
-    were, so a pair that did so once does so again. Such a round passes on
-    this set plus its own pair; every other round passes on an empty set, as
-    ``initial_configuration`` does. The pairs hold for the compute_fn that
-    stepped the configuration, so a run steps all its configurations with one.
-
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
     tuple builds in half the time of a frozen dataclass."""
 
@@ -97,7 +80,6 @@ class Configuration(NamedTuple):
     vars: dict[int, RobotVars]
     robots: dict[int, RobotRecord]
     towers: dict[int, tuple[RobotVars, ...]]  # node -> vars of its robots
-    fixed: frozenset[tuple[Snapshot, Optional[Snapshot]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,10 +121,13 @@ class Trace:
     events: tuple[TraceEvent, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class RunOutcome:
-    final_positions: dict[int, int]
-    halted_at_horizon: bool
+class Stop(NamedTuple):
+    """Why a run ended. A "cycle" proves that from round start on the run
+    repeats with this period forever."""
+
+    reason: str  # "all_terminated", "horizon" or "cycle"
+    start: Optional[int] = None
+    period: Optional[int] = None
 
 
 def _towers(
@@ -167,7 +152,7 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
             raise ValueError("placement node out of range")
     positions = {rid: placement[rid] for rid in sorted(placement)}
     vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(0, n, positions, vars, {}, _towers(positions, vars), frozenset())
+    return Configuration(0, n, positions, vars, {}, _towers(positions, vars))
 
 
 def build_view(
@@ -217,9 +202,7 @@ def step(
 
     snap is the snapshot of round config.round and prev_snap the one of the
     round before, or None at round 0. Nothing else of the schedule is read,
-    so a caller can choose each snapshot as the run goes. compute_fn must be
-    a pure function of its View, the same for every round of a run: a pair
-    in config.fixed is answered without calling it.
+    so a caller can choose each snapshot as the run goes.
     """
     t = config.round
     if (prev_snap is None) != (t == 0):
@@ -230,12 +213,6 @@ def step(
     if prev_snap is not None and len(prev_snap) != n:
         raise ValueError("prev_snap must have as many edges as snap")
     last = config.robots
-    fixed = config.fixed
-    if fixed and (snap, prev_snap) in fixed:
-        return (
-            Configuration(t + 1, n, config.positions, config.vars, last, config.towers, fixed),
-            TraceEvent(t, last, snap),
-        )
     positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
     robots: dict[int, RobotRecord] = {}
@@ -266,11 +243,9 @@ def step(
         new_vars = config.vars
     if robots is last and new_vars is config.vars:
         towers = config.towers  # nobody moved and no vars changed
-        fixed = fixed | {(snap, prev_snap)}
     else:
         towers = _towers(positions, new_vars)
-        fixed = frozenset()
-    next_config = Configuration(t + 1, n, positions, new_vars, robots, towers, fixed)
+    next_config = Configuration(t + 1, n, positions, new_vars, robots, towers)
     return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
 
 
@@ -281,17 +256,21 @@ def run(
     compute_fn: ComputeFn = compute,
     class_claim: Optional[str] = None,
     seed: Optional[int] = None,
-) -> tuple[Trace, RunOutcome]:
+) -> tuple[Trace, Stop]:
     """Iterate rounds until all robots terminated or the horizon is reached.
 
-    ring may be any source with a size n and a ``next_snapshot(config,
-    prev_snap)`` that gives each round's snapshot, prev_snap being the one
-    of the round before (None at round 0). run asks once per round, in round
-    order, and not after the run stops, so the adaptive adversary can choose
-    each snapshot as the run goes; an EvolvingRing reads its schedule.
+    ring may be any snapshot source with a size n, a ``next_snapshot(config,
+    prev_snap)`` that run asks in round order (prev_snap is None at round
+    0), and a ``phase(t)``: all the snapshot reads besides its arguments,
+    each phase having one next phase. An EvolvingRing's phase is the round's
+    place in its schedule; the adaptive adversary's is None.
 
-    compute_fn must be a pure function of its View: rounds that repeat a
-    fixed configuration do not call it (see Configuration.fixed).
+    As compute_fn is a pure function of its View, a round is then a function
+    of the configuration's dicts and the key (phase, prev_snap). So while
+    rounds hand on both the ``robots`` and the ``vars`` dict, a round whose
+    key equals that of round start proves that the run repeats the rounds
+    from start on forever. run then stops stepping and asking the source,
+    and copies those rounds' events up to the horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -301,20 +280,32 @@ def run(
     events: list[TraceEvent] = []
     prev_snap: Optional[Snapshot] = None
     running = len(placement)
-    vars = config.vars
+    # Key -> round, for the rounds since a step last changed either dict.
+    seen: dict[tuple[object, Optional[Snapshot]], int] = {}
+    stop = Stop("horizon")
     while running and config.round < horizon:
+        t = config.round
+        key = (ring.phase(t), prev_snap)
+        start = seen.get(key)
+        if start is not None:
+            stop = Stop("cycle", start, t - start)
+            # Round r repeats round r - period; every copy shares its robots dict.
+            for r in range(t, horizon):
+                ev = events[r - stop.period]
+                events.append(TraceEvent(r, ev.robots, ev.snapshot))
+            break
         snap = ring.next_snapshot(config, prev_snap)
+        last = config
         config, event = step(config, snap, prev_snap, compute_fn)
         prev_snap = snap
         events.append(event)
-        # A vars dict shared with the round before leaves as many robots running.
-        if config.vars is not vars:
-            vars = config.vars
-            running = sum(not v.terminated for v in vars.values())
-    outcome = RunOutcome(
-        final_positions=dict(config.positions),
-        halted_at_horizon=running > 0,
-    )
+        if config.robots is last.robots and config.vars is last.vars:
+            seen[key] = t
+        else:
+            seen.clear()
+            running = sum(not v.terminated for v in config.vars.values())
+    if not running:
+        stop = Stop("all_terminated")
     trace = Trace(
         n=ring.n,
         R=len(placement),
@@ -324,7 +315,7 @@ def run(
         horizon=horizon,
         events=tuple(events),
     )
-    return trace, outcome
+    return trace, stop
 
 
 # ---------------------------------------------------------------------------

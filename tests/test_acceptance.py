@@ -9,6 +9,7 @@ import hashlib
 import json
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -37,6 +38,7 @@ from gdg_sim.ring_model import (
 )
 from gdg_sim.sim_engine import (
     RobotRecord,
+    Stop,
     Trace,
     TraceEvent,
     run,
@@ -64,6 +66,7 @@ class RunRec:
     bound: Optional[int]
     ring: EvolvingRing
     trace: Trace
+    stop: Stop
     verdict: object
     violations: list
     termination_rounds: dict
@@ -103,6 +106,7 @@ def _make_run(dyn: DynClass, seed: int) -> RunRec:
         bound=exp.bound,
         ring=ring,
         trace=exp.trace,
+        stop=exp.stop,
         verdict=exp.verdict,
         violations=exp.violations,
         termination_rounds=_termination_info(exp.trace)[0],
@@ -132,6 +136,8 @@ DUELS = [
     (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
     (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
 ]
+# The cycle each duel is proven to repeat from its state after round start.
+DUEL_CYCLES = [Stop("cycle", 21, 1), Stop("cycle", 60, 1), Stop("cycle", 48, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -236,9 +242,11 @@ def test_criterion_6_ac_bounded_weak_gathering(corpus, capsys):
 
 def test_criterion_7_adversary(adversary_runs, capsys):
     problems = []
-    for n, placement, r1, r2, res in adversary_runs:
+    for (n, placement, r1, r2, res), cycle in zip(adversary_runs, DUEL_CYCLES):
         if res.defeated_at is not None:
             problems.append(f"n={n} defeated at {res.defeated_at}")
+        if res.stop != cycle:
+            problems.append(f"n={n} stopped with {res.stop}, not {cycle}")
         if len(res.trace.events) != 10_000:
             problems.append(f"n={n} ran {len(res.trace.events)} rounds")
         for ev in res.trace.events:
@@ -308,7 +316,7 @@ def test_criterion_8_monitors(corpus, capsys):
 
 
 def test_criterion_9_oracle_trace(capsys):
-    trace, outcome = run(oracle.RING, oracle.PLACEMENT, horizon=15)
+    trace, stop = run(oracle.RING, oracle.PLACEMENT, horizon=15)
     mismatches = []
     for t, (event, expected) in enumerate(zip(trace.events, oracle.EXPECTED)):
         for rid, (pos, state, dir, rule, moved) in expected.items():
@@ -317,7 +325,7 @@ def test_criterion_9_oracle_trace(capsys):
                 pos, state, dir, rule, moved,
             ):
                 mismatches.append((t, rid))
-    ok = len(trace.events) == 15 and not mismatches
+    ok = len(trace.events) == 15 and stop == Stop("horizon") and not mismatches
     report(
         capsys, 9, ok,
         f"15-round hand-derived trace reproduced event for event; "
@@ -384,44 +392,48 @@ def test_repeated_rounds_share_one_robots_dict(corpus, adversary_runs, which, ex
     assert shared == equal == expected
 
 
-# Step calls answered from Configuration.fixed: for the duels (forks
-# included) those that never called compute_fn, for the corpus the rounds
-# with a running robot that never built a view. The corpus is re-run and
-# must give the same traces.
-@pytest.mark.parametrize("which, expected", [("duel", (29_868, 30_021)),
-                                             ("corpus", (70_573, 108_452))])
+# Step calls, copied rounds and all rounds of the traces. The duels' forks
+# are step calls too, and every round not stepped is a copy of a proven
+# cycle. The corpus is re-run and must give the same traces.
+@pytest.mark.parametrize("which, expected", [("duel", (153, 29_868, 30_000)),
+                                             ("corpus", (37_879, 70_573, 108_452))])
 def test_fixed_configurations_skip_compute(corpus, monkeypatch, which, expected):
-    work = steps = skipped = 0
+    steps = 0
     step = sim_engine.step
 
-    def counting_step(config, snap, prev_snap, compute_fn):
-        nonlocal steps, skipped
-        before = work
-        out = step(config, snap, prev_snap, compute_fn)
-        running = any(not v.terminated for v in config.vars.values())
-        steps += running
-        skipped += running and work == before
-        return out
-
-    def counted(fn):
-        def wrapper(*args):
-            nonlocal work
-            work += 1
-            return fn(*args)
-        return wrapper
+    def counting_step(*args):
+        nonlocal steps
+        steps += 1
+        return step(*args)
 
     monkeypatch.setattr(sim_engine, "step", counting_step)
+    runs = []
     if which == "duel":
-        compute_fn = counted(sim_engine.compute)
         for n, placement, r1, r2 in DUELS:
-            adaptive_ac_adversary(n, len(placement), placement, r1, r2, 10_000, compute_fn)
+            res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 10_000)
+            runs.append((res.trace, res.stop))
     else:
-        monkeypatch.setattr(sim_engine, "build_view", counted(sim_engine.build_view))
         for rec in _all_runs(corpus):
-            trace, _ = run(rec.ring, rec.placement, rec.horizon, class_claim=rec.dyn.tag,
-                           seed=rec.seed)
-            assert trace == rec.trace
-    assert (skipped, steps) == expected
+            trace, stop = run(rec.ring, rec.placement, rec.horizon, class_claim=rec.dyn.tag,
+                              seed=rec.seed)
+            assert (trace, stop) == (rec.trace, rec.stop)
+            runs.append((trace, stop))
+    copied = sum(
+        len(trace.events) - stop.start - stop.period for trace, stop in runs if stop.reason == "cycle"
+    )
+    assert (steps, copied, sum(len(trace.events) for trace, _ in runs)) == expected
+
+
+def test_stop_reasons(corpus, adversary_runs):
+    # Every stranded COT run is proven to cycle; every other run gathers.
+    reasons = Counter((rec.dyn.tag, rec.stop.reason) for rec in _all_runs(corpus))
+    assert reasons == {
+        (ST, "all_terminated"): 50, (AC, "all_terminated"): 50, (RE, "all_terminated"): 50,
+        (COT, "all_terminated"): 33, (COT, "cycle"): 17, (BRE, "all_terminated"): 52,
+    }
+    stranded = [rec for rec in corpus[COT] if len(rec.termination_rounds) < rec.R]
+    assert all(rec.stop.reason == "cycle" for rec in stranded) and len(stranded) == 17
+    assert [res.stop for *_, res in adversary_runs] == DUEL_CYCLES
 
 
 def test_decoded_duels_share_the_simulated_repeats(adversary_runs):

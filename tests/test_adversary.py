@@ -7,6 +7,7 @@ from gdg_sim.adversary import (
     generate,
 )
 from gdg_sim import adversary, sim_engine
+from gdg_sim.sim_engine import Stop
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -15,9 +16,10 @@ from gdg_sim.ring_model import (
     ST,
     DynClass,
     EvolvingRing,
+    Schedule,
     verify_class,
 )
-from test_acceptance import DUELS
+from test_acceptance import DUEL_CYCLES, DUELS
 from test_sim_engine import never_move
 
 
@@ -124,15 +126,32 @@ class TestAdaptiveAdversary:
     @pytest.mark.parametrize("n, placement, r1, r2", DUELS)
     def test_trace_equals_replay_of_schedule(self, n, placement, r1, r2):
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
-        replay, _ = sim_engine.run(res.ring, placement, 2000)
+        replay, stop = sim_engine.run(res.ring, placement, 2000)
         assert replay.events == res.trace.events
+        assert stop == res.stop
 
     @pytest.mark.parametrize("n, placement, r1, r2", DUELS)
     def test_closed_schedule_keeps_a_settled_duel_apart(self, n, placement, r1, r2):
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
-        replay, _ = sim_engine.run(res.ring, placement, 6000)
+        cycle = DUEL_CYCLES[[duel[0] for duel in DUELS].index(n)]
+        assert res.stop == cycle
+        # The ring closes with the proven cycle, not with the last snapshot.
+        snapshots = [ev.snapshot for ev in res.trace.events]
+        end = cycle.start + cycle.period
+        assert res.ring.schedule.prefix == tuple(snapshots[: cycle.start])
+        assert res.ring.schedule.cycle == tuple(snapshots[cycle.start : end])
+        assert verify_class(res.ring, DynClass(AC))
+        replay, stop = sim_engine.run(res.ring, placement, 6000)
         assert replay.events[:2000] == res.trace.events
+        assert stop == cycle
         assert all(ev.robots[r1].position != ev.robots[r2].position for ev in replay.events)
+
+    def test_a_horizon_too_short_for_the_proof_repeats_the_last_snapshot(self):
+        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 22)
+        assert res.stop == Stop("horizon")
+        snapshots = tuple(ev.snapshot for ev in res.trace.events)
+        assert res.ring.schedule == Schedule(snapshots, snapshots[-1:])
+        assert adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 23).stop == DUEL_CYCLES[0]
 
     def test_steps_get_the_previous_emitted_snapshot(self, monkeypatch):
         # Only headWalker reads the previous snapshot, and the duels never
@@ -148,7 +167,10 @@ class TestAdaptiveAdversary:
         n, placement, r1, r2 = DUELS[1]
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 500)
         emitted = [ev.snapshot for ev in res.trace.events]
-        assert len(calls) > len(emitted)  # the forks are checked too
+        # Rounds up to the proof are stepped, the rest copied.
+        stepped = res.stop.start + res.stop.period
+        assert [t for t, _ in calls if t >= stepped] == []
+        assert len(calls) > stepped  # the forks are checked too
         assert all(prev == (emitted[t - 1] if t else None) for t, prev in calls)
         assert any(not all(prev) for t, prev in calls if t)  # edges were withheld
 

@@ -25,6 +25,8 @@ def test_run_st_succeeds(tmp_path, capsys):
     doc = json.loads(verdict_out.read_text())
     assert "G" in doc["variants"]
     assert doc["violations"] == []
+    assert doc["stop"] == {"reason": "all_terminated", "start": None, "period": None}
+    assert len(set(doc["final_positions"].values())) == 1
     trace = trace_from_jsonl(trace_out.read_text())
     assert trace.seed == 7
 
@@ -163,8 +165,19 @@ def test_adversary_never_defeated(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert doc["defeated_at"] is None
+    assert doc["rounds"] == 200
+    assert doc["stop"] == {"reason": "cycle", "start": 10, "period": 1}
+    # The schedule closes with the proven cycle.
     ring = ring_from_json(sched.read_text())
     assert ring.n == 4
+    assert (len(ring.schedule.prefix), len(ring.schedule.cycle)) == (10, 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_adversary_small_ring_is_usage_error(capsys, n):
+    code = main(["adversary", "--n", str(n), "--ids", "1,2,3,4", "--horizon", "10"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: --n must be >= 4\n"
 
 
 @pytest.mark.parametrize("targets", [["--r1", "99"], ["--r2", "0"], ["--r1", "2", "--r2", "2"]])
@@ -224,6 +237,7 @@ def test_batch_aggregates(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["runs"]) == 3
     assert "error" in doc["runs"][2]  # bad entry recorded, batch keeps going
+    assert [r["stop"]["reason"] for r in doc["runs"][:2]] == ["all_terminated"] * 2
     assert doc["matrix"]["st"] == ["G", "G_E", "G_EW", "G_W"]
 
 

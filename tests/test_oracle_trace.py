@@ -19,7 +19,7 @@ the searchers, and partial termination: robots 1, 3, 4 terminate on node
 
 from gdg_sim.checkers import _termination_info
 from gdg_sim.ring_model import EvolvingRing, Schedule
-from gdg_sim.sim_engine import run
+from gdg_sim.sim_engine import Stop, run
 
 ABSENT_E0 = (0, 1, 1, 1)
 ABSENT_E0_E3 = (0, 1, 1, 0)
@@ -133,7 +133,7 @@ EXPECTED = [
 
 
 def test_simulator_matches_hand_trace():
-    trace, outcome = run(RING, PLACEMENT, horizon=15)
+    trace, stop = run(RING, PLACEMENT, horizon=15)
     assert len(trace.events) == 15
     for t, (event, expected) in enumerate(zip(trace.events, EXPECTED)):
         assert event.round == t
@@ -148,7 +148,7 @@ def test_simulator_matches_hand_trace():
                 got.moved,
             ) == (pos, state, dir, rule, moved), f"round {t}, robot {rid}: {got}"
     assert _termination_info(trace)[0] == {1: 14, 3: 14, 4: 14}
-    assert outcome.halted_at_horizon
+    assert stop == Stop("horizon")
 
 
 def test_hand_trace_internal_counters():

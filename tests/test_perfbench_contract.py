@@ -1,9 +1,11 @@
-"""The package API that the benchmark in perfbench/ calls must keep working.
+"""The package API that the benchmark in perfbench/ calls must keep working,
+and the benchmark's crowd workload must keep its recorded trace digest.
 
-Both checks run in a subprocess, as the benchmark does, so that the
+Every check runs in a subprocess, as the benchmark does, so that the
 tracer's attribute wrapping cannot leak into other tests.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -39,3 +41,20 @@ def test_tracer_finds_every_wrapped_attribute():
     inside, after = done.stdout.split("\n")[:2]
     assert int(inside.split()[0]) > 0 and inside.endswith("False")
     assert after == "0 True"
+
+
+def test_crowd_jsonl_bytes_match_reference_digest():
+    # The corpus and duel digests are checked against the acceptance suite's
+    # runs; crowd is built here through the benchmark's own recipe.
+    script = (
+        "import hashlib, sys; sys.path[:0] = ['perfbench', 'src']\n"
+        "import workloads\n"
+        "digest = hashlib.sha256()\n"
+        "for exp in workloads.build('crowd', 0):\n"
+        "    digest.update(exp.simulate().jsonl.encode())\n"
+        "print(digest.hexdigest())\n"
+    )
+    done = _python("-c", script)
+    assert done.returncode == 0, done.stderr
+    expected = json.loads((ROOT / "perfbench" / "digests.json").read_text())["crowd"]
+    assert done.stdout.strip() == expected

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gdg_sim import sim_engine
+from gdg_sim import adversary, sim_engine
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
 from gdg_sim.checkers import _termination_info
 from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
@@ -21,6 +21,7 @@ from gdg_sim.ring_model import (
 )
 from gdg_sim.sim_engine import (
     RobotRecord,
+    Stop,
     Trace,
     TraceEvent,
     build_view,
@@ -30,7 +31,7 @@ from gdg_sim.sim_engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from test_acceptance import DUELS
+from test_acceptance import DUEL_CYCLES, DUELS
 
 
 def ring_of(n, prefix, cycle):
@@ -66,6 +67,9 @@ class RecordingSource:
         self.asked.append((config.round, prev_snap))
         self.emitted.append(tuple(list(self.ring.snapshot(config.round))))
         return self.emitted[-1]
+
+    def phase(self, t):
+        return self.ring.phase(t)
 
 
 def dump(doc):
@@ -156,44 +160,37 @@ def shares(events):
     return [b.robots is a.robots for a, b in zip(events, events[1:])]
 
 
-def stepped(ring, placement, horizon, compute_fn=sim_engine.compute, strip=False):
-    """Step a run as `run` does. Return its events, its final configuration,
-    the rounds answered from `fixed` and the largest `fixed` met. Every
-    `fixed` must hold only pairs its configuration's run has met. With strip,
-    each configuration loses its `fixed` before it is stepped, so every round
-    is computed: the reference that answered rounds must agree with."""
+def reference_run(ring, placement, horizon, compute_fn=sim_engine.compute):
+    """`run` without repeat detection: step every round until every robot
+    terminated or the horizon. Return its events and last configuration."""
     config = initial_configuration(placement, ring.n)
-    events, answered, met, largest, prev_snap = [], [], set(), 0, None
+    events, prev_snap = [], None
     while config.round < horizon and not all(v.terminated for v in config.vars.values()):
-        if strip:
-            config = config._replace(fixed=frozenset())
-        assert config.fixed <= met
-        largest = max(largest, len(config.fixed))
-        snap = ring.snapshot(config.round)
-        if (snap, prev_snap) in config.fixed:
-            answered.append(config.round)
-        met.add((snap, prev_snap))
+        snap = ring.next_snapshot(config, prev_snap)
         config, event = step(config, snap, prev_snap, compute_fn)
         events.append(event)
         prev_snap = snap
-    return events, config, answered, largest
+    return events, config
 
 
 def check_against_reference(ring, placement, horizon, compute_fn=sim_engine.compute):
-    """Check that `run` and a `step` loop equal the reference that strips
-    `fixed`: the same events, sharing the same robots dicts, and the same
-    final configuration. Return the rounds answered from `fixed`."""
-    ref_events, ref_config, none, _ = stepped(ring, placement, horizon, compute_fn, strip=True)
-    assert none == []
-    events, config, answered, _ = stepped(ring, placement, horizon, compute_fn)
-    trace, outcome = run(ring, placement, horizon, compute_fn)
-    assert events == ref_events and list(trace.events) == ref_events
-    assert shares(events) == shares(trace.events) == shares(ref_events)
-    # The reference's last step may have filled its (unread) fixed again.
-    assert config._replace(fixed=frozenset()) == ref_config._replace(fixed=frozenset())
-    assert outcome.final_positions == ref_config.positions
-    assert outcome.halted_at_horizon == any(not v.terminated for v in ref_config.vars.values())
-    return answered
+    """Check that `run` equals the reference that steps every round: the
+    same events, sharing the same robots dicts, and a stop that the
+    reference bears out. Return the stop."""
+    ref_events, ref_config = reference_run(ring, placement, horizon, compute_fn)
+    trace, stop = run(ring, placement, horizon, compute_fn)
+    assert list(trace.events) == ref_events
+    assert shares(trace.events) == shares(ref_events)
+    running = any(not v.terminated for v in ref_config.vars.values())
+    if stop.reason == "cycle":
+        # From round start on, the stepped events repeat with the period.
+        assert running and len(ref_events) == horizon and stop.period >= 1
+        for ev in ref_events[stop.start + stop.period :]:
+            twin = ref_events[ev.round - stop.period]
+            assert (ev.robots, ev.snapshot) == (twin.robots, twin.snapshot)
+    else:
+        assert stop == Stop("horizon" if running else "all_terminated")
+    return stop
 
 
 class TestBuildView:
@@ -326,14 +323,14 @@ class TestStep:
 
         monkeypatch.setattr(sim_engine, "build_view", spy)
         trace, _ = run(STRANDED_RING, STRANDED, horizon=15)
-        # Round 12 hands on both dicts, so rounds 13 and 14 (robot 4 still
-        # running) are answered from `fixed` and build no view.
-        answered = {13, 14}
-        assert all(trace.events[t].robots[4].rule != "terminated" for t in answered)
+        # Round 12 hands on both dicts and round 13 repeats its key, so
+        # rounds 13 and 14 (robot 4 still running) are copies and build no view.
+        copied = {13, 14}
+        assert all(trace.events[t].robots[4].rule != "terminated" for t in copied)
         assert calls == [
             (ev.round, rid)
             for ev in trace.events
-            if ev.round not in answered
+            if ev.round not in copied
             for rid, rec in ev.robots.items()
             if rec.rule != "terminated"
         ]
@@ -410,45 +407,31 @@ class TestStep:
         with pytest.raises(ValueError, match="4-ring"):
             step(config, (1,) * 6, (1,) * 6)
 
-    def test_ring_size_is_checked_before_fixed(self):
-        wide = (1,) * 6
-        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
-        with pytest.raises(ValueError, match="4-ring"):
-            step(config._replace(fixed=frozenset({(wide, wide)})), wide, wide)
-
 
 class TestFixed:
+    """Runs whose configuration rounds hand on unchanged: `run` proves that
+    they cycle and copies the cycle, and must equal stepping every round."""
+
     def test_stranded_run_equals_the_reference(self):
-        answered = check_against_reference(STRANDED_RING, STRANDED, horizon=200)
-        assert answered == list(range(13, 200))
+        stop = check_against_reference(STRANDED_RING, STRANDED, horizon=200)
+        assert stop == Stop("cycle", 12, 1)
 
     def test_periodic_re_run_equals_the_reference(self):
-        answered = check_against_reference(PERIODIC_RE_RING, STRANDED, horizon=400)
-        assert len(answered) == 10
+        # The robots wait at the gap in rounds of eight distinct phases, so
+        # no key repeats before they gather.
+        stop = check_against_reference(PERIODIC_RE_RING, STRANDED, horizon=400)
+        assert stop == Stop("all_terminated")
 
-    @pytest.mark.parametrize("n, placement, r1, r2", DUELS, ids=["n4", "n6", "n8"])
-    def test_duels_equal_the_reference(self, monkeypatch, n, placement, r1, r2):
-        step = sim_engine.step
-        calls = answered = largest = 0
-
-        def spy(config, snap, prev_snap, compute_fn):
-            nonlocal calls, answered, largest
-            calls += 1
-            answered += (snap, prev_snap) in config.fixed
-            largest = max(largest, len(config.fixed))
-            return step(config, snap, prev_snap, compute_fn)
-
-        def stripped(config, snap, prev_snap, compute_fn):
-            return step(config._replace(fixed=frozenset()), snap, prev_snap, compute_fn)
-
-        monkeypatch.setattr(sim_engine, "step", spy)
+    @pytest.mark.parametrize(
+        "n, placement, r1, r2, cycle",
+        [(*duel, cycle) for duel, cycle in zip(DUELS, DUEL_CYCLES)],
+        ids=["n4", "n6", "n8"],
+    )
+    def test_duels_equal_the_reference(self, n, placement, r1, r2, cycle):
+        source = adversary._Adversary(n, r1, r2, sim_engine.compute)
+        assert check_against_reference(source, placement, horizon=2000) == cycle
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
-        monkeypatch.setattr(sim_engine, "step", stripped)
-        ref = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
-        assert res.trace == ref.trace and shares(res.trace.events) == shares(ref.trace.events)
-        assert (res.ring, res.defeated_at) == (ref.ring, ref.defeated_at)
-        assert calls > answered > calls * 0.9
-        assert 0 < largest <= (n + 1) ** 2
+        assert (res.trace, res.stop) == run(source, placement, 2000, class_claim=AC)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -459,60 +442,57 @@ class TestFixed:
         cycle = data.draw(st.lists(snapshot, min_size=1, max_size=3))
         placement = {rid: data.draw(st.integers(0, n - 1)) for rid in (1, 2, 3, 4)}
         ring = EvolvingRing(n, Schedule(tuple(prefix), tuple(cycle)))
-        check_against_reference(ring, placement, horizon=60)
+        stop = check_against_reference(ring, placement, horizon=60)
+        # Only rounds of one phase share a key, and the first repeat comes
+        # one cycle after its round.
+        assert stop.reason != "cycle" or stop.period == len(cycle)
 
-    @pytest.mark.parametrize(
-        "ring", [STRANDED_RING, PERIODIC_RE_RING], ids=["stranded", "periodic_re"]
-    )
-    def test_fixed_is_bounded_by_the_schedule_pairs(self, ring):
-        # From round |prefix| + 1 on, the cycle phase fixes the pair, and
-        # round 0's pair is never in fixed.
-        _, _, answered, largest = stepped(ring, STRANDED, horizon=400)
-        assert answered
-        assert largest <= len(ring.schedule.prefix) + len(ring.schedule.cycle)
+    def test_a_cycle_that_waits_then_moves_is_not_cut_short(self):
+        # Robots head right from node 0. Under A their edge e0 is missing, so
+        # they wait and the second A round hands the dicts on; under C they
+        # move. That round repeats prev_snap A, but the phase differs.
+        A, C = GAP, FULL
 
-    def test_fixed_follows_changes_under_equal_records(self, monkeypatch):
-        # Robots park; robot 1 at node 0 counts the rounds its right edge e0
-        # is missing, which changes its vars but not its record.
+        def head_right(view):
+            return view.self_vars._replace(dir=Direction.RIGHT), "head"
+
+        ring = ring_of(4, [], [A, A, C])
+        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 60, head_right)
+        assert stop == Stop("horizon")
+
+    def test_the_round_after_the_prefix_is_not_taken_for_its_cycle_twin(self):
+        # Robots at node 0 head right only if their right edge e0 was there
+        # the round before. Round 1 follows the prefix's GAP, so they wait
+        # and hand the dicts on; round 2 has the same phase but follows FULL,
+        # so they move.
+        def follow_last_round(view):
+            dir = Direction.RIGHT if view.edge_right_previous else Direction.BOT
+            return view.self_vars._replace(dir=dir), "follow"
+
+        ring = ring_of(4, [GAP], [FULL])
+        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 20, follow_last_round)
+        assert stop == Stop("horizon")
+
+    def test_fixed_follows_changes_under_equal_records(self):
+        # Robots park at node 0 and count the rounds their right edge e0 is
+        # missing, which changes their vars but not their records, and they
+        # terminate on the third. The records never change, yet no
+        # configuration repeats, so no round may be copied.
         def park_and_count_gaps(view):
             me = view.self_vars
             gaps = me.walk_steps + (not view.edge_right_current)
-            return me._replace(dir=Direction.BOT, walk_steps=gaps), "idle"
+            return me._replace(dir=Direction.BOT, walk_steps=gaps, terminated=gaps == 3), "idle"
 
-        views = []
-        build = sim_engine.build_view
-
-        def spy(config, snap, prev_snap, robot_id):
-            views.append(config.round)
-            return build(config, snap, prev_snap, robot_id)
-
-        monkeypatch.setattr(sim_engine, "build_view", spy)
-        config = initial_configuration(PLACEMENT, 4)
-        pairs = [(FULL, None), (FULL, FULL), (GAP, FULL), (FULL, GAP), (FULL, FULL), (FULL, FULL)]
-        fixed, handed_on = [], []
-        for snap, prev_snap in pairs:
-            before = config
-            config, _ = step(config, snap, prev_snap, park_and_count_gaps)
-            fixed.append(config.fixed)
-            handed_on.append(config.robots is before.robots)
-        assert handed_on == [False, True, True, True, True, True]
-        assert config.vars[1].walk_steps == 1
-        assert fixed == [
-            frozenset(),
-            {(FULL, FULL)},
-            frozenset(),  # equal records, but robot 1's vars changed
-            {(FULL, GAP)},
-            {(FULL, GAP), (FULL, FULL)},  # known before the change: computed
-            {(FULL, GAP), (FULL, FULL)},
-        ]
-        assert views == [t for t in range(5) for _ in PLACEMENT]
+        ring = ring_of(4, [], [FULL, GAP])
+        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 40, park_and_count_gaps)
+        assert stop == Stop("all_terminated")
 
 
 class TestRun:
     def test_gathers_on_static_ring(self):
-        trace, outcome = run(static_ring(4), PLACEMENT, horizon=200, seed=0)
-        assert not outcome.halted_at_horizon
-        assert len(set(outcome.final_positions.values())) == 1
+        trace, stop = run(static_ring(4), PLACEMENT, horizon=200, seed=0)
+        assert stop == Stop("all_terminated")
+        assert len({rec.position for rec in trace.events[-1].robots.values()}) == 1
         assert set(_termination_info(trace)[0]) == set(PLACEMENT)
 
     def test_immediate_gathering(self):
@@ -521,17 +501,17 @@ class TestRun:
         assert len(trace.events) == 1
 
     def test_horizon_halt(self):
-        trace, outcome = run(static_ring(4), PLACEMENT, horizon=3)
-        assert outcome.halted_at_horizon
+        trace, stop = run(static_ring(4), PLACEMENT, horizon=3)
+        assert stop == Stop("horizon")
         assert len(trace.events) == 3
 
     def test_stops_once_every_robot_terminated_under_any_label(self):
         def halt(view):
             return RobotVars(id=view.self_vars.id, terminated=True), "halt"
 
-        trace, outcome = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=halt)
+        trace, stop = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=halt)
         assert len(trace.events) == 1
-        assert not outcome.halted_at_horizon
+        assert stop == Stop("all_terminated")
         # only Term1/Term2 count as terminations of the algorithm
         assert _termination_info(trace)[0] == {}
 
@@ -544,10 +524,10 @@ class TestRun:
             steps = me.walk_steps + 1
             return me._replace(dir=Direction.BOT, walk_steps=steps, terminated=steps == 3), "idle"
 
-        trace, outcome = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=park_then_halt)
+        trace, stop = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=park_then_halt)
         assert trace.events[2].robots is trace.events[1].robots
         assert len(trace.events) == 3
-        assert not outcome.halted_at_horizon
+        assert stop == Stop("all_terminated")
 
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
@@ -574,19 +554,19 @@ class TestRun:
             assert prev_snap == (ring.snapshot(t - 1) if t else None)
 
     @pytest.mark.parametrize(
-        "ring, horizon, halted",
+        "ring, horizon, reason",
         [
-            (ring_of(4, [[1, 1, 1, 1], [0, 1, 1, 1]], [[1, 0, 1, 1], [1, 1, 0, 1]]), 6, True),
-            (static_ring(4), 200, False),
+            (ring_of(4, [[1, 1, 1, 1], [0, 1, 1, 1]], [[1, 0, 1, 1], [1, 1, 0, 1]]), 6, "horizon"),
+            (static_ring(4), 200, "all_terminated"),
         ],
         ids=["horizon", "terminated"],
     )
-    def test_source_is_asked_once_per_round(self, ring, horizon, halted):
+    def test_source_is_asked_once_per_round(self, ring, horizon, reason):
         source = RecordingSource(ring)
-        trace, outcome = run(source, PLACEMENT, horizon)
-        assert outcome.halted_at_horizon is halted
+        trace, stop = run(source, PLACEMENT, horizon)
+        assert stop == Stop(reason)
         rounds = len(trace.events)
-        assert rounds == horizon if halted else rounds < horizon
+        assert rounds == horizon if reason == "horizon" else rounds < horizon
         # Asked in round order, and never again once every robot terminated.
         assert [t for t, _ in source.asked] == list(range(rounds))
         assert [ev.snapshot for ev in trace.events] == source.emitted
@@ -594,13 +574,22 @@ class TestRun:
         assert source.asked[0][1] is None
         assert all(prev is source.emitted[t - 1] for t, prev in source.asked[1:])
 
+    def test_source_is_not_asked_after_the_proof(self):
+        source = RecordingSource(STRANDED_RING)
+        trace, stop = run(source, STRANDED, horizon=200)
+        assert stop == Stop("cycle", 12, 1)
+        assert [t for t, _ in source.asked] == list(range(13))
+        # The copies run to the horizon with the cycle's very snapshot.
+        assert len(trace.events) == 200
+        assert all(ev.snapshot is source.emitted[12] for ev in trace.events[12:])
+
     def test_permanent_gap_funnels_everyone(self):
         # e0 vanishes permanently after round 0. Rightbound robots pile up
         # against the gap at node 0 and gather there.
         ring = ring_of(4, [[1, 1, 1, 1]], [[0, 1, 1, 1]])
-        trace, outcome = run(ring, PLACEMENT, horizon=400)
-        assert not outcome.halted_at_horizon
-        assert set(outcome.final_positions.values()) == {0}
+        trace, stop = run(ring, PLACEMENT, horizon=400)
+        assert stop == Stop("all_terminated")
+        assert {rec.position for rec in trace.events[-1].robots.values()} == {0}
 
 
 class TestTraceSerialization:
