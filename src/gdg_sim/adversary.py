@@ -53,6 +53,22 @@ def _absent_one(n: int, e: int) -> Snapshot:
     return tuple(0 if i == e else 1 for i in range(n))
 
 
+def _recurrent_cycle(
+    rng: random.Random, n: int, length: int, dead: Optional[int] = None
+) -> tuple[Snapshot, ...]:
+    """`length` random rows of n edge bits in which every edge but `dead`
+    recurs: in edge order, `dead` is zeroed in every row and an edge in no
+    row gets one random slot."""
+    rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(length)]
+    for e in range(n):
+        if e == dead:
+            for row in rows:
+                row[e] = 0
+        elif not any(row[e] for row in rows):
+            rows[rng.randrange(length)][e] = 1
+    return tuple(tuple(row) for row in rows)
+
+
 def generate(spec: GeneratorSpec) -> EvolvingRing:
     """Build a ring in the requested class; the result is post-checked."""
     rng = random.Random(spec.seed)
@@ -82,36 +98,17 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
             )
         ring = EvolvingRing(n, Schedule((), tuple(snaps)))
     elif tag == RE:
-        length = rng.randint(1, CYCLE_BUDGET)
-        snaps = [[rng.randint(0, 1) for _ in range(n)] for _ in range(length)]
-        for e in range(n):  # every footprint edge must recur
-            if not any(s[e] for s in snaps):
-                snaps[rng.randrange(length)][e] = 1
+        cycle = _recurrent_cycle(rng, n, rng.randint(1, CYCLE_BUDGET))
         prefix_len = rng.randint(0, PREFIX_BUDGET)
-        prefix = []
-        for _ in range(prefix_len):
-            row = [rng.randint(0, 1) for _ in range(n)]
-            prefix.append(tuple(row))
-        ring = EvolvingRing(
-            n, Schedule(tuple(prefix), tuple(tuple(s) for s in snaps))
-        )
+        prefix = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(prefix_len))
+        ring = EvolvingRing(n, Schedule(prefix, cycle))
     elif tag == COT:
         e = spec.missing_edge if spec.missing_edge is not None else rng.randrange(n)
         kill = spec.kill_round if spec.kill_round is not None else rng.randint(1, 20)
         kill = max(1, kill)  # the edge must exist at least once before dying
         prefix = ((1,) * n,) * kill
-        cycle_len = rng.randint(1, CYCLE_BUDGET)
-        cycle = []
-        for _ in range(cycle_len):
-            row = [rng.randint(0, 1) for _ in range(n)]
-            row[e] = 0
-            cycle.append(row)
-        for other in range(n):  # all surviving edges stay recurrent
-            if other != e and not any(row[other] for row in cycle):
-                cycle[rng.randrange(cycle_len)][other] = 1
-        ring = EvolvingRing(
-            n, Schedule(prefix, tuple(tuple(row) for row in cycle))
-        )
+        cycle = _recurrent_cycle(rng, n, rng.randint(1, CYCLE_BUDGET), dead=e)
+        ring = EvolvingRing(n, Schedule(prefix, cycle))
     else:
         raise ValueError(f"unknown dynamics class {tag}")
 

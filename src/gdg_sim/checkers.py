@@ -173,16 +173,19 @@ RIGHTWARD_NAMES = {"righter", "potentialMin"}
 def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """Check GDG execution invariants round by round; returns violations.
 
-    Monitored properties:
+    Monitored properties, in the order each robot is checked:
       min-id        a robot in a min state carries the minimum identifier
       min-closed    min states are never left
-      tower-min     at most one maximal tower-min episode (R-2 co-located
-                    waiting robots around the min) in the whole run
+      no-reentry    righter, righter/potentialMin, and waiting states are
+                    not re-entered once left
+      dir-right     righter/potentialMin robots have always headed right
       waiting-still every waitingWalker sits with the minWaitingWalker and
                     neither moves
-      dir-right     righter/potentialMin robots have always headed right
-      no-reentry    righter, potentialMin, and waiting states are not
-                    re-entered once left
+      tower-min     at most one maximal tower-min episode (R-2 co-located
+                    waiting robots around the min) in the whole run
+
+    Each event is checked in one pass over its records, so a round lists its
+    violations robot by robot in id order, in the order above, then tower-min.
 
     An event whose robots dict is the previous event's repeats its round,
     and the monitors' state is a fixed point after one such repeat: no state
@@ -193,90 +196,75 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """
     rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
-    prev_states: dict[int, str] = {rid: "righter" for rid in trace.ids}
+    prev: dict[int, str] = {rid: "righter" for rid in trace.ids}
     left_righter: set[int] = set()
     left_rightward: set[int] = set()
     left_waiting: set[int] = set()
-    dir_history_ok: dict[int, bool] = {rid: True for rid in trace.ids}
-    tower_episodes = 0
+    turned: set[int] = set()  # robots that have chosen a direction other than right
+    tower_seen = False
     in_tower = False
     last = None
     repeats = 0
     start = end = 0  # violations[start:end] came from the last event checked in full
 
     for ev in trace.events:
-        if ev.robots is last:
+        robots, t = ev.robots, ev.round
+        if robots is last:
             repeats += 1
             if repeats > 1:
-                violations.extend((name, ev.round) for name, _ in violations[start:end])
+                violations.extend((name, t) for name, _ in violations[start:end])
                 continue
         else:
-            last, repeats = ev.robots, 0
+            last, repeats = robots, 0
         start = len(violations)
-        states = {rid: rec.state for rid, rec in ev.robots.items()}
-        positions = {rid: rec.position for rid, rec in ev.robots.items()}
+        # The first minWaitingWalker, found before the loop: smaller ids are checked against it.
+        anchor = next((rec for rec in robots.values() if rec.state == "minWaitingWalker"), None)
+        waiting_here = 0
 
-        for rid, st in states.items():
+        for rid, rec in robots.items():
+            st, was = rec.state, prev[rid]
             if st in MIN_STATE_NAMES and rid != rmin:
-                violations.append(("min-id", ev.round))
-            if prev_states[rid] in MIN_STATE_NAMES and st not in MIN_STATE_NAMES:
-                violations.append(("min-closed", ev.round))
+                violations.append(("min-id", t))
+            if was in MIN_STATE_NAMES and st not in MIN_STATE_NAMES:
+                violations.append(("min-closed", t))
             if st == "righter" and rid in left_righter:
-                violations.append(("no-reentry", ev.round))
-            if st in RIGHTWARD_NAMES and rid in left_rightward:
-                violations.append(("no-reentry", ev.round))
+                violations.append(("no-reentry", t))
+            rightward = st in RIGHTWARD_NAMES
+            if rightward and rid in left_rightward:
+                violations.append(("no-reentry", t))
             if st in WAITING_NAMES and rid in left_waiting:
-                violations.append(("no-reentry", ev.round))
+                violations.append(("no-reentry", t))
 
-        # While a robot remains righter/potentialMin it
-        # must have chosen right at every Move phase so far.
-        for rid, rec in ev.robots.items():
-            if rec.rule == "terminated":
-                continue
-            if states[rid] in RIGHTWARD_NAMES:
-                if rec.dir != "right" or not dir_history_ok[rid]:
-                    violations.append(("dir-right", ev.round))
-            if rec.dir != "right":
-                dir_history_ok[rid] = False
+            # A terminated robot has no Move phase, so no direction to choose.
+            if rec.rule != "terminated":
+                if rightward and (rec.dir != "right" or rid in turned):
+                    violations.append(("dir-right", t))
+                if rec.dir != "right":
+                    turned.add(rid)
 
-        # Waiting robots stay parked next to the min.
-        min_waiting = [rid for rid, st in states.items() if st == "minWaitingWalker"]
-        for rid, st in states.items():
-            if st != "waitingWalker":
-                continue
-            rec = ev.robots[rid]
-            if rec.moved:
-                violations.append(("waiting-still", ev.round))
-            if min_waiting:
-                anchor = min_waiting[0]
-                if positions[rid] != positions[anchor] or ev.robots[anchor].moved:
-                    violations.append(("waiting-still", ev.round))
+            if st == "waitingWalker":
+                if rec.moved:
+                    violations.append(("waiting-still", t))
+                if anchor is not None:
+                    together = rec.position == anchor.position
+                    waiting_here += together
+                    if not together or anchor.moved:
+                        violations.append(("waiting-still", t))
 
-        # Tower-min detection: minWaitingWalker plus R-3 waitingWalkers
-        # together on one node.
-        tower_now = False
-        if min_waiting:
-            anchor = min_waiting[0]
-            waiting_here = [
-                rid
-                for rid, st in states.items()
-                if st == "waitingWalker" and positions[rid] == positions[anchor]
-            ]
-            tower_now = len(waiting_here) == trace.R - 3
-        if tower_now and not in_tower:
-            tower_episodes += 1
-            if tower_episodes > 1:
-                violations.append(("tower-min", ev.round))
-        in_tower = tower_now
-
-        for rid, st in states.items():
-            if prev_states[rid] == "righter" and st != "righter":
+            if was == "righter" and st != "righter":
                 left_righter.add(rid)
-            if prev_states[rid] in RIGHTWARD_NAMES and st not in RIGHTWARD_NAMES:
+            if was in RIGHTWARD_NAMES and not rightward:
                 left_rightward.add(rid)
-            if prev_states[rid] in WAITING_NAMES and st not in WAITING_NAMES:
+            if was in WAITING_NAMES and st not in WAITING_NAMES:
                 left_waiting.add(rid)
-        prev_states = states
+            prev[rid] = st
+
+        # A tower: the anchor plus R-3 waitingWalkers on its node.
+        tower_now = anchor is not None and waiting_here == trace.R - 3
+        if tower_now and not in_tower and tower_seen:  # a second episode begins
+            violations.append(("tower-min", t))
+        tower_seen |= tower_now
+        in_tower = tower_now
         end = len(violations)
 
     return violations

@@ -410,19 +410,14 @@ RULES = (
     Rule("M11", SEARCHERS, lambda me, view, w: _search(me, view)),
 )
 
-# Dispatch priority: the first enabled rule in this order fires.
 RULE_ORDER = tuple(rule.name for rule in RULES)
 _BY_NAME = {rule.name: rule for rule in RULES}
 
 
-def _guard(rule: str, view: View) -> bool:
-    try:  # not a helper call: a compute tries 17-21 guards
-        entry = _BY_NAME[rule]
-    except KeyError:
-        raise ValueError(f"unknown rule {rule!r}") from None
-    if view.self_vars.state not in entry.states:
+def _guard(rule: Rule, view: View) -> bool:
+    if view.self_vars.state not in rule.states:
         return False
-    witness, condition = entry.witness, entry.condition
+    witness, condition = rule.witness, rule.condition
     if witness is not None and not (view.mates and any(map(witness, view.mates))):
         return False  # no mate is a witness, or there is no mate
     return condition is None or condition(view)
@@ -431,9 +426,9 @@ def _guard(rule: str, view: View) -> bool:
 def first_enabled_rule(view: View) -> str:
     if view.self_vars.terminated:
         raise ProtocolViolation("terminated robots do not compute")
-    for rule in RULE_ORDER:
+    for rule in RULES:
         if _guard(rule, view):
-            return rule
+            return rule.name
     raise ProtocolViolation(
         f"no rule enabled for robot {view.self_vars.id} in state {view.self_vars.state}"
     )
@@ -441,9 +436,9 @@ def first_enabled_rule(view: View) -> str:
 
 def apply_rule(rule: str, view: View) -> RobotVars:
     """Run the action of `rule` against the frozen view; returns updated vars."""
-    if rule not in _BY_NAME:
+    entry = _BY_NAME.get(rule)
+    if entry is None:
         raise ValueError(f"unknown rule {rule!r}")
-    entry = _BY_NAME[rule]
     witness = select_witness(view, entry.witness) if entry.witness else None
     return entry.action(view.self_vars, view, witness)
 

@@ -1,8 +1,13 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdg_sim import checkers
 from gdg_sim.checkers import (
+    MIN_STATE_NAMES,
+    RIGHTWARD_NAMES,
+    WAITING_NAMES,
     BoundNotApplicable,
     BoundParams,
     bound_for,
@@ -11,6 +16,7 @@ from gdg_sim.checkers import (
     experiment,
     monitor_invariants,
 )
+from gdg_sim.gdg_protocol import RobotState
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
 from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
 
@@ -331,3 +337,167 @@ class TestRepeatedRounds:
         last = trace.events[-1].round
         hits = {t for found, t in monitor_invariants(trace) if found == name}
         assert set(range(last - 3, last + 1)) <= hits
+
+
+# ---------------------------------------------------------------------------
+# The one-pass monitor against the five-pass monitor it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_monitor(trace):
+    """monitor_invariants as it was before it took one pass per event:
+    five scans of each event's records and per-event states/positions dicts."""
+    rmin = min(trace.ids)
+    violations: list[tuple[str, int]] = []
+    prev_states: dict[int, str] = {rid: "righter" for rid in trace.ids}
+    left_righter: set[int] = set()
+    left_rightward: set[int] = set()
+    left_waiting: set[int] = set()
+    dir_history_ok: dict[int, bool] = {rid: True for rid in trace.ids}
+    tower_episodes = 0
+    in_tower = False
+    last = None
+    repeats = 0
+    start = end = 0  # violations[start:end] came from the last event checked in full
+
+    for ev in trace.events:
+        if ev.robots is last:
+            repeats += 1
+            if repeats > 1:
+                violations.extend((name, ev.round) for name, _ in violations[start:end])
+                continue
+        else:
+            last, repeats = ev.robots, 0
+        start = len(violations)
+        states = {rid: rec.state for rid, rec in ev.robots.items()}
+        positions = {rid: rec.position for rid, rec in ev.robots.items()}
+
+        for rid, st in states.items():
+            if st in MIN_STATE_NAMES and rid != rmin:
+                violations.append(("min-id", ev.round))
+            if prev_states[rid] in MIN_STATE_NAMES and st not in MIN_STATE_NAMES:
+                violations.append(("min-closed", ev.round))
+            if st == "righter" and rid in left_righter:
+                violations.append(("no-reentry", ev.round))
+            if st in RIGHTWARD_NAMES and rid in left_rightward:
+                violations.append(("no-reentry", ev.round))
+            if st in WAITING_NAMES and rid in left_waiting:
+                violations.append(("no-reentry", ev.round))
+
+        # While a robot remains righter/potentialMin it
+        # must have chosen right at every Move phase so far.
+        for rid, rec in ev.robots.items():
+            if rec.rule == "terminated":
+                continue
+            if states[rid] in RIGHTWARD_NAMES:
+                if rec.dir != "right" or not dir_history_ok[rid]:
+                    violations.append(("dir-right", ev.round))
+            if rec.dir != "right":
+                dir_history_ok[rid] = False
+
+        # Waiting robots stay parked next to the min.
+        min_waiting = [rid for rid, st in states.items() if st == "minWaitingWalker"]
+        for rid, st in states.items():
+            if st != "waitingWalker":
+                continue
+            rec = ev.robots[rid]
+            if rec.moved:
+                violations.append(("waiting-still", ev.round))
+            if min_waiting:
+                anchor = min_waiting[0]
+                if positions[rid] != positions[anchor] or ev.robots[anchor].moved:
+                    violations.append(("waiting-still", ev.round))
+
+        # Tower-min detection: minWaitingWalker plus R-3 waitingWalkers
+        # together on one node.
+        tower_now = False
+        if min_waiting:
+            anchor = min_waiting[0]
+            waiting_here = [
+                rid
+                for rid, st in states.items()
+                if st == "waitingWalker" and positions[rid] == positions[anchor]
+            ]
+            tower_now = len(waiting_here) == trace.R - 3
+        if tower_now and not in_tower:
+            tower_episodes += 1
+            if tower_episodes > 1:
+                violations.append(("tower-min", ev.round))
+        in_tower = tower_now
+
+        for rid, st in states.items():
+            if prev_states[rid] == "righter" and st != "righter":
+                left_righter.add(rid)
+            if prev_states[rid] in RIGHTWARD_NAMES and st not in RIGHTWARD_NAMES:
+                left_rightward.add(rid)
+            if prev_states[rid] in WAITING_NAMES and st not in WAITING_NAMES:
+                left_waiting.add(rid)
+        prev_states = states
+        end = len(violations)
+
+    return violations
+
+
+all_records = st.builds(
+    rec,
+    pos=st.integers(0, 2),
+    state=st.sampled_from([s.value for s in RobotState]),
+    dir=st.sampled_from(("right", "left", "bot")),
+    rule=st.sampled_from(("M8", "K2", "Term1", "terminated")),
+    moved=st.booleans(),
+)
+
+
+@st.composite
+def monitored_traces(draw):
+    """R = 4-6 robots over 1-8 blocks of 1-4 events sharing one robots dict."""
+    R = draw(st.integers(4, 6))
+    rounds = st.fixed_dictionaries({rid: all_records for rid in range(1, R + 1)})
+    runs = draw(st.lists(st.tuples(rounds, st.integers(1, 4)), min_size=1, max_size=8))
+    events = []
+    for robots, repeats in runs:
+        events += [TraceEvent(len(events) + k, robots, (1, 1, 1, 1)) for k in range(repeats)]
+    return trace_of(events, R=R)
+
+
+class TestOnePassMonitor:
+    @settings(max_examples=300, deadline=None)
+    @given(monitored_traces())
+    def test_same_violations_per_round_as_the_reference(self, trace):
+        hits = monitor_invariants(trace)
+        assert Counter(hits) == Counter(reference_monitor(trace))
+        rounds = [t for _, t in hits]
+        assert rounds == sorted(rounds)
+
+    def test_tower_counts_while_its_min_moves(self):
+        # The first episode forms in a round its minWaitingWalker moved in;
+        # it is still an episode, so the second one is flagged.
+        def event(t, waiting, anchor_moved=False):
+            robots = {1: rec(0, "minWaitingWalker", "bot", "M1", moved=anchor_moved)}
+            for rid in (2, 3, 4):
+                robots[rid] = (
+                    rec(0, "waitingWalker", "bot", "K3")
+                    if rid == waiting
+                    else rec(1, "awareSearcher", "left", "M2")
+                )
+            return TraceEvent(t, robots, (1, 1, 1, 1))
+
+        trace = trace_of([event(0, 2, anchor_moved=True), event(1, None), event(2, 3)])
+        hits = monitor_invariants(trace)
+        assert ("tower-min", 2) in hits
+        assert Counter(hits) == Counter(reference_monitor(trace))
+
+    def test_terminated_robot_direction_is_not_checked(self):
+        robots = {1: rec(0, dir="bot", rule="terminated"), 2: rec(1), 3: rec(2), 4: rec(3)}
+        events = [TraceEvent(t, robots, (1, 1, 1, 1)) for t in range(2)]
+        assert monitor_invariants(trace_of(events)) == []
+
+    def test_violations_listed_robot_by_robot(self):
+        robots = {
+            1: rec(1, "waitingWalker", "bot", "K2", moved=True),
+            2: rec(0, "minWaitingWalker", "left", "M1"),
+            3: rec(2),
+            4: rec(3),
+        }
+        hits = monitor_invariants(trace_of([TraceEvent(0, robots, (1, 1, 1, 1))]))
+        assert hits == [("waiting-still", 0), ("waiting-still", 0), ("min-id", 0)]

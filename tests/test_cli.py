@@ -270,6 +270,31 @@ def test_batch_bad_entry_exits_one(tmp_path, capsys):
     assert "ring size" in bad["error"]
 
 
+@pytest.mark.parametrize("n", [None, 0, 3])
+@pytest.mark.parametrize("tag", ["ac", "cot", "st"])
+def test_generated_ring_needs_n_of_at_least_four(capsys, tag, n):
+    # Without a usable --n, ac divided by zero and cot drew from an empty range.
+    size = [] if n is None else ["--n", str(n)]
+    code = main(["run", *size, "--ids", "1,2,3,4", "--class", tag, "--seed", "1"])
+    assert code == 2
+    assert "--n" in capsys.readouterr().err
+
+
+def test_batch_entry_without_n_is_error_row(tmp_path, capsys):
+    code = _batch(
+        tmp_path,
+        [
+            {"ids": "1,2,3,4", "class": "ac", "seed": 1},
+            {"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1},
+        ],
+    )
+    assert code == 1
+    bad, good = json.loads(capsys.readouterr().out)["runs"]
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (0, False, "ValueError")
+    assert "--n" in bad["error"]
+    assert (good["index"], good["ok"]) == (1, True)
+
+
 def test_batch_missed_variant_exits_one(tmp_path, capsys):
     # One round is too short for four spread robots to gather.
     code = _batch(tmp_path, [{"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1, "horizon": 1}])

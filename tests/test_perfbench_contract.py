@@ -58,3 +58,14 @@ def test_crowd_jsonl_bytes_match_reference_digest():
     assert done.returncode == 0, done.stderr
     expected = json.loads((ROOT / "perfbench" / "digests.json").read_text())["crowd"]
     assert done.stdout.strip() == expected
+
+
+def test_trace_mode_reports_every_per_layer_metric():
+    # --trace 1 wraps package functions by name, so a rename that breaks the
+    # per-layer mode shows here, not only when someone next traces a run.
+    done = _python("perfbench/run.py", "--workload", "duel", "--seconds", "0", "--trace", "1")
+    assert done.returncode == 0, done.stdout[-2000:] + done.stderr
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert {metric["name"] for metric in declared} <= set(result["metrics"])
