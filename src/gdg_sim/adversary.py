@@ -43,8 +43,6 @@ class GeneratorSpec:
     dyn_class: DynClass
     n: int
     seed: int
-    missing_edge: Optional[int] = None  # COT: the eventual missing edge
-    kill_round: Optional[int] = None  # COT: first round the edge is gone
 
 
 @functools.cache
@@ -103,10 +101,9 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
         prefix = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(prefix_len))
         ring = EvolvingRing(n, Schedule(prefix, cycle))
     elif tag == COT:
-        e = spec.missing_edge if spec.missing_edge is not None else rng.randrange(n)
-        kill = spec.kill_round if spec.kill_round is not None else rng.randint(1, 20)
-        kill = max(1, kill)  # the edge must exist at least once before dying
-        prefix = ((1,) * n,) * kill
+        e = rng.randrange(n)
+        # The edge exists in at least one round before it dies for good.
+        prefix = ((1,) * n,) * rng.randint(1, 20)
         cycle = _recurrent_cycle(rng, n, rng.randint(1, CYCLE_BUDGET), dead=e)
         ring = EvolvingRing(n, Schedule(prefix, cycle))
     else:
@@ -153,11 +150,11 @@ class _Adversary:
     compute_fn: ComputeFn
 
     def phase(self, t: int) -> None:
-        return None  # the choice reads only the configuration and prev_snap
+        return None  # the choice reads only the configuration
 
-    def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
+    def next_snapshot(self, config: Configuration) -> Snapshot:
         n = self.n
-        p1, p2 = config.positions[self.r1], config.positions[self.r2]
+        p1, p2 = config.robots[self.r1].position, config.robots[self.r2].position
         d = _ring_distance(p1, p2, n)
         if d == 1:
             return _absent_one(n, _edge_between(p1, p2, n))
@@ -165,12 +162,12 @@ class _Adversary:
         if d == 2:
             # One-round fork under the all-present continuation: only if the
             # targets would meet do we withhold the edge they meet across.
-            fork, _ = sim_engine.step(config, snap, prev_snap, self.compute_fn)
-            if fork.positions[self.r1] == fork.positions[self.r2]:
-                meeting = fork.positions[self.r1]
-                if _ring_distance(p1, meeting, n) == 1:
-                    return _absent_one(n, _edge_between(p1, meeting, n))
-                return _absent_one(n, _edge_between(p2, meeting, n))
+            fork, _ = sim_engine.step(config, snap, self.compute_fn)
+            meeting = fork.robots[self.r1].position
+            if meeting == fork.robots[self.r2].position:
+                # Robots move at most one edge a round, so targets two apart
+                # meet only on a node next to both, one edge from each.
+                return _absent_one(n, _edge_between(p1, meeting, n))
         return snap
 
 

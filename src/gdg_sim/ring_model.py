@@ -80,7 +80,7 @@ class EvolvingRing:
     def snapshot(self, t: int) -> Snapshot:
         return (self.schedule.prefix + self.schedule.cycle)[self.phase(t)]
 
-    def next_snapshot(self, config: Configuration, prev_snap: Optional[Snapshot]) -> Snapshot:
+    def next_snapshot(self, config: Configuration) -> Snapshot:
         return self.snapshot(config.round)
 
 
@@ -166,16 +166,14 @@ def verify_class(ring: EvolvingRing, c: DynClass) -> bool:
         return _ring_connected_with_edges(n, recurrent)
     # BRE(delta): every footprint edge occurs in every delta-window of the
     # schedule unrolled over the prefix plus two full cycles (windows can
-    # straddle the prefix/cycle seam).
+    # straddle the prefix/cycle seam). Once fp <= recurrent, a window longer
+    # than that contains a whole cycle and so every footprint edge: there
+    # the window loop is empty and the ring is BRE.
     assert c.tag == BRE and c.delta is not None
     delta = c.delta
     if not fp <= recurrent:
         return False
     unrolled = list(ring.schedule.prefix) + list(ring.schedule.cycle) * 2
-    if len(unrolled) < delta:
-        unrolled = list(ring.schedule.prefix) + list(ring.schedule.cycle) * (
-            2 + -(-delta // len(ring.schedule.cycle))
-        )
     for start in range(len(unrolled) - delta + 1):
         window = unrolled[start : start + delta]
         for e in fp:

@@ -1,8 +1,10 @@
 """Synchronous Look-Compute-Move execution producing replayable traces.
 
 All robots compute against the same frozen configuration, then move
-simultaneously. Identical inputs yield bit-identical traces: robots are
-always processed in id order and every decision is deterministic.
+simultaneously. A configuration is the round that produced it, so
+``step(config, snap)`` and a snapshot source's ``next_snapshot(config)``
+read nothing else of the past. Identical inputs yield bit-identical traces:
+robots are always processed in id order and every decision is deterministic.
 
 Id order is an invariant, not a per-round sort: ``initial_configuration``
 keys every dict in increasing robot id and ``step`` keeps that order, so
@@ -51,20 +53,20 @@ ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
 
 class Configuration(NamedTuple):
-    """A round's start. Its dicts are keyed in increasing robot id and never
-    mutated, so iterating one visits robots in id order and a later
-    configuration may share a dict with an earlier one.
+    """A round's start, held as the round that produced it. Its dicts are
+    keyed in increasing robot id and never mutated, so iterating one visits
+    robots in id order and a later configuration may share a dict with an
+    earlier one.
 
-    robots holds the records of the round that produced this configuration
-    (empty at round 0). A robot's record says whether it moved in that
-    round, which ``build_view`` reports as ``has_moved``. ``step`` compares
-    the next round's records with it, and when all are equal it hands on
-    this very dict; an equal ``vars`` dict is handed on the same way, so
-    ``vars`` is the previous configuration's dict exactly when no robot's
-    variables changed.
-
-    n is the size of the ring the robots stand on; ``step`` rejects a
-    snapshot of another length.
+    robots holds that round's records, and last_snap its snapshot. At round
+    0 they are one placement record per robot and the all-absent snapshot.
+    A record gives the robot's node and says whether it moved, which
+    ``build_view`` reports as ``has_moved``. ``step`` compares the next
+    round's records with it, and when all are equal it hands on this very
+    dict; an equal ``vars`` dict is handed on the same way, so ``vars`` is
+    the previous configuration's dict exactly when no robot's variables
+    changed. The ring's size is len(last_snap); ``step`` rejects a snapshot
+    of another length.
 
     towers maps each occupied node to the vars of the robots on it, in id
     order; ``build_view`` takes a robot's mates from it. Equal records put
@@ -75,11 +77,10 @@ class Configuration(NamedTuple):
     tuple builds in half the time of a frozen dataclass."""
 
     round: int
-    n: int
-    positions: dict[int, int]  # robot id -> node
     vars: dict[int, RobotVars]
     robots: dict[int, RobotRecord]
     towers: dict[int, tuple[RobotVars, ...]]  # node -> vars of its robots
+    last_snap: Snapshot
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +88,7 @@ class RobotRecord:
     position: int  # node occupied at the end of the round
     state: str
     dir: str
-    rule: str  # fired rule, or "terminated" for already-terminated robots
+    rule: str  # fired rule, "terminated" for terminated robots, "placed" before round 0
     moved: bool
 
 
@@ -131,52 +132,47 @@ class Stop(NamedTuple):
 
 
 def _towers(
-    positions: dict[int, int], vars: dict[int, RobotVars]
+    robots: dict[int, RobotRecord], vars: dict[int, RobotVars]
 ) -> dict[int, tuple[RobotVars, ...]]:
     """Group the robots by node. Both dicts are keyed in the same id order,
-    so zipping their values pairs each robot's node with its vars and every
-    tower comes out in id order."""
+    so zipping their values pairs each robot's record with its vars and
+    every tower comes out in id order."""
     towers: dict[int, list[RobotVars]] = {}
-    for node, me in zip(positions.values(), vars.values()):
-        tower = towers.get(node)
+    for rec, me in zip(robots.values(), vars.values()):
+        tower = towers.get(rec.position)
         if tower is None:
-            towers[node] = [me]
+            towers[rec.position] = [me]
         else:
             tower.append(me)
     return {node: tuple(tower) for node, tower in towers.items()}
 
 
 def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
-    for node in placement.values():
-        if not 0 <= node < n:
-            raise ValueError("placement node out of range")
-    positions = {rid: placement[rid] for rid in sorted(placement)}
-    vars = {rid: RobotVars(id=rid) for rid in positions}
-    return Configuration(0, n, positions, vars, {}, _towers(positions, vars))
+    if any(not 0 <= node < n for node in placement.values()):
+        raise ValueError("placement node out of range")
+    ids = sorted(placement)
+    robots = {rid: _record(placement[rid], "righter", "right", "placed", False) for rid in ids}
+    vars = {rid: RobotVars(id=rid) for rid in ids}
+    return Configuration(0, vars, robots, _towers(robots, vars), (0,) * n)
 
 
-def build_view(
-    config: Configuration,
-    snap: Snapshot,
-    prev_snap: Optional[Snapshot],
-    robot_id: int,
-) -> View:
-    """What one robot looks at: this round's snapshot and the previous one.
+def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
+    """What one robot looks at: this round's snapshot and the last one.
 
-    prev_snap is None at round 0, where no edge counts as previously present
-    and no robot has moved.
+    At round 0 the last snapshot is all-absent and no placement record has
+    moved: the view of a robot with no history, in which no edge was present
+    and no robot moved. So round 0 needs no case of its own, in build_view
+    or in run's repeat key.
     """
-    me = config.vars.get(robot_id)
-    if me is None:
-        raise KeyError(f"unknown robot id {robot_id}")
-    node = config.positions[robot_id]
+    me = config.vars[robot_id]
+    rec = config.robots[robot_id]
+    node = rec.position
     tower = config.towers[node]
     if len(tower) == 1:
         mates: tuple[RobotVars, ...] = ()
     else:
         i = tower.index(me)  # ids differ, so only this robot's vars match
         mates = tower[:i] + tower[i + 1 :]
-    rec = config.robots.get(robot_id)
     # right_edge_of(node) is node, and left_edge_of(node) is node - 1, which
     # as an index wraps to edge n - 1 at node 0, as left_edge_of(0, n) does.
     return View(
@@ -184,47 +180,35 @@ def build_view(
         mates,
         bool(snap[node]),
         bool(snap[node - 1]),
-        prev_snap is not None and bool(prev_snap[node]),
-        prev_snap is not None and bool(prev_snap[node - 1]),
-        rec is not None and rec.moved,
+        bool(config.last_snap[node]),
+        bool(config.last_snap[node - 1]),
+        rec.moved,
         len(snap),
         len(config.vars),
     )
 
 
 def step(
-    config: Configuration,
-    snap: Snapshot,
-    prev_snap: Optional[Snapshot],
-    compute_fn: ComputeFn = compute,
+    config: Configuration, snap: Snapshot, compute_fn: ComputeFn = compute
 ) -> tuple[Configuration, TraceEvent]:
-    """One full Look-Compute-Move round on the ring of size config.n.
-
-    snap is the snapshot of round config.round and prev_snap the one of the
-    round before, or None at round 0. Nothing else of the schedule is read,
-    so a caller can choose each snapshot as the run goes.
-    """
+    """One full Look-Compute-Move round. snap is the snapshot of round
+    config.round, and nothing else of the schedule is read, so a caller can
+    choose each snapshot as the run goes."""
     t = config.round
-    if (prev_snap is None) != (t == 0):
-        raise ValueError("prev_snap must be None exactly at round 0")
-    n = config.n
+    n = len(config.last_snap)
     if len(snap) != n:
         raise ValueError(f"snap must have one edge per node of the {n}-ring")
-    if prev_snap is not None and len(prev_snap) != n:
-        raise ValueError("prev_snap must have as many edges as snap")
     last = config.robots
-    positions: dict[int, int] = {}
     new_vars: dict[int, RobotVars] = {}
     robots: dict[int, RobotRecord] = {}
-    for rid, vars in config.vars.items():
-        node = target = config.positions[rid]
+    for (rid, vars), rec in zip(config.vars.items(), last.values()):
+        node = target = rec.position
         if vars.terminated:
             # From its first "terminated" record on, a robot's record is fixed.
-            rec = last.get(rid)
-            if rec is None or rec.rule != "terminated":
+            if rec.rule != "terminated":
                 rec = _record(node, vars.state._value_, vars.dir._value_, "terminated", False)
         else:
-            vars, rule = compute_fn(build_view(config, snap, prev_snap, rid))
+            vars, rule = compute_fn(build_view(config, snap, rid))
             if not vars.terminated:
                 if vars.dir is Direction.RIGHT and snap[right_edge_of(node, n)]:
                     target = step_right(node, n)
@@ -232,7 +216,6 @@ def step(
                     target = step_left(node, n)
             # Enum's _value_ is the plain attribute behind its slower .value.
             rec = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
-        positions[rid] = target
         new_vars[rid] = vars
         robots[rid] = rec
     # Dict equality tests each value by identity first, and equal records
@@ -244,9 +227,8 @@ def step(
     if robots is last and new_vars is config.vars:
         towers = config.towers  # nobody moved and no vars changed
     else:
-        towers = _towers(positions, new_vars)
-    next_config = Configuration(t + 1, n, positions, new_vars, robots, towers)
-    return next_config, TraceEvent(round=t, robots=robots, snapshot=snap)
+        towers = _towers(robots, new_vars)
+    return Configuration(t + 1, new_vars, robots, towers, snap), TraceEvent(t, robots, snap)
 
 
 def run(
@@ -259,18 +241,18 @@ def run(
 ) -> tuple[Trace, Stop]:
     """Iterate rounds until all robots terminated or the horizon is reached.
 
-    ring may be any snapshot source with a size n, a ``next_snapshot(config,
-    prev_snap)`` that run asks in round order (prev_snap is None at round
-    0), and a ``phase(t)``: all the snapshot reads besides its arguments,
-    each phase having one next phase. An EvolvingRing's phase is the round's
+    ring may be any snapshot source with a size n, a
+    ``next_snapshot(config)`` that run asks in round order, and a
+    ``phase(t)``: all the snapshot reads besides the configuration, each
+    phase having one next phase. An EvolvingRing's phase is the round's
     place in its schedule; the adaptive adversary's is None.
 
     As compute_fn is a pure function of its View, a round is then a function
-    of the configuration's dicts and the key (phase, prev_snap). So while
-    rounds hand on both the ``robots`` and the ``vars`` dict, a round whose
-    key equals that of round start proves that the run repeats the rounds
-    from start on forever. run then stops stepping and asking the source,
-    and copies those rounds' events up to the horizon.
+    of the configuration's dicts and the key (phase, config.last_snap). So
+    while rounds hand on both the ``robots`` and the ``vars`` dict, a round
+    whose key equals that of round start proves that the run repeats the
+    rounds from start on forever. run then stops stepping and asking the
+    source, and copies those rounds' events up to the horizon.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -278,14 +260,13 @@ def run(
         raise ValueError("at least 4 robots are required")
     config = initial_configuration(placement, ring.n)
     events: list[TraceEvent] = []
-    prev_snap: Optional[Snapshot] = None
     running = len(placement)
     # Key -> round, for the rounds since a step last changed either dict.
-    seen: dict[tuple[object, Optional[Snapshot]], int] = {}
+    seen: dict[tuple[object, Snapshot], int] = {}
     stop = Stop("horizon")
     while running and config.round < horizon:
         t = config.round
-        key = (ring.phase(t), prev_snap)
+        key = (ring.phase(t), config.last_snap)
         start = seen.get(key)
         if start is not None:
             stop = Stop("cycle", start, t - start)
@@ -294,10 +275,8 @@ def run(
                 ev = events[r - stop.period]
                 events.append(TraceEvent(r, ev.robots, ev.snapshot))
             break
-        snap = ring.next_snapshot(config, prev_snap)
         last = config
-        config, event = step(config, snap, prev_snap, compute_fn)
-        prev_snap = snap
+        config, event = step(config, ring.next_snapshot(config), compute_fn)
         events.append(event)
         if config.robots is last.robots and config.vars is last.vars:
             seen[key] = t

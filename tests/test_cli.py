@@ -153,6 +153,70 @@ def test_bad_integer_input_is_named(capsys, monkeypatch, command, env, args, mes
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--ids", "1,2,x,4"], "bad --ids value '1,2,x,4'"),
+        (["--ids", "1,2,3"], "at least 4 robots are required"),
+        (["--ids", "1,2,3,4", "--placement", "0,1,2"], "--placement must list one node per id"),
+        (["--ids", "1,2,3,4", "--placement", "0,1,2,4"], "--placement node out of range"),
+        (["--ids", "1,2,3,4", "--n", "5"], "--n disagrees with the schedule"),
+    ],
+    ids=["ids-not-integer", "three-ids", "placement-count", "placement-node", "n-vs-schedule"],
+)
+def test_run_input_is_checked(tmp_path, capsys, args, message):
+    sched = tmp_path / "ring.json"
+    sched.write_text(json.dumps({"n": 4, "prefix": [], "cycle": [[1, 1, 1, 1]]}))
+    assert main(["run", "--schedule", str(sched), *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_bre_with_delta(tmp_path, capsys):
+    trace_out = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "run", "--n", "6", "--ids", "1,2,3,4", "--class", "bre", "--delta", "3",
+            "--trace-out", str(trace_out),
+        ]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert "G" in doc["variants"] and doc["bound_ok"]
+    assert doc["stop"]["reason"] == "all_terminated"
+    assert trace_from_jsonl(trace_out.read_text()).class_claim == "bre"
+
+
+def test_adversary_trace_out(tmp_path, capsys):
+    trace_out = tmp_path / "trace.jsonl"
+    code = main(
+        [
+            "adversary", "--n", "4", "--ids", "1,2,3,4", "--horizon", "40",
+            "--trace-out", str(trace_out),
+        ]
+    )
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    trace = trace_from_jsonl(trace_out.read_text())
+    assert (trace.n, trace.ids, trace.class_claim) == (4, (1, 2, 3, 4), "ac")
+    assert len(trace.events) == doc["rounds"] == 40
+
+
+def test_adversary_random_placement_redraws_colocated_targets(capsys, monkeypatch):
+    seen = []
+    real = adversary.adaptive_ac_adversary
+
+    def spy(n, R, placement, r1, r2, horizon):
+        seen.append((dict(placement), r1, r2))
+        return real(n, R, placement, r1, r2, horizon)
+
+    monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
+    code = main(["adversary", "--n", "4", "--ids", "1,2,3,4", "--horizon", "5", "--seed", "13"])
+    assert code == 0
+    # Seed 13 draws nodes 2, 2, 1, 1, so targets 4 and 3 meet on node 1, and
+    # the next draw moves target 3 to node 0.
+    assert seen == [({1: 2, 2: 2, 3: 0, 4: 1}, 4, 3)]
+
+
 def test_adversary_never_defeated(tmp_path, capsys):
     sched = tmp_path / "sched.json"
     code = main(
@@ -245,6 +309,14 @@ def _batch(tmp_path, entries):
     spec = tmp_path / "batch.json"
     spec.write_text(json.dumps(entries))
     return main(["batch", "--spec", str(spec)])
+
+
+def test_batch_report_out_equals_stdout(tmp_path, capsys):
+    spec, report = tmp_path / "batch.json", tmp_path / "report.json"
+    spec.write_text(json.dumps([{"n": 4, "ids": "1,2,3,4", "class": "st", "seed": 1}]))
+    assert main(["batch", "--spec", str(spec), "--report-out", str(report)]) == 0
+    assert report.read_text() == capsys.readouterr().out
+    assert json.loads(report.read_text())["matrix"] == {"st": ["G", "G_E", "G_EW", "G_W"]}
 
 
 def test_batch_all_ok_exits_zero(tmp_path, capsys):

@@ -103,6 +103,29 @@ class TestVerifyClass:
         assert not verify_class(ring, DynClass(COT))
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DynClass("xx"), "unknown dynamics class"),
+        (lambda: DynClass(BRE), "BRE requires delta >= 1"),
+        (lambda: DynClass(BRE, 0), "BRE requires delta >= 1"),
+        (lambda: DynClass(ST, 3), "delta is only meaningful for BRE"),
+        (lambda: Schedule((), ()), "cycle must be non-empty"),
+        (lambda: ring_of(3, [], [[1, 1, 1]]), "ring size must be >= 4"),
+        (lambda: ring_of(4, [], [[1, 1, 1]]), "snapshot length must equal ring size"),
+        (lambda: static_ring(4).phase(-1), "round index must be >= 0"),
+        (lambda: remove_edge_interval(static_ring(4), 0, -1, 2), "interval start must be >= 0"),
+    ],
+    ids=[
+        "unknown-tag", "bre-no-delta", "bre-delta-0", "st-with-delta", "empty-cycle",
+        "n-3", "short-snapshot", "negative-round", "negative-start",
+    ],
+)
+def test_bad_input_is_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 class TestFootprints:
     def test_prefix_only_edge(self):
         ring = ring_of(4, [[1, 1, 1, 1]], [[1, 1, 0, 1]])
@@ -188,3 +211,24 @@ def test_json_round_trip(ring):
 def test_cot_iff_at_most_one_cycle_absent_edge(ring):
     absent = ring.n - len(eventual_underlying(ring))
     assert verify_class(ring, DynClass(COT)) == (absent <= 1)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_bre_equals_a_check_of_every_window(data):
+    # Windows starting past prefix + cycle repeat earlier ones, so checking
+    # every window over prefix + cycle * (delta + 3) decides BRE(delta). The
+    # schedules are short, so many are shorter than delta.
+    n = data.draw(st.integers(4, 6))
+    delta = data.draw(st.integers(1, 12))
+    row = st.tuples(*[st.integers(0, 1)] * n)
+    prefix = data.draw(st.lists(row, max_size=2))
+    cycle = data.draw(st.lists(row, min_size=1, max_size=3))
+    ring = EvolvingRing(n, Schedule(tuple(prefix), tuple(cycle)))
+    unrolled = prefix + cycle * (delta + 3)
+    every_window = all(
+        any(snap[e] for snap in unrolled[start : start + delta])
+        for start in range(len(unrolled) - delta + 1)
+        for e in footprint(ring)
+    )
+    assert verify_class(ring, DynClass(BRE, delta)) == every_window

@@ -57,14 +57,14 @@ PERIODIC_RE_RING = ring_of(4, [FULL], [GAP] * 8 + [FULL])
 
 class RecordingSource:
     """A snapshot source that hands out a ring's snapshots as new objects and
-    records each request as (round, prev_snap)."""
+    records each request as (round, the configuration's last snapshot)."""
 
     def __init__(self, ring):
         self.ring, self.n = ring, ring.n
         self.asked, self.emitted = [], []
 
-    def next_snapshot(self, config, prev_snap):
-        self.asked.append((config.round, prev_snap))
+    def next_snapshot(self, config):
+        self.asked.append((config.round, config.last_snap))
         self.emitted.append(tuple(list(self.ring.snapshot(config.round))))
         return self.emitted[-1]
 
@@ -95,17 +95,22 @@ def reference_jsonl(trace):
     return "\n".join(lines) + "\n"
 
 
-def reference_build_view(config, snap, prev_snap, robot_id):
+def positions(config):
+    """Robot id -> node, read from the configuration's records."""
+    return {rid: rec.position for rid, rec in config.robots.items()}
+
+
+def reference_build_view(config, snap, robot_id):
     """build_view as a scan of every robot's position for the mates, with
     the edges from ring_model and the View built by keyword."""
     if robot_id not in config.vars:
         raise KeyError(f"unknown robot id {robot_id}")
     n = len(snap)
-    node = config.positions[robot_id]
+    node = config.robots[robot_id].position
     right, left = right_edge_of(node, n), left_edge_of(node, n)
     mates = tuple(
         config.vars[other]
-        for other, at in config.positions.items()
+        for other, at in positions(config).items()
         if at == node and other != robot_id
     )
     return View(
@@ -113,9 +118,9 @@ def reference_build_view(config, snap, prev_snap, robot_id):
         mates=mates,
         edge_right_current=bool(snap[right]),
         edge_left_current=bool(snap[left]),
-        edge_right_previous=prev_snap is not None and bool(prev_snap[right]),
-        edge_left_previous=prev_snap is not None and bool(prev_snap[left]),
-        has_moved=robot_id in config.robots and config.robots[robot_id].moved,
+        edge_right_previous=bool(config.last_snap[right]),
+        edge_left_previous=bool(config.last_snap[left]),
+        has_moved=config.robots[robot_id].moved,
         n=n,
         R=len(config.vars),
     )
@@ -124,8 +129,8 @@ def reference_build_view(config, snap, prev_snap, robot_id):
 def regroup(config):
     """Node -> vars of the robots on it, in id order, from positions and vars."""
     towers = {}
-    for rid in sorted(config.positions):
-        towers.setdefault(config.positions[rid], []).append(config.vars[rid])
+    for rid, node in sorted(positions(config).items()):
+        towers.setdefault(node, []).append(config.vars[rid])
     return {node: tuple(tower) for node, tower in towers.items()}
 
 
@@ -134,18 +139,17 @@ def check_views_against_reference(ring, placement, horizon):
     every configuration's towers; return the largest tower seen and the
     number of rounds that handed the towers on."""
     config = initial_configuration(placement, ring.n)
-    prev_snap, largest, shared = None, 0, 0
+    largest, shared = 0, 0
     for t in range(horizon):
         assert config.towers == regroup(config)
         largest = max(largest, *map(len, config.towers.values()))
         snap = ring.snapshot(t)
         for rid, vars in config.vars.items():
             if not vars.terminated:
-                view = build_view(config, snap, prev_snap, rid)
-                assert view == reference_build_view(config, snap, prev_snap, rid)
+                view = build_view(config, snap, rid)
+                assert view == reference_build_view(config, snap, rid)
         before = config
-        config, _ = step(config, snap, prev_snap)
-        prev_snap = snap
+        config, _ = step(config, snap)
         if config.robots is before.robots and config.vars is before.vars:
             assert config.towers is before.towers
             shared += 1
@@ -164,12 +168,10 @@ def reference_run(ring, placement, horizon, compute_fn=sim_engine.compute):
     """`run` without repeat detection: step every round until every robot
     terminated or the horizon. Return its events and last configuration."""
     config = initial_configuration(placement, ring.n)
-    events, prev_snap = [], None
+    events = []
     while config.round < horizon and not all(v.terminated for v in config.vars.values()):
-        snap = ring.next_snapshot(config, prev_snap)
-        config, event = step(config, snap, prev_snap, compute_fn)
+        config, event = step(config, ring.next_snapshot(config), compute_fn)
         events.append(event)
-        prev_snap = snap
     return events, config
 
 
@@ -196,7 +198,7 @@ def check_against_reference(ring, placement, horizon, compute_fn=sim_engine.comp
 class TestBuildView:
     def test_round_zero_has_no_history(self):
         config = initial_configuration(PLACEMENT, 4)
-        view = build_view(config, FULL, None, 1)
+        view = build_view(config, FULL, 1)
         assert view.mates == ()
         assert not view.edge_right_previous
         assert not view.edge_left_previous
@@ -205,38 +207,39 @@ class TestBuildView:
 
     def test_mates_sorted_by_id(self):
         config = initial_configuration({1: 0, 2: 0, 3: 0, 4: 2}, 4)
-        view = build_view(config, FULL, None, 2)
+        view = build_view(config, FULL, 2)
         assert [m.id for m in view.mates] == [1, 3]
 
     def test_mates_sorted_by_id_from_unsorted_placement(self):
         config = initial_configuration({3: 0, 4: 2, 2: 0, 1: 0}, 4)
-        view = build_view(config, FULL, None, 2)
+        view = build_view(config, FULL, 2)
         assert [m.id for m in view.mates] == [1, 3]
 
     def test_edges_from_current_snapshot(self):
         config = initial_configuration(PLACEMENT, 4)
-        view = build_view(config, (0, 1, 1, 1), None, 1)  # node 0: right edge e0, left edge e3
+        view = build_view(config, (0, 1, 1, 1), 1)  # node 0: right edge e0, left edge e3
         assert not view.edge_right_current
         assert view.edge_left_current
 
     def test_edges_from_previous_snapshot(self):
-        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
-        view = build_view(config, FULL, (1, 1, 1, 0), 4)  # node 0: right edge e0, left edge e3
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL)
+        config = config._replace(last_snap=(1, 1, 1, 0))
+        view = build_view(config, FULL, 4)  # node 0: right edge e0, left edge e3
         assert view.edge_right_previous
         assert not view.edge_left_previous
 
     def test_has_moved_reads_the_last_round(self):
         config = initial_configuration(PLACEMENT, 4)
-        assert not any(build_view(config, FULL, None, rid).has_moved for rid in PLACEMENT)
+        assert not any(build_view(config, FULL, rid).has_moved for rid in PLACEMENT)
         # e0 is absent in round 0, so robot 1 at node 0 cannot step right.
-        config, _ = step(config, (0, 1, 1, 1), None)
-        moved = {rid: build_view(config, FULL, (0, 1, 1, 1), rid).has_moved for rid in PLACEMENT}
+        config, _ = step(config, (0, 1, 1, 1))
+        moved = {rid: build_view(config, FULL, rid).has_moved for rid in PLACEMENT}
         assert moved == {1: False, 2: True, 3: True, 4: True}
 
     def test_unknown_robot(self):
         config = initial_configuration(PLACEMENT, 4)
         with pytest.raises(KeyError):
-            build_view(config, FULL, None, 9)
+            build_view(config, FULL, 9)
 
     @pytest.mark.parametrize(
         "n, node, absent", [(n, v, e) for n in (4, 5) for v in range(n) for e in range(n)]
@@ -247,8 +250,8 @@ class TestBuildView:
         gap = tuple(int(e != absent) for e in range(n))
         config = initial_configuration({1: node, 2: 0, 3: 1, 4: 2}, n)
         expected = (bool(gap[right_edge_of(node, n)]), bool(gap[left_edge_of(node, n)]))
-        now = build_view(config, gap, full, 1)
-        before = build_view(config, full, gap, 1)
+        now = build_view(config._replace(last_snap=full), gap, 1)
+        before = build_view(config._replace(last_snap=gap), full, 1)
         assert (now.edge_right_current, now.edge_left_current) == expected
         assert (before.edge_right_previous, before.edge_left_previous) == expected
         assert now.edge_right_previous and now.edge_left_previous
@@ -277,30 +280,30 @@ class TestBuildView:
 class TestStep:
     def test_spread_righters_rotate(self):
         config = initial_configuration(PLACEMENT, 4)
-        config, event = step(config, FULL, None)
-        assert config.positions == {1: 1, 2: 2, 3: 3, 4: 0}
+        config, event = step(config, FULL)
+        assert positions(config) == {1: 1, 2: 2, 3: 3, 4: 0}
         assert all(rec.rule == "M8" and rec.moved for rec in event.robots.values())
 
     def test_missing_edge_blocks_move(self):
         config = initial_configuration(PLACEMENT, 4)
-        config, event = step(config, (0, 1, 1, 1), None)
-        assert config.positions[1] == 0
+        config, event = step(config, (0, 1, 1, 1))
+        assert positions(config)[1] == 0
         assert not event.robots[1].moved
         # the robot keeps trying: direction right, no step counted
         assert event.robots[1].dir == "right"
 
     def test_all_colocated_terminate_in_place(self):
         config = initial_configuration({1: 2, 2: 2, 3: 2, 4: 2}, 4)
-        config, event = step(config, FULL, None)
+        config, event = step(config, FULL)
         assert all(rec.rule == "Term1" for rec in event.robots.values())
         assert all(v.terminated for v in config.vars.values())
-        assert config.positions == {1: 2, 2: 2, 3: 2, 4: 2}
+        assert positions(config) == {1: 2, 2: 2, 3: 2, 4: 2}
 
     def test_terminated_robots_stay_frozen(self):
         config = initial_configuration({1: 2, 2: 2, 3: 2, 4: 2}, 4)
-        config, _ = step(config, FULL, None)
+        config, _ = step(config, FULL)
         frozen = dict(config.vars)
-        config, event = step(config, FULL, FULL)
+        config, event = step(config, FULL)
         assert config.vars == frozen
         assert all(rec.rule == "terminated" for rec in event.robots.values())
         assert all(not rec.moved for rec in event.robots.values())
@@ -308,18 +311,18 @@ class TestStep:
     def test_dicts_stay_in_id_order(self):
         config = initial_configuration({4: 0, 1: 1, 3: 2, 2: 3}, 4)
         for t in range(3):
-            for d in (config.positions, config.vars):
+            for d in (config.robots, config.vars):
                 assert list(d) == [1, 2, 3, 4]
-            config, event = step(config, FULL, FULL if t else None)
+            config, event = step(config, FULL)
             assert list(event.robots) == [1, 2, 3, 4]
 
     def test_builds_one_view_per_computing_robot(self, monkeypatch):
         calls = []
         build = sim_engine.build_view
 
-        def spy(config, snap, prev_snap, robot_id):
+        def spy(config, snap, robot_id):
             calls.append((config.round, robot_id))
-            return build(config, snap, prev_snap, robot_id)
+            return build(config, snap, robot_id)
 
         monkeypatch.setattr(sim_engine, "build_view", spy)
         trace, _ = run(STRANDED_RING, STRANDED, horizon=15)
@@ -351,11 +354,9 @@ class TestStep:
         assert shared == [b.robots == a.robots for a, b in zip(events, events[1:])]
         assert shared.index(True) == 11 and all(shared[11:])
         config = initial_configuration(STRANDED, 4)
-        prev_snap = None
         for t in range(14):
             before = config
-            config, event = step(config, STRANDED_RING.snapshot(t), prev_snap)
-            prev_snap = STRANDED_RING.snapshot(t)
+            config, event = step(config, STRANDED_RING.snapshot(t))
             assert config.robots is event.robots
         assert event.robots is before.robots
         assert config.vars is before.vars
@@ -367,9 +368,9 @@ class TestStep:
             return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
 
         config = initial_configuration(PLACEMENT, 4)
-        config, first = step(config, FULL, None, count)
+        config, first = step(config, FULL, count)
         before = config
-        config, again = step(config, FULL, FULL, count)
+        config, again = step(config, FULL, count)
         assert again.robots is first.robots
         assert config.vars is not before.vars
         assert [v.walk_steps for v in config.vars.values()] == [2, 2, 2, 2]
@@ -380,32 +381,30 @@ class TestStep:
             return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
 
         config = initial_configuration({1: 0, 2: 0, 3: 1, 4: 1}, 4)
-        config, first = step(config, FULL, None, count)
+        config, first = step(config, FULL, count)
         before = config
-        config, again = step(config, FULL, FULL, count)
+        config, again = step(config, FULL, count)
         assert again.robots is first.robots
         assert config.towers is not before.towers
         assert config.towers == regroup(config)
-        assert build_view(config, FULL, FULL, 1).mates == (config.vars[2],)
-
-    @pytest.mark.parametrize("round, prev_snap", [(0, FULL), (1, None)])
-    def test_prev_snapshot_must_match_round(self, round, prev_snap):
-        config = initial_configuration(PLACEMENT, 4)
-        for _ in range(round):
-            config, _ = step(config, FULL, FULL if config.round else None)
-        with pytest.raises(ValueError):
-            step(config, FULL, prev_snap)
+        assert build_view(config, FULL, 1).mates == (config.vars[2],)
 
     @pytest.mark.parametrize("snap, prev_snap", [((1,) * 6, (1, 1, 1, 0)), (FULL, (1, 1, 1))])
     def test_prev_snapshot_must_match_snapshot_length(self, snap, prev_snap):
-        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        # The previous snapshot is the configuration's last one.
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL)
         with pytest.raises(ValueError):
-            step(config, snap, prev_snap)
+            step(config._replace(last_snap=prev_snap), snap)
+
+    @pytest.mark.parametrize("node", [-1, 4])
+    def test_placement_node_must_be_on_the_ring(self, node):
+        with pytest.raises(ValueError, match="placement node out of range"):
+            initial_configuration({1: 0, 2: 1, 3: 2, 4: node}, 4)
 
     def test_snapshot_must_match_the_ring(self):
-        config, _ = step(initial_configuration(PLACEMENT, 4), FULL, None)
+        config, _ = step(initial_configuration(PLACEMENT, 4), FULL)
         with pytest.raises(ValueError, match="4-ring"):
-            step(config, (1,) * 6, (1,) * 6)
+            step(config, (1,) * 6)
 
 
 class TestFixed:
@@ -450,7 +449,7 @@ class TestFixed:
     def test_a_cycle_that_waits_then_moves_is_not_cut_short(self):
         # Robots head right from node 0. Under A their edge e0 is missing, so
         # they wait and the second A round hands the dicts on; under C they
-        # move. That round repeats prev_snap A, but the phase differs.
+        # move. That round repeats last snapshot A, but the phase differs.
         A, C = GAP, FULL
 
         def head_right(view):
@@ -541,17 +540,17 @@ class TestRun:
         calls = []
         step = sim_engine.step
 
-        def spy(config, snap, prev_snap, compute_fn):
-            calls.append((config.round, snap, prev_snap))
-            return step(config, snap, prev_snap, compute_fn)
+        def spy(config, snap, compute_fn):
+            calls.append((config.round, snap, config.last_snap))
+            return step(config, snap, compute_fn)
 
         monkeypatch.setattr(sim_engine, "step", spy)
         ring = ring_of(4, [[1, 1, 1, 1], [0, 1, 1, 1]], [[1, 0, 1, 1], [1, 1, 0, 1]])
         run(ring, PLACEMENT, horizon=6)
         assert [t for t, _, _ in calls] == list(range(6))
-        for t, snap, prev_snap in calls:
+        for t, snap, last_snap in calls:
             assert snap == ring.snapshot(t)
-            assert prev_snap == (ring.snapshot(t - 1) if t else None)
+            assert last_snap == (ring.snapshot(t - 1) if t else (0, 0, 0, 0))
 
     @pytest.mark.parametrize(
         "ring, horizon, reason",
@@ -571,7 +570,7 @@ class TestRun:
         assert [t for t, _ in source.asked] == list(range(rounds))
         assert [ev.snapshot for ev in trace.events] == source.emitted
         # Each request carries the very snapshot emitted the round before.
-        assert source.asked[0][1] is None
+        assert source.asked[0][1] == (0, 0, 0, 0)
         assert all(prev is source.emitted[t - 1] for t, prev in source.asked[1:])
 
     def test_source_is_not_asked_after_the_proof(self):
