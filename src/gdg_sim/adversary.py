@@ -11,7 +11,6 @@ construction, and the only ring built is the schedule it emits.
 
 from __future__ import annotations
 
-import functools
 import random
 from dataclasses import dataclass
 from typing import Optional
@@ -45,9 +44,8 @@ class GeneratorSpec:
     seed: int
 
 
-@functools.cache
 def _absent_one(n: int, e: int) -> Snapshot:
-    """Cached: the adversary asks for one of these n snapshots every round."""
+    """The snapshot of an n-ring that misses edge e alone."""
     return tuple(0 if i == e else 1 for i in range(n))
 
 
@@ -162,7 +160,7 @@ class _Adversary:
         if d == 2:
             # One-round fork under the all-present continuation: only if the
             # targets would meet do we withhold the edge they meet across.
-            fork, _ = sim_engine.step(config, snap, self.compute_fn)
+            fork = sim_engine.step(config, snap, self.compute_fn)
             meeting = fork.robots[self.r1].position
             if meeting == fork.robots[self.r2].position:
                 # Robots move at most one edge a round, so targets two apart

@@ -51,12 +51,9 @@ class Verdict:
         }
 
 
-class BoundNotApplicable(Exception):
-    """COT and RE admit no bounded-variant round bound."""
-
-
-def bound_for(p: BoundParams) -> int:
-    """Explicit round bound for the bounded variants in AC, BRE, and ST."""
+def bound_for(p: BoundParams) -> Optional[int]:
+    """Explicit round bound for the bounded variants in AC, BRE, and ST;
+    None for RE and COT, which admit no bounded-variant round bound."""
     tag = p.dyn_class.tag
     if tag == AC:
         c1, c2, c3 = AC_DEFAULTS
@@ -66,20 +63,13 @@ def bound_for(p: BoundParams) -> int:
         assert delta is not None
         c1, c2, c3 = BRE_DEFAULTS
         return c1 * p.n * delta * p.id_rmin + c2 * p.n * delta * p.R + c3 * p.n * delta
-    raise BoundNotApplicable(f"no round bound for class {tag}")
-
-
-def _class_bound(dyn: Optional[DynClass], n: int, R: int, id_rmin: int) -> Optional[int]:
-    """bound_for the class; None for RE, COT and a run with no class."""
-    if dyn is None or dyn.tag not in (ST, BRE, AC):
-        return None
-    return bound_for(BoundParams(dyn, n, R, id_rmin))
+    return None
 
 
 def default_horizon(ring: EvolvingRing, dyn: DynClass, R: int, id_rmin: int) -> int:
     """bound + 1 (rounds 0..bound) for bounded classes; for RE and COT, four
     times the BRE bound of the cycle length, past the prefix."""
-    bound = _class_bound(dyn, ring.n, R, id_rmin)
+    bound = bound_for(BoundParams(dyn, ring.n, R, id_rmin))
     if bound is not None:
         return bound + 1
     delta = max(1, len(ring.schedule.cycle))
@@ -151,7 +141,7 @@ def experiment(
 ) -> Experiment:
     """Run the protocol on the ring and judge the run against its class."""
     R, id_rmin = len(placement), min(placement)
-    bound = _class_bound(dyn, ring.n, R, id_rmin)
+    bound = bound_for(BoundParams(dyn, ring.n, R, id_rmin)) if dyn else None
     if horizon is None:  # a run with no class claim gets 10,000 rounds
         horizon = 10_000 if dyn is None else default_horizon(ring, dyn, R, id_rmin)
     trace, stop = run(ring, placement, horizon, class_claim=dyn.tag if dyn else None, seed=seed)

@@ -12,21 +12,20 @@ nothing sorts again. RobotRecords are immutable and shared: ``step`` and
 ``trace_from_jsonl`` take equal records from one table, bounded by the
 number of distinct records rather than by the horizon.
 
-A round that repeats the last one shares its dicts: when every record a
-round produces equals the previous round's, ``step`` returns the previous
-round's ``robots`` dict itself, so ``ev.robots is prev.robots`` holds for
-consecutive events exactly when their records are equal. Likewise an
-unchanged ``vars`` dict is passed on. ``run``, the only code that knows
-about repeats, reads this sharing to prove that a run cycles and then copies
-the cycle's events instead of stepping them. Consumers of a trace (the
-checkers, the JSONL encoder) skip their per-robot work on a repeated event,
-and ``trace_from_jsonl`` restores the same sharing when it decodes.
+A round that repeats the last one shares its robots dict: when every
+record a round produces equals the previous round's, ``step`` returns the
+previous round's ``robots`` dict itself, so ``ev.robots is prev.robots``
+holds for consecutive events exactly when their records are equal. ``run``,
+the only code that knows about repeats, reads this sharing and compares the
+vars by value to prove that a run cycles, and then copies the cycle's
+events instead of stepping them. Consumers of a trace (the checkers, the
+JSONL encoder) skip their per-robot work on a repeated event, and
+``trace_from_jsonl`` restores the same sharing when it decodes.
 
 The Look phase reads a per-node grouping: each configuration's ``towers``
 maps every occupied node to the vars of the robots on it, built once per
 configuration, so ``build_view`` finds a robot's mates in its own tower
-instead of scanning every position. A round that hands on both the
-``robots`` and the ``vars`` dict hands on ``towers`` too, without regrouping.
+instead of scanning every position.
 """
 
 from __future__ import annotations
@@ -55,23 +54,19 @@ ComputeFn = Callable[[View], tuple[RobotVars, str]]
 class Configuration(NamedTuple):
     """A round's start, held as the round that produced it. Its dicts are
     keyed in increasing robot id and never mutated, so iterating one visits
-    robots in id order and a later configuration may share a dict with an
-    earlier one.
+    robots in id order and a later configuration may share its robots dict
+    with an earlier one.
 
-    robots holds that round's records, and last_snap its snapshot. At round
-    0 they are one placement record per robot and the all-absent snapshot.
-    A record gives the robot's node and says whether it moved, which
-    ``build_view`` reports as ``has_moved``. ``step`` compares the next
-    round's records with it, and when all are equal it hands on this very
-    dict; an equal ``vars`` dict is handed on the same way, so ``vars`` is
-    the previous configuration's dict exactly when no robot's variables
-    changed. The ring's size is len(last_snap); ``step`` rejects a snapshot
-    of another length.
+    robots holds that round's records, and last_snap its snapshot: what
+    ``run`` puts in the round's TraceEvent. At round 0 they are one
+    placement record per robot and the all-absent snapshot. A record
+    gives the robot's node and says whether it moved, which ``build_view``
+    reports as ``has_moved``. ``step`` compares the next round's records
+    with it, and when all are equal it hands on this very dict. The ring's
+    size is len(last_snap); ``step`` rejects a snapshot of another length.
 
     towers maps each occupied node to the vars of the robots on it, in id
-    order; ``build_view`` takes a robot's mates from it. Equal records put
-    every robot where it was, so when ``step`` hands on both ``robots`` and
-    ``vars`` it hands on this very dict as well.
+    order; ``build_view`` takes a robot's mates from it.
 
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
     tuple builds in half the time of a frozen dataclass."""
@@ -190,11 +185,11 @@ def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
 
 def step(
     config: Configuration, snap: Snapshot, compute_fn: ComputeFn = compute
-) -> tuple[Configuration, TraceEvent]:
+) -> Configuration:
     """One full Look-Compute-Move round. snap is the snapshot of round
     config.round, and nothing else of the schedule is read, so a caller can
-    choose each snapshot as the run goes."""
-    t = config.round
+    choose each snapshot as the run goes. The result's robots and last_snap
+    are the round's records and snapshot."""
     n = len(config.last_snap)
     if len(snap) != n:
         raise ValueError(f"snap must have one edge per node of the {n}-ring")
@@ -204,9 +199,7 @@ def step(
     for (rid, vars), rec in zip(config.vars.items(), last.values()):
         node = target = rec.position
         if vars.terminated:
-            # From its first "terminated" record on, a robot's record is fixed.
-            if rec.rule != "terminated":
-                rec = _record(node, vars.state._value_, vars.dir._value_, "terminated", False)
+            rule = "terminated"  # no Compute and no Move, so the record is fixed
         else:
             vars, rule = compute_fn(build_view(config, snap, rid))
             if not vars.terminated:
@@ -214,21 +207,14 @@ def step(
                     target = step_right(node, n)
                 elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
                     target = step_left(node, n)
-            # Enum's _value_ is the plain attribute behind its slower .value.
-            rec = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
         new_vars[rid] = vars
-        robots[rid] = rec
+        # Enum's _value_ is the plain attribute behind its slower .value.
+        robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
     # Dict equality tests each value by identity first, and equal records
     # are one object, so a repeated round costs one C-level pass here.
     if robots == last:
         robots = last
-    if new_vars == config.vars:
-        new_vars = config.vars
-    if robots is last and new_vars is config.vars:
-        towers = config.towers  # nobody moved and no vars changed
-    else:
-        towers = _towers(robots, new_vars)
-    return Configuration(t + 1, new_vars, robots, towers, snap), TraceEvent(t, robots, snap)
+    return Configuration(config.round + 1, new_vars, robots, _towers(robots, new_vars), snap)
 
 
 def run(
@@ -249,9 +235,9 @@ def run(
 
     As compute_fn is a pure function of its View, a round is then a function
     of the configuration's dicts and the key (phase, config.last_snap). So
-    while rounds hand on both the ``robots`` and the ``vars`` dict, a round
-    whose key equals that of round start proves that the run repeats the
-    rounds from start on forever. run then stops stepping and asking the
+    while rounds hand on the ``robots`` dict and leave the vars equal, a
+    round whose key equals that of round start proves that the run repeats
+    the rounds from start on forever. run then stops stepping and asking the
     source, and copies those rounds' events up to the horizon.
     """
     if horizon < 1:
@@ -261,7 +247,7 @@ def run(
     config = initial_configuration(placement, ring.n)
     events: list[TraceEvent] = []
     running = len(placement)
-    # Key -> round, for the rounds since a step last changed either dict.
+    # Key -> round, for the rounds since a step last changed a record or a vars.
     seen: dict[tuple[object, Snapshot], int] = {}
     stop = Stop("horizon")
     while running and config.round < horizon:
@@ -276,9 +262,9 @@ def run(
                 events.append(TraceEvent(r, ev.robots, ev.snapshot))
             break
         last = config
-        config, event = step(config, ring.next_snapshot(config), compute_fn)
-        events.append(event)
-        if config.robots is last.robots and config.vars is last.vars:
+        config = step(config, ring.next_snapshot(config), compute_fn)
+        events.append(TraceEvent(t, config.robots, config.last_snap))
+        if config.robots is last.robots and config.vars == last.vars:
             seen[key] = t
         else:
             seen.clear()
@@ -365,7 +351,7 @@ def trace_from_jsonl(text: str) -> Trace:
         # In trace_to_jsonl's key order a line ends with its robots, so a
         # line whose text after the robots key equals the line before's
         # repeats that round's robots: only its round and snapshot are read,
-        # and its event shares the robots dict, as step's events do.
+        # and its event shares the robots dict, as run's events do.
         head, key, rest = ln.partition(',"robots":')
         if key and rest == tail:
             doc = json.loads(head + "}")

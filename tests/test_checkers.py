@@ -8,7 +8,6 @@ from gdg_sim.checkers import (
     MIN_STATE_NAMES,
     RIGHTWARD_NAMES,
     WAITING_NAMES,
-    BoundNotApplicable,
     BoundParams,
     bound_for,
     check_safety,
@@ -54,8 +53,7 @@ class TestBoundFor:
 
     @pytest.mark.parametrize("tag", [COT, RE])
     def test_unbounded_classes_refuse(self, tag):
-        with pytest.raises(BoundNotApplicable):
-            bound_for(BoundParams(DynClass(tag), n=4, R=4, id_rmin=1))
+        assert bound_for(BoundParams(DynClass(tag), n=4, R=4, id_rmin=1)) is None
 
 
 class TestSafetyAndVariants:

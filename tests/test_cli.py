@@ -68,6 +68,22 @@ def test_missing_schedule_file_usage_error(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["run", "--ids", "1,2,3,4", "--schedule"],
+        ["batch", "--spec"],
+        ["run", "--ids", "1,2,3,4", "--class", "st", "--n", "4", "--trace-out"],
+    ],
+    ids=["schedule", "spec", "trace-out"],
+)
+def test_directory_path_is_usage_error(tmp_path, capsys, args):
+    # Reading or writing a directory raises IsADirectoryError, an OSError.
+    assert main([*args, str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_schedule_class_mismatch_usage_error(tmp_path, capsys):
     sched = tmp_path / "ring.json"
     sched.write_text(
