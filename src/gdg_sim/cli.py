@@ -91,12 +91,12 @@ def _placement_for(
 
 def _dyn_class(tag: Optional[str], delta: Optional[int]) -> Optional[DynClass]:
     if tag is None:
+        if delta is not None:
+            raise CliError("--delta requires --class bre")
         return None
-    if tag == BRE:
-        if delta is None:
-            raise CliError("--class bre requires --delta")
-        return DynClass(BRE, delta)
-    return DynClass(tag)
+    if tag == BRE and delta is None:
+        raise CliError("--class bre requires --delta")
+    return DynClass(tag, delta)  # rejects a delta for any class but bre
 
 
 def _experiment(args: argparse.Namespace) -> Experiment:

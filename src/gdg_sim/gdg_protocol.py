@@ -7,9 +7,9 @@ evaluation for distinct robots in one round is order-independent.
 enabled one fires. Each entry is the whole rule: its name (Term1..M11, the
 stable string recorded in traces), the states it fires from, an optional
 witness, an optional extra condition on the view, and its action. A witness
-is a per-mate predicate: some co-located robot must satisfy it, and the
-action learns from the smallest-id one that does. `RULE_ORDER` is the
-names of `RULES`, in order.
+is a set of states: some co-located robot must be in one of them, and the
+action learns from the smallest-id one that is. `RULE_ORDER` is the names
+of `RULES`, in order.
 
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
@@ -156,14 +156,9 @@ def _gathered(which: int) -> Callable[[View], bool]:
     return lambda view: len(view.mates) >= view.R - 2 and gathering_predicates(view)[which]
 
 
-def _mate_in(*states: RobotState) -> Callable[[RobotVars], bool]:
-    """Witness predicate: the mate is in one of `states`."""
-    return lambda m: m.state in states
-
-
-def select_witness(view: View, predicate) -> RobotVars:
+def select_witness(view: View, states: tuple[RobotState, ...]) -> RobotVars:
     """Deterministic witness for an "exists a mate" guard: smallest id wins."""
-    hits = [m for m in view.mates if predicate(m)]
+    hits = [m for m in view.mates if m.state in states]
     if not hits:
         raise ProtocolViolation("witness requested but no mate satisfies the guard")
     return min(hits, key=lambda m: m.id)
@@ -287,16 +282,16 @@ def _learn_then_search(vars: RobotVars, view: View, witness: RobotVars) -> Robot
 class Rule:
     """One guarded rule.
 
-    It is enabled when the robot's state is in `states`, some mate satisfies
-    `witness` (if set) and `condition(view)` holds (if set). Firing it runs
-    `action(self_vars, view, witness)`, where the witness is the mate that
-    `select_witness` picks with the same predicate, or None.
+    It is enabled when the robot's state is in `states`, some mate is in a
+    state of `witness` (if not empty) and `condition(view)` holds (if set).
+    Firing it runs `action(self_vars, view, witness)`, where the witness is
+    the mate that `select_witness` picks from the same states, or None.
     """
 
     name: str
     states: tuple[RobotState, ...]
     action: Callable[[RobotVars, View, Optional[RobotVars]], RobotVars]
-    witness: Optional[Callable[[RobotVars], bool]] = None
+    witness: tuple[RobotState, ...] = ()
     condition: Optional[Callable[[View], bool]] = None
 
 
@@ -336,13 +331,13 @@ RULES = (
         "K3",
         (RobotState.POTENTIAL_MIN, RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER),
         lambda me, view, w: _become_waiting_walker(me, w),
-        witness=_mate_in(RobotState.MIN_WAITING_WALKER),
+        witness=(RobotState.MIN_WAITING_WALKER,),
     ),
     Rule(
         "K4",
         (RobotState.RIGHTER,),
         lambda me, view, w: _become_aware_searcher(me, w),
-        witness=_mate_in(RobotState.MIN_WAITING_WALKER),
+        witness=(RobotState.MIN_WAITING_WALKER,),
         condition=lambda view: view.edge_right_current,
     ),
     Rule(
@@ -355,26 +350,26 @@ RULES = (
         "M2",
         NOT_WALKER,
         lambda me, view, w: _become_aware_searcher(me, w),
-        witness=_mate_in(RobotState.HEAD_WALKER),
+        witness=(RobotState.HEAD_WALKER,),
         condition=lambda view: view.edge_right_current,
     ),
     Rule(
         "M3",
         NOT_WALKER,
         lambda me, view, w: _stop_moving(_become_aware_searcher(me, w)),
-        witness=_mate_in(RobotState.HEAD_WALKER),
+        witness=(RobotState.HEAD_WALKER,),
     ),
     Rule(
         "M4",
         NOT_WALKER,
         lambda me, view, w: _walk(_become_tail_walker(me, w), view),
-        witness=_mate_in(RobotState.MIN_TAIL_WALKER),
+        witness=(RobotState.MIN_TAIL_WALKER,),
     ),
     Rule(
         "M5",
         (RobotState.POTENTIAL_MIN,),
         _learn_then_search,
-        witness=_mate_in(RobotState.AWARE_SEARCHER),
+        witness=(RobotState.AWARE_SEARCHER,),
     ),
     Rule(
         "M6",
@@ -384,7 +379,7 @@ RULES = (
         condition=lambda view: len(view.mates) == view.R - 2
         and all(m.state is RobotState.RIGHTER for m in view.mates),
     ),
-    Rule("M7", (RobotState.RIGHTER,), _learn_then_search, witness=_mate_in(*SEARCHERS)),
+    Rule("M7", (RobotState.RIGHTER,), _learn_then_search, witness=SEARCHERS),
     Rule(
         "M8",
         (RobotState.POTENTIAL_MIN, RobotState.RIGHTER),
@@ -405,7 +400,7 @@ RULES = (
         "M10",
         (RobotState.DUMB_SEARCHER,),
         _learn_then_search,
-        witness=_mate_in(RobotState.AWARE_SEARCHER),
+        witness=(RobotState.AWARE_SEARCHER,),
     ),
     Rule("M11", SEARCHERS, lambda me, view, w: _search(me, view)),
 )
@@ -414,24 +409,29 @@ RULE_ORDER = tuple(rule.name for rule in RULES)
 _BY_NAME = {rule.name: rule for rule in RULES}
 
 
-def _guard(rule: Rule, view: View) -> bool:
-    if view.self_vars.state not in rule.states:
+def _guard(rule: Rule, state: RobotState, view: View) -> bool:
+    if state not in rule.states:
         return False
-    witness, condition = rule.witness, rule.condition
-    if witness is not None and not (view.mates and any(map(witness, view.mates))):
-        return False  # no mate is a witness, or there is no mate
+    witness = rule.witness
+    if witness:
+        for m in view.mates:
+            if m.state in witness:
+                break
+        else:
+            return False  # no mate is a witness, or there is no mate
+    condition = rule.condition
     return condition is None or condition(view)
 
 
 def first_enabled_rule(view: View) -> str:
-    if view.self_vars.terminated:
+    me = view.self_vars
+    if me.terminated:
         raise ProtocolViolation("terminated robots do not compute")
+    state = me.state
     for rule in RULES:
-        if _guard(rule, view):
+        if _guard(rule, state, view):
             return rule.name
-    raise ProtocolViolation(
-        f"no rule enabled for robot {view.self_vars.id} in state {view.self_vars.state}"
-    )
+    raise ProtocolViolation(f"no rule enabled for robot {me.id} in state {state}")
 
 
 def apply_rule(rule: str, view: View) -> RobotVars:

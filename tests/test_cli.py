@@ -55,6 +55,23 @@ def test_run_cot_reports_partial_gathering(capsys):
 
 def test_bre_without_delta_is_usage_error(capsys):
     assert main(["run", "--n", "4", "--ids", "1,2,3,4", "--class", "bre"]) == 2
+    assert capsys.readouterr().err == "error: --class bre requires --delta\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--class", "st", "--delta", "3"], "delta is only meaningful for BRE, not st"),
+        (["--class", "ac", "--delta", "0"], "delta is only meaningful for BRE, not ac"),
+        (["--class", "cot", "--delta", "2"], "delta is only meaningful for BRE, not cot"),
+        (["--class", "re", "--delta", "1"], "delta is only meaningful for BRE, not re"),
+        (["--delta", "3"], "--delta requires --class bre"),
+    ],
+    ids=["st", "ac", "cot", "re", "without-class"],
+)
+def test_delta_applies_only_to_bre(capsys, args, message):
+    assert main(["run", "--n", "6", "--ids", "1,2,3,4", "--seed", "1", *args]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_duplicate_ids_usage_error(capsys):
@@ -177,8 +194,12 @@ def test_bad_integer_input_is_named(capsys, monkeypatch, command, env, args, mes
         (["--ids", "1,2,3,4", "--placement", "0,1,2"], "--placement must list one node per id"),
         (["--ids", "1,2,3,4", "--placement", "0,1,2,4"], "--placement node out of range"),
         (["--ids", "1,2,3,4", "--n", "5"], "--n disagrees with the schedule"),
+        (["--ids", "1,2,3,4", "--delta", "2"], "--delta requires --class bre"),
     ],
-    ids=["ids-not-integer", "three-ids", "placement-count", "placement-node", "n-vs-schedule"],
+    ids=[
+        "ids-not-integer", "three-ids", "placement-count", "placement-node", "n-vs-schedule",
+        "delta-without-class",
+    ],
 )
 def test_run_input_is_checked(tmp_path, capsys, args, message):
     sched = tmp_path / "ring.json"
@@ -447,6 +468,26 @@ def test_batch_rejects_malformed_entry(tmp_path, capsys, entry, message):
     assert good["ok"]
     assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "CliError")
     assert message in bad["error"]
+
+
+@pytest.mark.parametrize(
+    "extra, error_type, message",
+    [
+        ({"class": "cot", "delta": 2}, "ValueError", "delta is only meaningful for BRE, not cot"),
+        ({"class": "st", "delta": 3}, "ValueError", "delta is only meaningful for BRE, not st"),
+        ({"class": "ac", "delta": 0}, "ValueError", "delta is only meaningful for BRE, not ac"),
+        ({"delta": 2}, "CliError", "--delta requires --class bre"),
+    ],
+    ids=["cot", "st", "ac", "without-class"],
+)
+def test_batch_delta_outside_bre_is_error_row(tmp_path, capsys, extra, error_type, message):
+    entry = {"n": 6, "ids": "1,2,3,4", "seed": 1, **extra}
+    code = _batch(tmp_path, [GOOD_ENTRY, entry])
+    assert code == 1
+    good, bad = json.loads(capsys.readouterr().out)["runs"]
+    assert good["ok"]
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, error_type)
+    assert bad["error"] == message
 
 
 def test_batch_spec_must_be_a_list(tmp_path, capsys):

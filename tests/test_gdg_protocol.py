@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gdg_sim import gdg_protocol
 from gdg_sim.gdg_protocol import (
+    ALL_STATES,
     Direction,
     ProtocolViolation,
     RULE_ORDER,
@@ -319,14 +321,14 @@ class TestWitness:
             robot(2, RobotState.DUMB_SEARCHER, id_potential_min=5),
         ]
         view = make_view(me, mates, R=5)
-        witness = select_witness(view, lambda m: m.state is RobotState.DUMB_SEARCHER)
+        witness = select_witness(view, (RobotState.DUMB_SEARCHER,))
         assert witness.id == 2
         out = apply_rule("M7", view)
         assert out.id_min == 5  # learned from robot 2, not robot 6
 
     def test_missing_witness_raises(self):
         with pytest.raises(ProtocolViolation):
-            select_witness(make_view(robot(9)), lambda m: True)
+            select_witness(make_view(robot(9)), ALL_STATES)
 
 
 # ---------------------------------------------------------------------------
@@ -620,7 +622,7 @@ def reference_first_enabled_rule(view):
     for rule in RULES:
         if view.self_vars.state not in rule.states:
             continue
-        if rule.witness is not None and not any(rule.witness(m) for m in view.mates):
+        if rule.witness and not any(m.state in rule.witness for m in view.mates):
             continue
         if rule.name in gathered:
             enabled = gathered[rule.name]
@@ -659,3 +661,41 @@ def test_min_discovery_matches_reference(view):
 @given(views())
 def test_dispatch_matches_reference_walk(view):
     assert first_enabled_rule(view) == reference_first_enabled_rule(view)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch tests one guard per rule, up to and including the one that fires
+# ---------------------------------------------------------------------------
+
+
+def _guarded_dispatch(monkeypatch, view):
+    """first_enabled_rule(view) and the names of the rules it guarded, in order."""
+    calls = []
+    guard = gdg_protocol._guard
+
+    def counting(rule, *args):
+        calls.append(rule.name)
+        return guard(rule, *args)
+
+    monkeypatch.setattr(gdg_protocol, "_guard", counting)
+    return first_enabled_rule(view), calls
+
+
+@pytest.mark.parametrize("rule", RULE_ORDER)
+def test_first_enabled_rule_guards_each_rule_up_to_the_fired_one(monkeypatch, rule):
+    fired, calls = _guarded_dispatch(monkeypatch, FIRST_ENABLED[rule])
+    assert fired == rule
+    assert len(calls) == RULE_ORDER.index(rule) + 1
+    assert tuple(calls) == RULE_ORDER[: len(calls)]
+
+
+@settings(max_examples=500)
+@given(views())
+def test_guard_count_is_the_fired_rules_position(view):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            fired, calls = _guarded_dispatch(monkeypatch, view)
+        except ProtocolViolation:
+            return
+    assert len(calls) == RULE_ORDER.index(fired) + 1
+    assert tuple(calls) == RULE_ORDER[: len(calls)]
