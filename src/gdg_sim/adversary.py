@@ -5,8 +5,8 @@ an always-connected ring. It is a snapshot source that ``sim_engine.run``
 drives like a ring: each round it withholds the edge between the targets
 when they are adjacent, and at distance two forks the execution one round
 ahead to decide whether a single edge removal is needed. Every snapshot
-misses at most one edge, so the schedule is always-connected by
-construction, and the only ring built is the schedule it emits.
+misses at most one edge, so every round is connected by construction, and
+the only ring built is the schedule it emits.
 """
 
 from __future__ import annotations
@@ -67,8 +67,10 @@ def _recurrent_cycle(
 
 def generate(spec: GeneratorSpec) -> EvolvingRing:
     """Build a ring in the requested class; the result is post-checked."""
-    rng = random.Random(spec.seed)
     n = spec.n
+    if n < 4:  # before a draw divides by n or picks from range(n)
+        raise ValueError("ring size must be >= 4")
+    rng = random.Random(spec.seed)
     tag = spec.dyn_class.tag
 
     if tag == ST:
@@ -118,7 +120,9 @@ class AdversaryResult:
     prefix plus that cycle, on which plain ``run`` repeats the duel forever.
     A horizon too short for the proof (below 23, 62 and 50 on the acceptance
     duels, n=4, 6 and 8) repeats the last snapshot instead, which keeps the
-    targets apart only once the duel has settled."""
+    targets apart only once the duel has settled. Each snapshot misses at
+    most one edge, yet ring is AC only if every edge shows in some round: a
+    duel that withholds one edge in every round closes a ring in no class."""
 
     ring: EvolvingRing
     trace: Trace
@@ -201,7 +205,6 @@ def adaptive_ac_adversary(
             break
         last = ev.robots
 
-    # Every snapshot misses at most one edge, so the closed ring is AC.
     snapshots = tuple(ev.snapshot for ev in trace.events)
     prefix, cycle = snapshots, (snapshots[-1],)
     if stop.reason == "cycle":

@@ -113,7 +113,7 @@ def _experiment(args: argparse.Namespace) -> Experiment:
     else:
         if dyn is None:
             raise CliError("either --class or --schedule is required")
-        if args.n < 4:  # the ring's own error, raised before generate draws from range(n)
+        if args.n < 4:  # generate's own check, worded for the flag
             raise ValueError(f"ring size must be >= 4 to generate a ring, got --n {args.n}")
         ring = adv.generate(adv.GeneratorSpec(dyn, args.n, seed))
     if args.n and ring.n != args.n:

@@ -14,7 +14,9 @@ of `RULES`, in order.
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
 times faster than frozen dataclasses. An action that changes nothing
-returns its input.
+returns its input. RobotVars checks none of its fields: a robot's id enters
+a run once, with the placement, and `sim_engine.initial_configuration`
+rejects one that is not strictly positive.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class ProtocolViolation(Exception):
     """No rule is enabled for a non-terminated robot; unreachable by design."""
 
 
-class _RobotVarsFields(NamedTuple):
+class RobotVars(NamedTuple):
     id: int
     state: RobotState = RobotState.RIGHTER
     dir: Direction = Direction.RIGHT
@@ -75,33 +77,6 @@ class _RobotVarsFields(NamedTuple):
     walk_steps: int = 0
     id_head_walker: int = UNSET
     terminated: bool = False
-
-
-class RobotVars(_RobotVarsFields):
-    __slots__ = ()
-
-    def __new__(cls, id: int, *args, **kwargs) -> RobotVars:
-        if id <= 0:
-            raise ValueError("robot ids must be strictly positive")
-        return super().__new__(cls, id, *args, **kwargs)
-
-    # NamedTuple's _make and _replace build the tuple directly, skipping
-    # __new__, so both check the id again. _replace is every action's copy:
-    # it builds in one frame, where the inherited one calls _make.
-    @classmethod
-    def _make(cls, iterable) -> RobotVars:
-        result = super()._make(iterable)
-        if result.id <= 0:
-            raise ValueError("robot ids must be strictly positive")
-        return result
-
-    def _replace(self, /, **changes) -> RobotVars:
-        result = tuple.__new__(RobotVars, map(changes.pop, self._fields, self))
-        if changes:
-            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
-        if result.id <= 0:
-            raise ValueError("robot ids must be strictly positive")
-        return result
 
 
 class View(NamedTuple):

@@ -127,6 +127,8 @@ def remove_edge_interval(ring: EvolvingRing, e: int, t_start: int, t_end: int) -
     The schedule is unrolled far enough that the masked rounds sit in the
     prefix, and the original cycle is kept with its phase realigned.
     """
+    if not 0 <= e < ring.n:
+        raise ValueError("edge out of range")
     if t_start < 0:
         raise ValueError("interval start must be >= 0")
     if t_start > t_end:
@@ -148,35 +150,39 @@ def _ring_connected_with_edges(n: int, edges: set[int]) -> bool:
 
 
 def verify_class(ring: EvolvingRing, c: DynClass) -> bool:
-    """Decide membership of the ring in a dynamics class."""
+    """Decide membership of the ring in a dynamics class. Every class needs
+    the whole ring: if some edge is never present, the footprint is a chain
+    and the ring is in no class."""
     n = ring.n
     snaps = ring.schedule.prefix + ring.schedule.cycle
-    # ST and AC test each snapshot alone, so each distinct one is tested once.
+    # ST and AC test each snapshot alone, so each distinct one is tested once
+    # (for AC, once the footprint is known to be whole).
     if c.tag == ST:
         return all(all(snap) for snap in set(snaps))
+    if len(footprint(ring)) < n:
+        return False
     if c.tag == AC:
         return all(
             _ring_connected_with_edges(n, {e for e, b in enumerate(s) if b}) for s in set(snaps)
         )
-    fp = footprint(ring)
     recurrent = eventual_underlying(ring)
     if c.tag == RE:
-        return fp <= recurrent
+        return len(recurrent) == n
     if c.tag == COT:
         return _ring_connected_with_edges(n, recurrent)
-    # BRE(delta): every footprint edge occurs in every delta-window of the
-    # schedule unrolled over the prefix plus two full cycles (windows can
-    # straddle the prefix/cycle seam). Once fp <= recurrent, a window longer
-    # than that contains a whole cycle and so every footprint edge: there
-    # the window loop is empty and the ring is BRE.
+    # BRE(delta): every edge occurs in every delta-window of the schedule
+    # unrolled over the prefix plus two full cycles (windows can straddle
+    # the prefix/cycle seam). Once every edge recurs, a window longer than
+    # that contains a whole cycle and so every edge: there the window loop
+    # is empty and the ring is BRE.
     assert c.tag == BRE and c.delta is not None
     delta = c.delta
-    if not fp <= recurrent:
+    if len(recurrent) < n:
         return False
     unrolled = list(ring.schedule.prefix) + list(ring.schedule.cycle) * 2
     for start in range(len(unrolled) - delta + 1):
         window = unrolled[start : start + delta]
-        for e in fp:
+        for e in range(n):
             if not any(snap[e] for snap in window):
                 return False
     return True

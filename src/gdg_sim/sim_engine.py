@@ -145,6 +145,8 @@ def _towers(
 def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
     if any(not 0 <= node < n for node in placement.values()):
         raise ValueError("placement node out of range")
+    if any(rid <= 0 for rid in placement):  # UNSET is -1, so an id is >= 1
+        raise ValueError("robot ids must be strictly positive")
     ids = sorted(placement)
     robots = {rid: _record(placement[rid], "righter", "right", "placed", False) for rid in ids}
     vars = {rid: RobotVars(id=rid) for rid in ids}

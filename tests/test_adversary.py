@@ -17,6 +17,7 @@ from gdg_sim.ring_model import (
     DynClass,
     EvolvingRing,
     Schedule,
+    footprint,
     verify_class,
 )
 from test_acceptance import DUEL_CYCLES, DUELS
@@ -47,6 +48,16 @@ class TestGenerators:
     def test_seeded_reproducibility(self):
         spec = GeneratorSpec(DynClass(RE), n=8, seed=42)
         assert generate(spec) == generate(spec)
+
+    @pytest.mark.parametrize("n", [0, 3, -2])
+    @pytest.mark.parametrize(
+        "dyn",
+        [DynClass(ST), DynClass(AC), DynClass(RE), DynClass(COT), DynClass(BRE, 2)],
+        ids=lambda d: d.tag,
+    )
+    def test_rejects_small_ring(self, dyn, n):
+        with pytest.raises(ValueError, match="ring size must be >= 4"):
+            generate(GeneratorSpec(dyn, n=n, seed=0))
 
 
 class TestAdaptiveAdversary:
@@ -80,6 +91,13 @@ class TestAdaptiveAdversary:
             )
             assert absent <= 1
         assert verify_class(res.ring, DynClass(AC))
+
+    def test_a_ring_missing_an_edge_throughout_is_not_ac(self):
+        # The targets sit on nodes 2 and 3 at round 0, so the one round
+        # withholds edge 2: every snapshot is connected, yet edge 2 never shows.
+        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 1)
+        assert footprint(res.ring) == {0, 1, 3}
+        assert not verify_class(res.ring, DynClass(AC))
 
     def test_emitted_schedule_matches_trace(self):
         res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 100)

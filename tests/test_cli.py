@@ -115,6 +115,30 @@ def test_schedule_class_mismatch_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tag", ["re", "cot", "bre"])
+def test_schedule_missing_an_edge_throughout_is_in_no_class(tmp_path, capsys, tag):
+    # Edge 1 is never present, so the footprint is a chain, not the ring.
+    prefix = [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0]]
+    cycle = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]]
+    sched = tmp_path / "ring.json"
+    sched.write_text(json.dumps({"n": 4, "prefix": prefix, "cycle": cycle}))
+    delta = ["--delta", "7"] if tag == "bre" else []
+    args = ["--ids", "1,2,3,4", "--placement", "0,1,1,1", "--class", tag, *delta]
+    assert main(["run", *args, "--schedule", str(sched)]) == 2
+    assert capsys.readouterr().err == f"error: schedule does not satisfy class {tag}\n"
+
+
+@pytest.mark.parametrize("ids", ["0,1,2,3", "-1,1,2,3", "1,2,0,3"])
+def test_non_positive_ids_are_usage_errors(tmp_path, capsys, ids):
+    assert main(["run", "--n", "4", f"--ids={ids}", "--class", "st"]) == 2
+    assert capsys.readouterr().err == "error: ids must be distinct positive integers\n"
+    assert _batch(tmp_path, [GOOD_ENTRY, {**GOOD_ENTRY, "ids": ids}]) == 1
+    good, bad = json.loads(capsys.readouterr().out)["runs"]
+    assert good["ok"]
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "CliError")
+    assert bad["error"] == "ids must be distinct positive integers"
+
+
 @pytest.mark.parametrize("bit", [2, -1])
 def test_schedule_with_non_binary_bits_usage_error(tmp_path, capsys, bit):
     sched = tmp_path / "ring.json"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdg_sim import gdg_protocol
+from gdg_sim.adversary import adaptive_ac_adversary
 from gdg_sim.gdg_protocol import (
     ALL_STATES,
     Direction,
@@ -18,6 +19,8 @@ from gdg_sim.gdg_protocol import (
     min_discovery,
     select_witness,
 )
+from gdg_sim.ring_model import static_ring
+from gdg_sim.sim_engine import run
 
 
 def make_view(
@@ -530,18 +533,17 @@ def test_terminated_only_via_term_rules(view):
 class TestValueTypes:
     @pytest.mark.parametrize("rid", [0, -1])
     def test_non_positive_id_rejected(self, rid):
-        with pytest.raises(ValueError, match="strictly positive"):
-            RobotVars(id=rid)
+        # RobotVars checks nothing; an id is checked where it enters a run,
+        # before any Compute phase.
+        def never_called(view):
+            raise AssertionError("a Compute phase ran")
 
-    @pytest.mark.parametrize("rid", [0, -1])
-    def test_replace_and_make_check_the_id(self, rid):
-        # Both build the tuple without calling RobotVars.__new__.
+        placement = {rid: 0, 2: 1, 3: 2, 4: 3}
+        assert RobotVars(id=rid).id == rid
         with pytest.raises(ValueError, match="strictly positive"):
-            robot(3)._replace(id=rid)
+            run(static_ring(4), placement, 5, never_called)
         with pytest.raises(ValueError, match="strictly positive"):
-            RobotVars._make((rid,) + robot(3)[1:])
-        assert RobotVars._make(robot(3)) == robot(3)
-        assert type(RobotVars._make(robot(3))) is RobotVars
+            adaptive_ac_adversary(4, 4, placement, 3, 4, 5, never_called)
 
     def test_replace_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unexpected field names"):

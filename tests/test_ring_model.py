@@ -102,6 +102,26 @@ class TestVerifyClass:
         assert not verify_class(ring, DynClass(AC))
         assert not verify_class(ring, DynClass(COT))
 
+    @pytest.mark.parametrize(
+        "prefix, cycle",
+        [
+            # Each snapshot misses only edge 3, which never shows: a chain.
+            ([], [[1, 1, 1, 0]]),
+            # Edge 1 never shows; every other edge recurs within 7 rounds.
+            (
+                [[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0]],
+                [[0, 0, 0, 1], [0, 0, 1, 0], [0, 0, 1, 0], [1, 0, 0, 0], [0, 0, 1, 0]],
+            ),
+        ],
+        ids=["static-chain", "lasso"],
+    )
+    def test_a_never_present_edge_fails_every_class(self, prefix, cycle):
+        ring = ring_of(4, prefix, cycle)
+        assert len(footprint(ring)) == 3
+        classes = [DynClass(tag) for tag in (ST, AC, RE, COT)]
+        for c in classes + [DynClass(BRE, delta) for delta in range(1, 13)]:
+            assert not verify_class(ring, c)
+
 
 @pytest.mark.parametrize(
     "build, message",
@@ -115,10 +135,12 @@ class TestVerifyClass:
         (lambda: ring_of(4, [], [[1, 1, 1]]), "snapshot length must equal ring size"),
         (lambda: static_ring(4).phase(-1), "round index must be >= 0"),
         (lambda: remove_edge_interval(static_ring(4), 0, -1, 2), "interval start must be >= 0"),
+        (lambda: remove_edge_interval(static_ring(4), 4, 0, 2), "edge out of range"),
+        (lambda: remove_edge_interval(static_ring(4), -1, 0, 2), "edge out of range"),
     ],
     ids=[
         "unknown-tag", "bre-no-delta", "bre-delta-0", "st-with-delta", "empty-cycle",
-        "n-3", "short-snapshot", "negative-round", "negative-start",
+        "n-3", "short-snapshot", "negative-round", "negative-start", "edge-4", "edge-minus-1",
     ],
 )
 def test_bad_input_is_rejected(build, message):
@@ -176,9 +198,7 @@ def test_class_inclusion_chain(ring):
         assert verify_class(ring, DynClass(AC))
     if verify_class(ring, DynClass(BRE, 1)):
         assert verify_class(ring, DynClass(RE))
-    # RE is footprint-relative, so RE implies COT only under the model's
-    # standing assumption that the footprint is the whole ring.
-    if verify_class(ring, DynClass(RE)) and len(footprint(ring)) == ring.n:
+    if verify_class(ring, DynClass(RE)):
         assert verify_class(ring, DynClass(COT))
     if verify_class(ring, DynClass(AC)):
         assert verify_class(ring, DynClass(COT))
@@ -209,8 +229,10 @@ def test_json_round_trip(ring):
 @settings(max_examples=100)
 @given(rings())
 def test_cot_iff_at_most_one_cycle_absent_edge(ring):
+    # Every edge shows at least once, and at most one stops recurring.
+    whole = footprint(ring) == set(range(ring.n))
     absent = ring.n - len(eventual_underlying(ring))
-    assert verify_class(ring, DynClass(COT)) == (absent <= 1)
+    assert verify_class(ring, DynClass(COT)) == (whole and absent <= 1)
 
 
 @settings(max_examples=300)
@@ -229,6 +251,6 @@ def test_bre_equals_a_check_of_every_window(data):
     every_window = all(
         any(snap[e] for snap in unrolled[start : start + delta])
         for start in range(len(unrolled) - delta + 1)
-        for e in footprint(ring)
+        for e in range(n)
     )
     assert verify_class(ring, DynClass(BRE, delta)) == every_window
