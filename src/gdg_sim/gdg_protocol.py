@@ -11,6 +11,17 @@ is a set of states: some co-located robot must be in one of them, and the
 action learns from the smallest-id one that is. `RULE_ORDER` is the names
 of `RULES`, in order.
 
+The order is the paper's with T1, T2, T3, W1, K1 and K2 moved behind M11,
+and it fires the same rule as the paper's on every view. A rule is never
+enabled for a robot whose state is not in its `states`, so the rule that
+fires depends only on each state's subsequence of the table. The moved
+rules fire only from walker and waiting states, and every rule they now
+follow, K3 to M11, only from righter, potentialMin and the two searcher
+states, so no state's subsequence changes. Every robot starts as a
+righter, and M8 ("move right") fires in most computes. It sits 12th: each
+of the 11 rules ahead of it fires from righter or potentialMin, as M8
+does, so no linear order puts it earlier.
+
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
 times faster than frozen dataclasses. An action that changes nothing
@@ -270,38 +281,12 @@ class Rule:
     condition: Optional[Callable[[View], bool]] = None
 
 
+# Term1 and Term2 first, then the rules of righters, potential mins and
+# searchers, then those of walkers and waiting walkers: the paper's order
+# within each state, as the module docstring argues.
 RULES = (
     Rule("Term1", ALL_STATES, _terminate, condition=_gathered(0)),
     Rule("Term2", ALL_STATES, _terminate, condition=_gathered(1)),
-    Rule("T1", (RobotState.LEFT_WALKER,), lambda me, view, w: me._replace(dir=Direction.LEFT)),
-    Rule(
-        "T2",
-        (RobotState.HEAD_WALKER,),
-        lambda me, view, w: me._replace(state=RobotState.LEFT_WALKER, dir=Direction.BOT),
-        # a head walker without its walker mates: its left edge was there
-        # last round, it did not move, and its mates are not its walker mates
-        condition=lambda view: (
-            view.edge_left_previous
-            and not view.has_moved
-            and view.mate_ids() != view.self_vars.walker_mate
-        ),
-    ),
-    Rule(
-        "T3",
-        WALKERS,
-        lambda me, view, w: _stop_moving(me),
-        condition=lambda view: view.self_vars.walk_steps == view.n,
-    ),
-    Rule("W1", WALKERS, lambda me, view, w: _walk(me, view)),
-    Rule(
-        "K1",
-        WAITING_STATES,
-        lambda me, view, w: _initiate_walk(me, view),
-        # all robots but two are here, and all of them are waiting
-        condition=lambda view: len(view.mates) == view.R - 3
-        and all(m.state in WAITING_STATES for m in view.mates),
-    ),
-    Rule("K2", WAITING_STATES, lambda me, view, w: _stop_moving(me)),
     Rule(
         "K3",
         (RobotState.POTENTIAL_MIN, RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER),
@@ -378,6 +363,35 @@ RULES = (
         witness=(RobotState.AWARE_SEARCHER,),
     ),
     Rule("M11", SEARCHERS, lambda me, view, w: _search(me, view)),
+    Rule("T1", (RobotState.LEFT_WALKER,), lambda me, view, w: me._replace(dir=Direction.LEFT)),
+    Rule(
+        "T2",
+        (RobotState.HEAD_WALKER,),
+        lambda me, view, w: me._replace(state=RobotState.LEFT_WALKER, dir=Direction.BOT),
+        # a head walker without its walker mates: its left edge was there
+        # last round, it did not move, and its mates are not its walker mates
+        condition=lambda view: (
+            view.edge_left_previous
+            and not view.has_moved
+            and view.mate_ids() != view.self_vars.walker_mate
+        ),
+    ),
+    Rule(
+        "T3",
+        WALKERS,
+        lambda me, view, w: _stop_moving(me),
+        condition=lambda view: view.self_vars.walk_steps == view.n,
+    ),
+    Rule("W1", WALKERS, lambda me, view, w: _walk(me, view)),
+    Rule(
+        "K1",
+        WAITING_STATES,
+        lambda me, view, w: _initiate_walk(me, view),
+        # all robots but two are here, and all of them are waiting
+        condition=lambda view: len(view.mates) == view.R - 3
+        and all(m.state in WAITING_STATES for m in view.mates),
+    ),
+    Rule("K2", WAITING_STATES, lambda me, view, w: _stop_moving(me)),
 )
 
 RULE_ORDER = tuple(rule.name for rule in RULES)

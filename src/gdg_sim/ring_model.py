@@ -78,7 +78,9 @@ class EvolvingRing:
         return t if t < p else p + (t - p) % len(self.schedule.cycle)
 
     def snapshot(self, t: int) -> Snapshot:
-        return (self.schedule.prefix + self.schedule.cycle)[self.phase(t)]
+        prefix = self.schedule.prefix
+        p = self.phase(t)
+        return prefix[p] if p < len(prefix) else self.schedule.cycle[p - len(prefix)]
 
     def next_snapshot(self, config: Configuration) -> Snapshot:
         return self.snapshot(config.round)

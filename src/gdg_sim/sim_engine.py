@@ -297,8 +297,8 @@ def _dumps(obj: object) -> str:
 def trace_to_jsonl(trace: Trace) -> str:
     """Encode a trace. Each line equals _dumps of the same dicts, but is
     assembled from fragments that encode each distinct snapshot and each
-    distinct (robot id, record) once per trace, and an event that shares the
-    previous event's robots dict shares its text."""
+    distinct record once per trace, and each robot's id once, and an event
+    that shares the previous event's robots dict shares its text."""
     lines = [
         _dumps(
             {
@@ -312,10 +312,13 @@ def trace_to_jsonl(trace: Trace) -> str:
         )
     ]
     snapshots: dict[Snapshot, str] = {}
-    # Keyed by record identity, which hashes faster than the record's fields:
-    # equal records from step or trace_from_jsonl are one object, and the
-    # trace keeps every record alive while it is encoded.
-    fragments: dict[tuple[int, int], str] = {}
+    # '"rid":', the key of a robot's entry, by robot id.
+    keys: dict[int, str] = {}
+    # A record's '{"pos":...}', keyed by record identity, which hashes faster
+    # than the record's fields: equal records from step or trace_from_jsonl
+    # are one object, and the trace keeps every record alive while it is
+    # encoded. The body names no robot, so robots sharing a record share it.
+    bodies: dict[int, str] = {}
     last, robots = None, ""
     for ev in trace.events:
         snap = snapshots.get(ev.snapshot)
@@ -324,21 +327,21 @@ def trace_to_jsonl(trace: Trace) -> str:
         if ev.robots is not last:  # a repeated round repeats the text of the last
             last, parts = ev.robots, []
             for rid, rec in last.items():
-                part = fragments.get((rid, id(rec)))
-                if part is None:
-                    # '"rid":{...}', the dict entry without its enclosing braces.
-                    part = fragments[rid, id(rec)] = _dumps(
+                key = keys.get(rid)
+                if key is None:
+                    key = keys[rid] = _dumps(str(rid)) + ":"
+                body = bodies.get(id(rec))
+                if body is None:
+                    body = bodies[id(rec)] = _dumps(
                         {
-                            str(rid): {
-                                "pos": rec.position,
-                                "state": rec.state,
-                                "dir": rec.dir,
-                                "rule": rec.rule,
-                                "moved": rec.moved,
-                            }
+                            "pos": rec.position,
+                            "state": rec.state,
+                            "dir": rec.dir,
+                            "rule": rec.rule,
+                            "moved": rec.moved,
                         }
-                    )[1:-1]
-                parts.append(part)
+                    )
+                parts.append(key + body)
             robots = ",".join(parts)
         lines.append('{"round":%d,"snapshot":%s,"robots":{%s}}' % (ev.round, snap, robots))
     return "\n".join(lines) + "\n"

@@ -350,23 +350,6 @@ FIRST_ENABLED = {
         [robot(3, RobotState.WAITING_WALKER), robot(4)],
         R=4,
     ),
-    "T1": make_view(robot(2, RobotState.LEFT_WALKER)),
-    "T2": make_view(
-        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5),
-        [robot(1, RobotState.TAIL_WALKER)],
-    ),
-    "T3": make_view(robot(5, RobotState.HEAD_WALKER, walk_steps=4, id_head_walker=5), n=4),
-    "W1": make_view(
-        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1}), id_head_walker=5),
-        [robot(1, RobotState.MIN_TAIL_WALKER, id_head_walker=5)],
-        R=5,
-    ),
-    "K1": make_view(
-        robot(1, RobotState.MIN_WAITING_WALKER),
-        [robot(4, RobotState.WAITING_WALKER), robot(7, RobotState.WAITING_WALKER)],
-        R=5,
-    ),
-    "K2": make_view(robot(4, RobotState.WAITING_WALKER), [robot(9)], R=5),
     "K3": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [MIN_WAITING], R=5),
     "K4": make_view(robot(4), [MIN_WAITING], R=5),
     "M1": make_view(robot(1, RobotState.POTENTIAL_MIN, id_potential_min=1), [robot(5)], R=5),
@@ -384,6 +367,23 @@ FIRST_ENABLED = {
     "M9": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [robot(6)], R=5),
     "M10": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [AWARE], R=5),
     "M11": make_view(robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2), R=5),
+    "T1": make_view(robot(2, RobotState.LEFT_WALKER)),
+    "T2": make_view(
+        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5),
+        [robot(1, RobotState.TAIL_WALKER)],
+    ),
+    "T3": make_view(robot(5, RobotState.HEAD_WALKER, walk_steps=4, id_head_walker=5), n=4),
+    "W1": make_view(
+        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1}), id_head_walker=5),
+        [robot(1, RobotState.MIN_TAIL_WALKER, id_head_walker=5)],
+        R=5,
+    ),
+    "K1": make_view(
+        robot(1, RobotState.MIN_WAITING_WALKER),
+        [robot(4, RobotState.WAITING_WALKER), robot(7, RobotState.WAITING_WALKER)],
+        R=5,
+    ),
+    "K2": make_view(robot(4, RobotState.WAITING_WALKER), [robot(9)], R=5),
 }
 
 
@@ -616,12 +616,31 @@ class TestUnchangedVars:
 # ---------------------------------------------------------------------------
 
 
+# The paper's rule order, which RULES reorders.
+PAPER_ORDER = (
+    "Term1", "Term2", "T1", "T2", "T3", "W1", "K1", "K2", "K3", "K4",
+    "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
+)
+BY_NAME = {rule.name: rule for rule in RULES}
+
+
+@pytest.mark.parametrize("state", RobotState, ids=lambda state: state.value)
+def test_rule_order_keeps_each_states_paper_order(state):
+    # A rule whose states leave out the robot's is never enabled, so two
+    # orders fire the same rule on every view iff they agree on the rules
+    # of each state.
+    def rules_of(order):
+        return [name for name in order if state in BY_NAME[name].states]
+
+    assert rules_of(RULE_ORDER) == rules_of(PAPER_ORDER)
+
+
 def reference_first_enabled_rule(view):
-    """The first rule of RULES whose state, witness and condition all hold,
-    with Term1/Term2 decided by gathering_predicates alone and M1 by
-    reference_min_discovery."""
+    """The first rule of the paper's order whose state, witness and condition
+    all hold, with Term1/Term2 decided by gathering_predicates alone and M1
+    by reference_min_discovery."""
     gathered = dict(zip(("Term1", "Term2"), gathering_predicates(view)))
-    for rule in RULES:
+    for rule in (BY_NAME[name] for name in PAPER_ORDER):
         if view.self_vars.state not in rule.states:
             continue
         if rule.witness and not any(m.state in rule.witness for m in view.mates):

@@ -45,6 +45,19 @@ class TestEdgePresent:
         assert not ring.snapshot(5)[2]
         assert ring.snapshot(4)[2]
 
+    @pytest.mark.parametrize(
+        "prefix",
+        [[], [[0, 1, 1, 1], [1, 0, 1, 1]]],
+        ids=["empty-prefix", "prefix"],
+    )
+    def test_snapshot_is_the_phase_of_prefix_plus_cycle(self, prefix):
+        # Every snapshot differs, so a wrong index shows.
+        ring = ring_of(4, prefix, [[1, 1, 0, 1], [1, 1, 1, 0], [1, 1, 1, 1]])
+        sched = ring.schedule
+        unrolled = sched.prefix + sched.cycle
+        for t in range(len(sched.prefix) + 3 * len(sched.cycle)):
+            assert ring.snapshot(t) == unrolled[ring.phase(t)]
+
 
 class TestGeometry:
     def test_edges_of_node_zero(self):

@@ -637,6 +637,23 @@ class TestTraceSerialization:
         assert loaded == trace
         assert loaded.events[0].robots[2] is loaded.events[1].robots[1]
 
+    def test_records_shared_across_robots(self):
+        # One record object held by two robots in one event and by other
+        # robots in the next, and a robots dict out of id order.
+        a = RobotRecord(position=1, state="righter", dir="right", rule="M8", moved=True)
+        b = RobotRecord(position=2, state="dumbSearcher", dir="left", rule="M11", moved=False)
+        events = (
+            TraceEvent(0, {1: a, 2: a, 3: b, 4: b}, FULL),
+            TraceEvent(1, {4: a, 3: a, 1: b, 2: a}, GAP),
+            TraceEvent(2, {1: b, 2: b, 3: a, 4: b}, FULL),
+        )
+        trace = Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim="st", seed=2, horizon=3,
+                      events=events)
+        text = trace_to_jsonl(trace)
+        assert text == reference_jsonl(trace)
+        assert '"robots":{"4":' in text.splitlines()[2]
+        assert trace_from_jsonl(text) == trace
+
     def test_decoded_records_are_shared(self):
         trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
         loaded = trace_from_jsonl(trace_to_jsonl(trace))
