@@ -24,7 +24,10 @@ does, so no linear order puts it earlier.
 
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
-times faster than frozen dataclasses. An action that changes nothing
+times faster than frozen dataclasses. M8's usual branch, a step right over
+a present edge, skips even `_replace`: it builds its RobotVars in one
+`tuple.__new__` call from a tuple in field order, which
+`test_m8_builds_the_replaced_vars` pins. An action that changes nothing
 returns its input. RobotVars checks none of its fields: a robot's id enters
 a run once, with the placement, and `sim_engine.initial_configuration`
 rejects one that is not strictly positive.
@@ -228,7 +231,12 @@ def _become_tail_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
 
 def _move_right(vars: RobotVars, view: View) -> RobotVars:
     if view.edge_right_current:
-        return vars._replace(dir=Direction.RIGHT, right_steps=vars.right_steps + 1)
+        # M8 fires in most computes, and this is its usual branch: one C call
+        # builds the vars from (id, state, dir, right_steps) and the six
+        # fields after them, where _replace runs _make and ten kwds.pop calls.
+        return tuple.__new__(
+            RobotVars, (vars.id, vars.state, Direction.RIGHT, vars.right_steps + 1) + vars[4:]
+        )
     return vars if vars.dir is Direction.RIGHT else vars._replace(dir=Direction.RIGHT)
 
 

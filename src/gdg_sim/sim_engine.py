@@ -35,14 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 from .gdg_protocol import Direction, RobotVars, View, compute
-from .ring_model import (
-    EvolvingRing,
-    Snapshot,
-    left_edge_of,
-    right_edge_of,
-    step_left,
-    step_right,
-)
+from .ring_model import EvolvingRing, Snapshot
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
 # It must be a pure function of its View: run copies the rounds it proves
@@ -172,16 +165,22 @@ def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
         mates = tower[:i] + tower[i + 1 :]
     # right_edge_of(node) is node, and left_edge_of(node) is node - 1, which
     # as an index wraps to edge n - 1 at node 0, as left_edge_of(0, n) does.
-    return View(
-        me,
-        mates,
-        bool(snap[node]),
-        bool(snap[node - 1]),
-        bool(config.last_snap[node]),
-        bool(config.last_snap[node - 1]),
-        rec.moved,
-        len(snap),
-        len(config.vars),
+    # tuple.__new__ builds the View in one C call, skipping the NamedTuple's
+    # Python-level __new__; the tuple is in View's field order.
+    last_snap = config.last_snap
+    return tuple.__new__(
+        View,
+        (
+            me,
+            mates,
+            bool(snap[node]),
+            bool(snap[node - 1]),
+            bool(last_snap[node]),
+            bool(last_snap[node - 1]),
+            rec.moved,
+            len(snap),
+            len(config.vars),
+        ),
     )
 
 
@@ -204,11 +203,15 @@ def step(
             rule = "terminated"  # no Compute and no Move, so the record is fixed
         else:
             vars, rule = compute_fn(build_view(config, snap, rid))
+            # Move, with ring_model's edge convention indexed inline as in
+            # build_view: the right edge is snap[node], the left one
+            # snap[node - 1], and a step wraps n - 1 -> 0 and 0 -> n - 1.
             if not vars.terminated:
-                if vars.dir is Direction.RIGHT and snap[right_edge_of(node, n)]:
-                    target = step_right(node, n)
-                elif vars.dir is Direction.LEFT and snap[left_edge_of(node, n)]:
-                    target = step_left(node, n)
+                if vars.dir is Direction.RIGHT:
+                    if snap[node]:
+                        target = node + 1 if node + 1 < n else 0
+                elif vars.dir is Direction.LEFT and snap[node - 1]:
+                    target = node - 1 if node else n - 1
         new_vars[rid] = vars
         # Enum's _value_ is the plain attribute behind its slower .value.
         robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)

@@ -525,6 +525,27 @@ def test_terminated_only_via_term_rules(view):
     assert vars.terminated == (rule in ("Term1", "Term2"))
 
 
+@settings(max_examples=300)
+@given(
+    robot_vars(),
+    st.sampled_from([RobotState.RIGHTER, RobotState.POTENTIAL_MIN]),
+    st.booleans(),
+)
+def test_m8_builds_the_replaced_vars(drawn, state, right_cur):
+    # M8 builds its vars over a present edge from a tuple in field order, so
+    # compare with _replace, which names each field, and check the type:
+    # a plain tuple of the same fields compares equal to a RobotVars.
+    me = drawn._replace(state=state)
+    fields = tuple(me)
+    out = apply_rule("M8", make_view(me, right_cur=right_cur))
+    if right_cur:
+        assert out == me._replace(dir=Direction.RIGHT, right_steps=me.right_steps + 1)
+    else:
+        assert out == me._replace(dir=Direction.RIGHT)
+    assert type(out) is RobotVars
+    assert tuple(me) == fields
+
+
 # ---------------------------------------------------------------------------
 # Value types: immutable, hashable, keyword-constructed
 # ---------------------------------------------------------------------------

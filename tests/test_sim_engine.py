@@ -18,6 +18,8 @@ from gdg_sim.ring_model import (
     left_edge_of,
     right_edge_of,
     static_ring,
+    step_left,
+    step_right,
 )
 from gdg_sim.sim_engine import (
     RobotRecord,
@@ -146,6 +148,8 @@ def check_views_against_reference(ring, placement, horizon):
         for rid, vars in config.vars.items():
             if not vars.terminated:
                 view = build_view(config, snap, rid)
+                # A plain tuple of the same fields compares equal to a View.
+                assert type(view) is View
                 assert view == reference_build_view(config, snap, rid)
         config = step(config, snap)
         if all(v.terminated for v in config.vars.values()):
@@ -334,6 +338,37 @@ class TestStep:
             if rec.rule != "terminated"
         ]
         assert calls[-1] == (12, 4) and len(calls) == 11 * 4 + 2
+
+    @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
+    @pytest.mark.parametrize("dir", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("n, node", [(n, v) for n in (4, 5, 6) for v in range(n)])
+    def test_move_follows_ring_model(self, n, node, dir, present):
+        # step indexes the snapshot and wraps around the ring itself. The
+        # snapshot holds only the edge the robot's direction needs, or every
+        # edge but that one (a parked robot gets all edges, or none), so
+        # reading another edge moves a robot wrongly either way.
+        if dir is Direction.RIGHT:
+            edge, moved_to = right_edge_of(node, n), step_right(node, n)
+        elif dir is Direction.LEFT:
+            edge, moved_to = left_edge_of(node, n), step_left(node, n)
+        else:
+            edge, moved_to = None, node
+        if edge is None:
+            snap = (int(present),) * n
+        else:
+            snap = tuple(int((e == edge) == present) for e in range(n))
+        expected = moved_to if present else node
+
+        def set_dir(view):
+            return view.self_vars._replace(dir=dir), "set"
+
+        config = initial_configuration({1: node, 2: 0, 3: 1, 4: 2}, n)
+        # The adversary and tests hand step raw tuples, which it does not
+        # validate; a snapshot of bools must move robots as its 0/1 twin does.
+        for bits in (snap, tuple(map(bool, snap))):
+            rec = step(config, bits, set_dir).robots[1]
+            assert (rec.position, rec.moved) == (expected, expected != node)
+            assert rec.dir == dir.value
 
     def test_equal_records_are_shared(self):
         trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
