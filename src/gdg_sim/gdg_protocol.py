@@ -6,10 +6,10 @@ evaluation for distinct robots in one round is order-independent.
 `RULES` holds the 21 guarded rules in dispatch priority order; the first
 enabled one fires. Each entry is the whole rule: its name (Term1..M11, the
 stable string recorded in traces), the states it fires from, an optional
-witness, an optional extra condition on the view, and its action. A witness
-is a set of states: some co-located robot must be in one of them, and the
-action learns from the smallest-id one that is. `RULE_ORDER` is the names
-of `RULES`, in order.
+tower size, an optional witness, an optional extra condition on the view,
+and its action. A witness is a set of states: some co-located robot must be
+in one of them, and the action learns from the smallest-id one that is.
+`RULE_ORDER` is the names of `RULES`, in order.
 
 The order is the paper's with T1, T2, T3, W1, K1 and K2 moved behind M11,
 and it fires the same rule as the paper's on every view. A rule is never
@@ -21,6 +21,18 @@ states, so no state's subsequence changes. Every robot starts as a
 righter, and M8 ("move right") fires in most computes. It sits 12th: each
 of the 11 rules ahead of it fires from righter or potentialMin, as M8
 does, so no linear order puts it earlier.
+
+`first_enabled_rule` reads the mates once per compute: `present` is the OR
+of their states' bits (each `RobotState` member carries one as `bit`) and
+`gap` is `R - len(mates)`. A rule's derived `seen` is the OR of its
+witness states' bits, so a witness test is one AND, `seen & present`. A
+tower-size rule carries the one `gap` it fires at (Term1 1, Term2 2, M6 2,
+K1 3), so its size test is one compare, and its condition tests only the
+rest: `gathering_predicates` stays the one definition of Term1 and Term2.
+Both facts are arguments of `_guard`, which dispatch still calls once per
+rule in `RULES` order up to the one that fires, so the guard count stays
+the fired rule's position, as the tests and the benchmark's self-test
+count it; only each guard got cheaper.
 
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
@@ -36,7 +48,7 @@ rejects one that is not strictly positive.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 UNSET = -1  # robot ids are >= 1, so -1 is an unambiguous "not learned yet"
@@ -53,6 +65,13 @@ class RobotState(enum.Enum):
     TAIL_WALKER = "tailWalker"
     MIN_TAIL_WALKER = "minTailWalker"
     LEFT_WALKER = "leftWalker"
+
+
+# Each state's bit, an attribute of the member: first_enabled_rule ORs the
+# mates' bits once per compute, and a witness test is one AND on that.
+for _i, _state in enumerate(RobotState):
+    _state.bit = 1 << _i
+del _i, _state
 
 
 class Direction(enum.Enum):
@@ -141,8 +160,8 @@ def gathering_predicates(view: View) -> tuple[bool, bool]:
 
 
 def _gathered(which: int) -> Callable[[View], bool]:
-    """Term1 (0) or Term2 (1) condition; both need at least R - 1 robots here."""
-    return lambda view: len(view.mates) >= view.R - 2 and gathering_predicates(view)[which]
+    """Term1 (0) or Term2 (1) condition; each rule's gap tests its tower size first."""
+    return lambda view: gathering_predicates(view)[which]
 
 
 def select_witness(view: View, states: tuple[RobotState, ...]) -> RobotVars:
@@ -177,14 +196,15 @@ def _walk(vars: RobotVars, view: View) -> RobotVars:
 
 
 def _initiate_walk(vars: RobotVars, view: View) -> RobotVars:
-    head = max({vars.id} | view.mate_ids())
+    mate_ids = view.mate_ids()
+    head = max({vars.id} | mate_ids)
     if vars.id == head:
         state = RobotState.HEAD_WALKER
     elif vars.state is RobotState.MIN_WAITING_WALKER:
         state = RobotState.MIN_TAIL_WALKER
     else:
         state = RobotState.TAIL_WALKER
-    return vars._replace(id_head_walker=head, walker_mate=view.mate_ids(), state=state)
+    return vars._replace(id_head_walker=head, walker_mate=mate_ids, state=state)
 
 
 def _become_waiting_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
@@ -276,10 +296,12 @@ def _learn_then_search(vars: RobotVars, view: View, witness: RobotVars) -> Robot
 class Rule:
     """One guarded rule.
 
-    It is enabled when the robot's state is in `states`, some mate is in a
-    state of `witness` (if not empty) and `condition(view)` holds (if set).
-    Firing it runs `action(self_vars, view, witness)`, where the witness is
-    the mate that `select_witness` picks from the same states, or None.
+    It is enabled when the robot's state is in `states`, `R - len(mates)`
+    equals `gap` (if set), some mate is in a state of `witness` (if not
+    empty) and `condition(view)` holds (if set). Firing it runs
+    `action(self_vars, view, witness)`, where the witness is the mate that
+    `select_witness` picks from the same states, or None. `seen` is derived:
+    the OR of the witness states' bits.
     """
 
     name: str
@@ -287,14 +309,22 @@ class Rule:
     action: Callable[[RobotVars, View, Optional[RobotVars]], RobotVars]
     witness: tuple[RobotState, ...] = ()
     condition: Optional[Callable[[View], bool]] = None
+    gap: Optional[int] = None
+    seen: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        seen = 0
+        for state in self.witness:
+            seen |= state.bit
+        object.__setattr__(self, "seen", seen)
 
 
 # Term1 and Term2 first, then the rules of righters, potential mins and
 # searchers, then those of walkers and waiting walkers: the paper's order
 # within each state, as the module docstring argues.
 RULES = (
-    Rule("Term1", ALL_STATES, _terminate, condition=_gathered(0)),
-    Rule("Term2", ALL_STATES, _terminate, condition=_gathered(1)),
+    Rule("Term1", ALL_STATES, _terminate, condition=_gathered(0), gap=1),
+    Rule("Term2", ALL_STATES, _terminate, condition=_gathered(1), gap=2),
     Rule(
         "K3",
         (RobotState.POTENTIAL_MIN, RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER),
@@ -344,8 +374,8 @@ RULES = (
         (RobotState.RIGHTER,),
         lambda me, view, w: _initiate_search(me, view),
         # all robots but one are here, and all of them are righters
-        condition=lambda view: len(view.mates) == view.R - 2
-        and all(m.state is RobotState.RIGHTER for m in view.mates),
+        condition=lambda view: all(m.state is RobotState.RIGHTER for m in view.mates),
+        gap=2,
     ),
     Rule("M7", (RobotState.RIGHTER,), _learn_then_search, witness=SEARCHERS),
     Rule(
@@ -396,8 +426,8 @@ RULES = (
         WAITING_STATES,
         lambda me, view, w: _initiate_walk(me, view),
         # all robots but two are here, and all of them are waiting
-        condition=lambda view: len(view.mates) == view.R - 3
-        and all(m.state in WAITING_STATES for m in view.mates),
+        condition=lambda view: all(m.state in WAITING_STATES for m in view.mates),
+        gap=3,
     ),
     Rule("K2", WAITING_STATES, lambda me, view, w: _stop_moving(me)),
 )
@@ -406,16 +436,17 @@ RULE_ORDER = tuple(rule.name for rule in RULES)
 _BY_NAME = {rule.name: rule for rule in RULES}
 
 
-def _guard(rule: Rule, state: RobotState, view: View) -> bool:
+def _guard(rule: Rule, state: RobotState, gap: int, present: int, view: View) -> bool:
+    """Is `rule` enabled? `gap` is `R - len(mates)` and `present` the OR of
+    the mates' state bits, both read once per compute by the caller."""
     if state not in rule.states:
         return False
-    witness = rule.witness
-    if witness:
-        for m in view.mates:
-            if m.state in witness:
-                break
-        else:
-            return False  # no mate is a witness, or there is no mate
+    want = rule.gap
+    if want is not None and want != gap:
+        return False
+    seen = rule.seen
+    if seen and not seen & present:
+        return False  # no mate is a witness, or there is no mate
     condition = rule.condition
     return condition is None or condition(view)
 
@@ -425,8 +456,13 @@ def first_enabled_rule(view: View) -> str:
     if me.terminated:
         raise ProtocolViolation("terminated robots do not compute")
     state = me.state
+    mates = view.mates
+    gap = view.R - len(mates)
+    present = 0
+    for m in mates:
+        present |= m.state.bit
     for rule in RULES:
-        if _guard(rule, state, view):
+        if _guard(rule, state, gap, present, view):
             return rule.name
     raise ProtocolViolation(f"no rule enabled for robot {me.id} in state {state}")
 

@@ -5,6 +5,8 @@ from gdg_sim import gdg_protocol
 from gdg_sim.adversary import adaptive_ac_adversary
 from gdg_sim.gdg_protocol import (
     ALL_STATES,
+    MIN_STATES,
+    WAITING_STATES,
     Direction,
     ProtocolViolation,
     RULE_ORDER,
@@ -658,9 +660,11 @@ def test_rule_order_keeps_each_states_paper_order(state):
 
 def reference_first_enabled_rule(view):
     """The first rule of the paper's order whose state, witness and condition
-    all hold, with Term1/Term2 decided by gathering_predicates alone and M1
-    by reference_min_discovery."""
+    all hold, with Term1/Term2 decided by gathering_predicates alone, M1 by
+    reference_min_discovery, and the tower sizes of M6 (all robots but one
+    here) and K1 (all but two) spelled out rather than read from the rules."""
     gathered = dict(zip(("Term1", "Term2"), gathering_predicates(view)))
+    tower = {"M6": view.R - 2, "K1": view.R - 3}
     for rule in (BY_NAME[name] for name in PAPER_ORDER):
         if view.self_vars.state not in rule.states:
             continue
@@ -670,6 +674,8 @@ def reference_first_enabled_rule(view):
             enabled = gathered[rule.name]
         elif rule.name == "M1":
             enabled = reference_min_discovery(view)
+        elif rule.name in tower:
+            enabled = len(view.mates) == tower[rule.name] and rule.condition(view)
         else:
             enabled = rule.condition is None or rule.condition(view)
         if enabled:
@@ -741,3 +747,93 @@ def test_guard_count_is_the_fired_rules_position(view):
             return
     assert len(calls) == RULE_ORDER.index(fired) + 1
     assert tuple(calls) == RULE_ORDER[: len(calls)]
+
+
+# ---------------------------------------------------------------------------
+# Dense towers: R - len(mates) is 1 to 4, where the tower-size rules live
+# ---------------------------------------------------------------------------
+
+# Mate states that make the tower-size conditions hold or nearly hold: all
+# righters (M6), all waiting (K1), a min present (Term2), or anything.
+TOWER_MATE_STATES = {
+    "righters": st.just(RobotState.RIGHTER),
+    "waiting": st.sampled_from(WAITING_STATES),
+    "min": st.sampled_from(MIN_STATES + (RobotState.RIGHTER, RobotState.WAITING_WALKER)),
+    "any": states,
+}
+
+
+@st.composite
+def tower_views(draw):
+    R = draw(st.integers(4, 9))
+    gap = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(1, 32), min_size=R, max_size=R, unique=True))
+    kind = draw(st.sampled_from(sorted(TOWER_MATE_STATES)))
+    mate_state = TOWER_MATE_STATES[kind]
+    me_state = draw(st.one_of(mate_state, states))
+    me = draw(robot_vars(rid=ids[0]))._replace(state=me_state)
+    mates = tuple(
+        draw(robot_vars(rid=i))._replace(state=draw(mate_state))
+        for i in ids[1 : R - gap + 1]
+    )
+    return make_view(
+        me,
+        mates,
+        R=R,
+        n=draw(st.integers(4, 8)),
+        right_cur=draw(st.booleans()),
+        left_cur=draw(st.booleans()),
+        right_prev=draw(st.booleans()),
+        left_prev=draw(st.booleans()),
+        has_moved=draw(st.booleans()),
+    )
+
+
+@settings(max_examples=500)
+@given(tower_views())
+def test_dense_towers_dispatch_as_the_reference_walk(view):
+    assert 1 <= view.R - len(view.mates) <= 4
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        fired, calls = _guarded_dispatch(monkeypatch, view)
+    assert fired == reference_first_enabled_rule(view)
+    assert tuple(calls) == RULE_ORDER[: RULE_ORDER.index(fired) + 1]
+
+
+# ---------------------------------------------------------------------------
+# The table's derived fields: state bits, witness bits and tower gaps
+# ---------------------------------------------------------------------------
+
+
+def test_state_bits_are_distinct_powers_of_two():
+    bits = [state.bit for state in RobotState]
+    assert all(bit > 0 and bit & (bit - 1) == 0 for bit in bits)
+    assert len(set(bits)) == len(bits)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_seen_is_the_or_of_the_witness_bits(rule):
+    expected = 0
+    for state in rule.witness:
+        expected |= state.bit
+    assert rule.seen == expected
+
+
+def test_exactly_the_tower_size_rules_carry_a_gap():
+    gaps = {rule.name: rule.gap for rule in RULES if rule.gap is not None}
+    assert gaps == {"Term1": 1, "Term2": 2, "M6": 2, "K1": 3}
+
+
+@pytest.mark.parametrize(
+    "rule,drop",
+    [
+        (name, k)
+        for name in ("Term1", "Term2", "M6", "K1")
+        for k in range(len(FIRST_ENABLED[name].mates))
+    ],
+)
+def test_tower_rule_needs_its_whole_tower(rule, drop):
+    view = FIRST_ENABLED[rule]
+    mates = view.mates[:drop] + view.mates[drop + 1 :]
+    smaller = view._replace(mates=mates)
+    assert first_enabled_rule(smaller) != rule
+    assert first_enabled_rule(smaller) == reference_first_enabled_rule(smaller)
