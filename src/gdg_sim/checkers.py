@@ -125,7 +125,6 @@ def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Ve
 class Experiment:
     trace: Trace
     stop: Stop
-    horizon: int
     bound: Optional[int]
     verdict: Verdict
     violations: list[tuple[str, int]]
@@ -148,7 +147,7 @@ def experiment(
     verdict = check_variant(trace, horizon, bound)
     violations = monitor_invariants(trace)
     ok = dyn is None or (EXPECTED_VARIANT[dyn.tag] in verdict.variants and not violations)
-    return Experiment(trace, stop, horizon, bound, verdict, violations, ok)
+    return Experiment(trace, stop, bound, verdict, violations, ok)
 
 
 # ---------------------------------------------------------------------------

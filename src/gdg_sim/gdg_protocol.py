@@ -28,11 +28,12 @@ of their states' bits (each `RobotState` member carries one as `bit`) and
 witness states' bits, so a witness test is one AND, `seen & present`. A
 tower-size rule carries the one `gap` it fires at (Term1 1, Term2 2, M6 2,
 K1 3), so its size test is one compare, and its condition tests only the
-rest: `gathering_predicates` stays the one definition of Term1 and Term2.
-Both facts are arguments of `_guard`, which dispatch still calls once per
-rule in `RULES` order up to the one that fires, so the guard count stays
-the fired rule's position, as the tests and the benchmark's self-test
-count it; only each guard got cheaper.
+rest. So the paper's two gathering predicates are Term1's gap (all R
+robots here) and Term2's gap with its condition (all but one here, and one
+of them in a min state). Both facts are arguments of `_guard`, which
+dispatch calls once per rule in `RULES` order up to the one that fires, so
+the guard count is the fired rule's position, as the tests and the
+benchmark's self-test count it.
 
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
@@ -148,20 +149,6 @@ def min_discovery(view: View) -> bool:
         ):
             return True
     return me.right_steps == 4 * me.id * view.n
-
-
-def gathering_predicates(view: View) -> tuple[bool, bool]:
-    """(all R co-located, all but one co-located with a min present)."""
-    g_e = len(view.mates) == view.R - 1
-    g_ew = len(view.mates) == view.R - 2 and any(
-        r.state in MIN_STATES for r in (view.self_vars,) + view.mates
-    )
-    return g_e, g_ew
-
-
-def _gathered(which: int) -> Callable[[View], bool]:
-    """Term1 (0) or Term2 (1) condition; each rule's gap tests its tower size first."""
-    return lambda view: gathering_predicates(view)[which]
 
 
 def select_witness(view: View, states: tuple[RobotState, ...]) -> RobotVars:
@@ -323,8 +310,17 @@ class Rule:
 # searchers, then those of walkers and waiting walkers: the paper's order
 # within each state, as the module docstring argues.
 RULES = (
-    Rule("Term1", ALL_STATES, _terminate, condition=_gathered(0), gap=1),
-    Rule("Term2", ALL_STATES, _terminate, condition=_gathered(1), gap=2),
+    Rule("Term1", ALL_STATES, _terminate, gap=1),  # all R robots are here
+    Rule(
+        "Term2",
+        ALL_STATES,
+        _terminate,
+        # all robots but one are here, and one of them is in a min state
+        condition=lambda view: (
+            view.self_vars.state in MIN_STATES or any(m.state in MIN_STATES for m in view.mates)
+        ),
+        gap=2,
+    ),
     Rule(
         "K3",
         (RobotState.POTENTIAL_MIN, RobotState.DUMB_SEARCHER, RobotState.AWARE_SEARCHER),

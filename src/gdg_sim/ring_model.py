@@ -91,22 +91,6 @@ def static_ring(n: int) -> EvolvingRing:
     return EvolvingRing(n, Schedule(prefix=(), cycle=((1,) * n,)))
 
 
-def right_edge_of(v: int, n: int) -> int:
-    return v
-
-
-def left_edge_of(v: int, n: int) -> int:
-    return (v - 1) % n
-
-
-def step_right(v: int, n: int) -> int:
-    return (v + 1) % n
-
-
-def step_left(v: int, n: int) -> int:
-    return (v - 1) % n
-
-
 def footprint(ring: EvolvingRing) -> set[int]:
     """Edges present at least once anywhere in the schedule."""
     present: set[int] = set()

@@ -19,8 +19,9 @@ holds for consecutive events exactly when their records are equal. ``run``,
 the only code that knows about repeats, reads this sharing and compares the
 vars by value to prove that a run cycles, and then copies the cycle's
 events instead of stepping them. Consumers of a trace (the checkers, the
-JSONL encoder) skip their per-robot work on a repeated event, and
-``trace_from_jsonl`` restores the same sharing when it decodes.
+JSONL encoder) skip their per-robot work on a repeated event. A decoded
+trace shares records, not robots dicts: ``trace_from_jsonl`` builds each
+line's dict anew, and those consumers do the full work on every event.
 
 The Look phase reads a per-node grouping: each configuration's ``towers``
 maps every occupied node to the vars of the robots on it, built once per
@@ -163,8 +164,8 @@ def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
     else:
         i = tower.index(me)  # ids differ, so only this robot's vars match
         mates = tower[:i] + tower[i + 1 :]
-    # right_edge_of(node) is node, and left_edge_of(node) is node - 1, which
-    # as an index wraps to edge n - 1 at node 0, as left_edge_of(0, n) does.
+    # Edge i joins node i and node i + 1, so the right edge is snap[node]
+    # and the left one snap[node - 1], which wraps to edge n - 1 at node 0.
     # tuple.__new__ builds the View in one C call, skipping the NamedTuple's
     # Python-level __new__; the tuple is in View's field order.
     last_snap = config.last_snap
@@ -203,9 +204,8 @@ def step(
             rule = "terminated"  # no Compute and no Move, so the record is fixed
         else:
             vars, rule = compute_fn(build_view(config, snap, rid))
-            # Move, with ring_model's edge convention indexed inline as in
-            # build_view: the right edge is snap[node], the left one
-            # snap[node - 1], and a step wraps n - 1 -> 0 and 0 -> n - 1.
+            # Move, with the edges indexed as in build_view; a step wraps
+            # n - 1 -> 0 and 0 -> n - 1.
             if not vars.terminated:
                 if vars.dir is Direction.RIGHT:
                     if snap[node]:
@@ -354,22 +354,12 @@ def trace_from_jsonl(text: str) -> Trace:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     header = json.loads(lines[0])
     events = []
-    tail = robots = None
     for ln in lines[1:]:
-        # In trace_to_jsonl's key order a line ends with its robots, so a
-        # line whose text after the robots key equals the line before's
-        # repeats that round's robots: only its round and snapshot are read,
-        # and its event shares the robots dict, as run's events do.
-        head, key, rest = ln.partition(',"robots":')
-        if key and rest == tail:
-            doc = json.loads(head + "}")
-        else:
-            doc = json.loads(ln)
-            tail = rest if key and list(doc) == ["round", "snapshot", "robots"] else None
-            robots = {
-                int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
-                for rid, rec in doc["robots"].items()
-            }
+        doc = json.loads(ln)
+        robots = {
+            int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
+            for rid, rec in doc["robots"].items()
+        }
         events.append(TraceEvent(doc["round"], robots, tuple(doc["snapshot"])))
     return Trace(
         n=header["n"],

@@ -42,7 +42,6 @@ from gdg_sim.sim_engine import (
     Trace,
     TraceEvent,
     run,
-    trace_from_jsonl,
     trace_to_jsonl,
 )
 
@@ -102,7 +101,7 @@ def _make_run(dyn: DynClass, seed: int) -> RunRec:
         ids=ids,
         placement=placement,
         seed=seed,
-        horizon=exp.horizon,
+        horizon=exp.trace.horizon,
         bound=exp.bound,
         ring=ring,
         trace=exp.trace,
@@ -434,14 +433,3 @@ def test_stop_reasons(corpus, adversary_runs):
     stranded = [rec for rec in corpus[COT] if len(rec.termination_rounds) < rec.R]
     assert all(rec.stop.reason == "cycle" for rec in stranded) and len(stranded) == 17
     assert [res.stop for *_, res in adversary_runs] == DUEL_CYCLES
-
-
-def test_decoded_duels_share_the_simulated_repeats(adversary_runs):
-    for *_, res in adversary_runs:
-        loaded = trace_from_jsonl(trace_to_jsonl(res.trace))
-        assert loaded == res.trace
-        shared = [b.robots is a.robots for a, b in zip(loaded.events, loaded.events[1:])]
-        assert any(shared)
-        assert shared == [
-            b.robots is a.robots for a, b in zip(res.trace.events, res.trace.events[1:])
-        ]

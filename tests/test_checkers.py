@@ -15,7 +15,7 @@ from gdg_sim.checkers import (
     experiment,
     monitor_invariants,
 )
-from gdg_sim.gdg_protocol import RobotState
+from gdg_sim.gdg_protocol import MIN_STATES, WAITING_STATES, RobotState
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
 from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
 
@@ -133,6 +133,13 @@ class TestSafetyAndVariants:
 
 
 class TestMonitors:
+    def test_state_names_are_the_protocols(self):
+        # The monitors define their state groups by name, independently of
+        # gdg_protocol; a renamed state would leave them checking nothing.
+        assert MIN_STATE_NAMES == {state.value for state in MIN_STATES}
+        assert WAITING_NAMES == {state.value for state in WAITING_STATES}
+        assert RIGHTWARD_NAMES <= {state.value for state in RobotState}
+
     def test_clean_run_has_no_violations(self):
         trace, _ = run(static_ring(4), {1: 0, 2: 1, 3: 2, 4: 3}, horizon=200)
         assert monitor_invariants(trace) == []
@@ -237,7 +244,7 @@ class TestExperiment:
     def test_bounded_class_runs_through_its_bound(self):
         exp = experiment(static_ring(4), self.PLACEMENT, DynClass(ST), seed=3)
         assert exp.bound == bound_for(BoundParams(DynClass(ST), 4, 4, 1))
-        assert exp.horizon == exp.trace.horizon == exp.bound + 1
+        assert exp.trace.horizon == exp.bound + 1
         assert (exp.trace.class_claim, exp.trace.seed) == (ST, 3)
         assert "G" in exp.verdict.variants and exp.violations == [] and exp.ok
 
@@ -251,7 +258,7 @@ class TestExperiment:
 
     def test_run_without_class_is_ok(self):
         exp = experiment(static_ring(4), self.PLACEMENT, None, horizon=1)
-        assert (exp.bound, exp.horizon, exp.trace.class_claim) == (None, 1, None)
+        assert (exp.bound, exp.trace.horizon, exp.trace.class_claim) == (None, 1, None)
         assert exp.ok
 
 

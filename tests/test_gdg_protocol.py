@@ -17,7 +17,6 @@ from gdg_sim.gdg_protocol import (
     apply_rule,
     compute,
     first_enabled_rule,
-    gathering_predicates,
     min_discovery,
     select_witness,
 )
@@ -84,18 +83,26 @@ class TestMinDiscovery:
 
 
 class TestGatheringPredicates:
+    """Term1 fires when all R robots are here; Term2 when all but one are,
+    and one of them, the robot itself or a mate, is in a min state."""
+
     def test_all_present(self):
         view = make_view(robot(1), [robot(2), robot(3), robot(4)], R=4)
-        assert gathering_predicates(view) == (True, False)
+        assert first_enabled_rule(view) == "Term1"
 
     def test_all_but_one_with_min(self):
         me = robot(1, RobotState.MIN_WAITING_WALKER)
         view = make_view(me, [robot(3, RobotState.WAITING_WALKER), robot(4)], R=4)
-        assert gathering_predicates(view) == (False, True)
+        assert first_enabled_rule(view) == "Term2"
+        mate = robot(1, RobotState.MIN_TAIL_WALKER)
+        view = make_view(robot(3, RobotState.WAITING_WALKER), [mate, robot(4)], R=4)
+        assert first_enabled_rule(view) == "Term2"
 
     def test_all_but_one_without_min(self):
-        view = make_view(robot(1), [robot(3), robot(4)], R=4)
-        assert gathering_predicates(view) == (False, False)
+        for state in RobotState:
+            if state not in MIN_STATES:
+                view = make_view(robot(1, state), [robot(3), robot(4)], R=4)
+                assert first_enabled_rule(view) not in ("Term1", "Term2")
 
 
 class TestDispatch:
@@ -660,10 +667,16 @@ def test_rule_order_keeps_each_states_paper_order(state):
 
 def reference_first_enabled_rule(view):
     """The first rule of the paper's order whose state, witness and condition
-    all hold, with Term1/Term2 decided by gathering_predicates alone, M1 by
-    reference_min_discovery, and the tower sizes of M6 (all robots but one
-    here) and K1 (all but two) spelled out rather than read from the rules."""
-    gathered = dict(zip(("Term1", "Term2"), gathering_predicates(view)))
+    all hold, with Term1 and Term2 decided by the paper's two gathering
+    predicates (all R robots here; all but one here, one of them in a min
+    state), M1 by reference_min_discovery, and the tower sizes of M6 (all
+    robots but one here) and K1 (all but two) spelled out rather than read
+    from the rules."""
+    here = (view.self_vars,) + view.mates
+    gathered = {
+        "Term1": len(here) == view.R,
+        "Term2": len(here) == view.R - 1 and any(r.state in MIN_STATES for r in here),
+    }
     tower = {"M6": view.R - 2, "K1": view.R - 3}
     for rule in (BY_NAME[name] for name in PAPER_ORDER):
         if view.self_vars.state not in rule.states:

@@ -12,13 +12,10 @@ from gdg_sim.ring_model import (
     Schedule,
     eventual_underlying,
     footprint,
-    left_edge_of,
     remove_edge_interval,
-    right_edge_of,
     ring_from_json,
     ring_to_json,
     static_ring,
-    step_right,
     verify_class,
 )
 
@@ -57,6 +54,24 @@ class TestEdgePresent:
         unrolled = sched.prefix + sched.cycle
         for t in range(len(sched.prefix) + 3 * len(sched.cycle)):
             assert ring.snapshot(t) == unrolled[ring.phase(t)]
+
+
+# The edge convention, stated on its own as the reference that the engine's
+# inline indexing is tested against: edge i joins node i and node i + 1.
+def right_edge_of(v, n):
+    return v
+
+
+def left_edge_of(v, n):
+    return (v - 1) % n
+
+
+def step_right(v, n):
+    return (v + 1) % n
+
+
+def step_left(v, n):
+    return (v - 1) % n
 
 
 class TestGeometry:

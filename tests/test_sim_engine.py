@@ -15,11 +15,7 @@ from gdg_sim.ring_model import (
     DynClass,
     EvolvingRing,
     Schedule,
-    left_edge_of,
-    right_edge_of,
     static_ring,
-    step_left,
-    step_right,
 )
 from gdg_sim.sim_engine import (
     RobotRecord,
@@ -34,6 +30,7 @@ from gdg_sim.sim_engine import (
     trace_to_jsonl,
 )
 from test_acceptance import DUEL_CYCLES, DUELS
+from test_ring_model import left_edge_of, right_edge_of, step_left, step_right
 
 
 def ring_of(n, prefix, cycle):
@@ -699,20 +696,10 @@ class TestTraceSerialization:
             for a, b in zip(ev.robots.values(), again.robots.values())
         )
 
-    def test_decoded_trace_shares_the_repeated_rounds(self):
-        trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
-        loaded = trace_from_jsonl(trace_to_jsonl(trace))
-        assert loaded == trace
-        assert loaded.events[-1].robots is loaded.events[-2].robots
-        for (a, b), (c, d) in zip(
-            zip(trace.events, trace.events[1:]), zip(loaded.events, loaded.events[1:])
-        ):
-            assert (b.robots is a.robots) == (d.robots is c.robots)
-
     @pytest.mark.parametrize("order", [("robots", "snapshot", "round"),
                                        ("round", "robots", "snapshot")])
     def test_decodes_lines_in_another_key_order(self, order):
-        # Only trace_to_jsonl's own key order takes the shared-robots path.
+        # Each line is one JSON object, so its key order does not matter.
         trace, _ = run(STRANDED_RING, STRANDED, horizon=20)
         header, *lines = trace_to_jsonl(trace).splitlines()
         docs = [json.loads(ln) for ln in lines]
