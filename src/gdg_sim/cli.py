@@ -160,6 +160,13 @@ def cmd_adversary(args: argparse.Namespace) -> int:
 
     result = adv.adaptive_ac_adversary(n, len(ids), placement, r1, r2, args.horizon)
     if args.schedule_out:
+        if result.stop.reason != "cycle":
+            # Without the proof, result.ring repeats the last snapshot, on which
+            # the targets may meet: a schedule that would contradict the duel.
+            raise CliError(
+                f"no cycle was proven within --horizon {args.horizon}, so --schedule-out "
+                "has no schedule to write; raise --horizon"
+            )
         Path(args.schedule_out).write_text(ring_to_json(result.ring) + "\n")
     if args.trace_out:
         Path(args.trace_out).write_text(trace_to_jsonl(result.trace))

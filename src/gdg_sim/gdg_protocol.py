@@ -114,13 +114,13 @@ class RobotVars(NamedTuple):
 
 
 class View(NamedTuple):
-    """What one robot observes during its Look phase."""
+    """What one robot observes during its Look phase. Of its edges, the rules
+    read the right one this round (K4, M2 and the steps of M6, M8 and the
+    walk) and the left one last round (T2, with `has_moved`)."""
 
     self_vars: RobotVars
     mates: tuple[RobotVars, ...]  # frozen co-located robots, terminated included
     edge_right_current: bool
-    edge_left_current: bool
-    edge_right_previous: bool
     edge_left_previous: bool
     has_moved: bool
     n: int

@@ -91,20 +91,19 @@ def static_ring(n: int) -> EvolvingRing:
     return EvolvingRing(n, Schedule(prefix=(), cycle=((1,) * n,)))
 
 
+def _present(snaps: tuple[Snapshot, ...]) -> set[int]:
+    """Edges present in at least one of the snapshots."""
+    return {e for snap in snaps for e, bit in enumerate(snap) if bit}
+
+
 def footprint(ring: EvolvingRing) -> set[int]:
     """Edges present at least once anywhere in the schedule."""
-    present: set[int] = set()
-    for snap in ring.schedule.prefix + ring.schedule.cycle:
-        present.update(e for e, bit in enumerate(snap) if bit)
-    return present
+    return _present(ring.schedule.prefix + ring.schedule.cycle)
 
 
 def eventual_underlying(ring: EvolvingRing) -> set[int]:
     """Edges present at least once per cycle, i.e. the recurrent edges."""
-    present: set[int] = set()
-    for snap in ring.schedule.cycle:
-        present.update(e for e, bit in enumerate(snap) if bit)
-    return present
+    return _present(ring.schedule.cycle)
 
 
 def remove_edge_interval(ring: EvolvingRing, e: int, t_start: int, t_end: int) -> EvolvingRing:
@@ -129,12 +128,6 @@ def remove_edge_interval(ring: EvolvingRing, e: int, t_start: int, t_end: int) -
     return EvolvingRing(ring.n, Schedule(tuple(prefix), cycle))
 
 
-def _ring_connected_with_edges(n: int, edges: set[int]) -> bool:
-    # A subgraph of a ring is connected on all n nodes iff at most one ring
-    # edge is missing.
-    return n - len(edges) <= 1
-
-
 def verify_class(ring: EvolvingRing, c: DynClass) -> bool:
     """Decide membership of the ring in a dynamics class. Every class needs
     the whole ring: if some edge is never present, the footprint is a chain
@@ -147,15 +140,15 @@ def verify_class(ring: EvolvingRing, c: DynClass) -> bool:
         return all(all(snap) for snap in set(snaps))
     if len(footprint(ring)) < n:
         return False
+    # A subgraph of a ring is connected on all n nodes iff at most one ring
+    # edge is missing: AC asks it of every snapshot, COT of the recurrent edges.
     if c.tag == AC:
-        return all(
-            _ring_connected_with_edges(n, {e for e, b in enumerate(s) if b}) for s in set(snaps)
-        )
+        return all(snap.count(0) <= 1 for snap in set(snaps))
     recurrent = eventual_underlying(ring)
     if c.tag == RE:
         return len(recurrent) == n
     if c.tag == COT:
-        return _ring_connected_with_edges(n, recurrent)
+        return len(recurrent) >= n - 1
     # BRE(delta): every edge occurs in every delta-window of the schedule
     # unrolled over the prefix plus two full cycles (windows can straddle
     # the prefix/cycle seam). Once every edge recurs, a window longer than

@@ -9,8 +9,8 @@ robots are always processed in id order and every decision is deterministic.
 Id order is an invariant, not a per-round sort: ``initial_configuration``
 keys every dict in increasing robot id and ``step`` keeps that order, so
 nothing sorts again. RobotRecords are immutable and shared: ``step`` and
-``trace_from_jsonl`` take equal records from one table, bounded by the
-number of distinct records rather than by the horizon.
+``trace_from_jsonl`` take equal records from one ``functools.cache``,
+bounded by the number of distinct records rather than by the horizon.
 
 A round that repeats the last one shares its robots dict: when every
 record a round produces equals the previous round's, ``step`` returns the
@@ -31,6 +31,7 @@ instead of scanning every position.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -81,16 +82,9 @@ class RobotRecord:
     moved: bool
 
 
-# The shared records, keyed by their fields.
-_RECORDS: dict[tuple[int, str, str, str, bool], RobotRecord] = {}
-
-
-def _record(position: int, state: str, dir: str, rule: str, moved: bool) -> RobotRecord:
-    key = (position, state, dir, rule, moved)
-    rec = _RECORDS.get(key)
-    if rec is None:
-        rec = _RECORDS[key] = RobotRecord(position, state, dir, rule, moved)
-    return rec
+# The shared records: every caller passes the five fields positionally, so
+# equal fields hit one cache entry and give one object.
+_record = functools.cache(RobotRecord)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,11 +122,7 @@ def _towers(
     every tower comes out in id order."""
     towers: dict[int, list[RobotVars]] = {}
     for rec, me in zip(robots.values(), vars.values()):
-        tower = towers.get(rec.position)
-        if tower is None:
-            towers[rec.position] = [me]
-        else:
-            tower.append(me)
+        towers.setdefault(rec.position, []).append(me)
     return {node: tuple(tower) for node, tower in towers.items()}
 
 
@@ -148,7 +138,7 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
 
 
 def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
-    """What one robot looks at: this round's snapshot and the last one.
+    """What one robot looks at: its right edge this round, its left edge last.
 
     At round 0 the last snapshot is all-absent and no placement record has
     moved: the view of a robot with no history, in which no edge was present
@@ -165,19 +155,16 @@ def build_view(config: Configuration, snap: Snapshot, robot_id: int) -> View:
         i = tower.index(me)  # ids differ, so only this robot's vars match
         mates = tower[:i] + tower[i + 1 :]
     # Edge i joins node i and node i + 1, so the right edge is snap[node]
-    # and the left one snap[node - 1], which wraps to edge n - 1 at node 0.
-    # tuple.__new__ builds the View in one C call, skipping the NamedTuple's
-    # Python-level __new__; the tuple is in View's field order.
-    last_snap = config.last_snap
+    # and the left one last_snap[node - 1], which wraps to edge n - 1 at
+    # node 0. tuple.__new__ builds the View in one C call, skipping the
+    # NamedTuple's Python-level __new__; the tuple is in View's field order.
     return tuple.__new__(
         View,
         (
             me,
             mates,
             bool(snap[node]),
-            bool(snap[node - 1]),
-            bool(last_snap[node]),
-            bool(last_snap[node - 1]),
+            bool(config.last_snap[node - 1]),
             rec.moved,
             len(snap),
             len(config.vars),

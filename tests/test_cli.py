@@ -298,6 +298,28 @@ def test_adversary_never_defeated(tmp_path, capsys):
     assert (len(ring.schedule.prefix), len(ring.schedule.cycle)) == (10, 1)
 
 
+@pytest.mark.parametrize("horizon", [11, 12])
+def test_adversary_writes_a_schedule_only_for_a_proven_cycle(tmp_path, capsys, horizon):
+    # This duel proves its cycle at horizon 12, not at 11. Without the proof
+    # the closed ring repeats the last snapshot, which may let the targets meet.
+    sched = tmp_path / "sched.json"
+    code = main(
+        [
+            "adversary", "--n", "4", "--ids", "1,2,3,4",
+            "--horizon", str(horizon), "--seed", "3",
+            "--schedule-out", str(sched),
+        ]
+    )
+    if horizon == 11:
+        assert code == 2
+        assert not sched.exists()
+        assert "--horizon 11" in capsys.readouterr().err
+    else:
+        assert code == 0
+        ring = ring_from_json(sched.read_text())
+        assert (len(ring.schedule.prefix), len(ring.schedule.cycle)) == (10, 1)
+
+
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_adversary_small_ring_is_usage_error(capsys, n):
     code = main(["adversary", "--n", str(n), "--ids", "1,2,3,4", "--horizon", "10"])

@@ -30,8 +30,6 @@ def make_view(
     R=4,
     n=4,
     right_cur=True,
-    left_cur=True,
-    right_prev=True,
     left_prev=True,
     has_moved=False,
 ):
@@ -39,8 +37,6 @@ def make_view(
         self_vars=self_vars,
         mates=tuple(mates),
         edge_right_current=right_cur,
-        edge_left_current=left_cur,
-        edge_right_previous=right_prev,
         edge_left_previous=left_prev,
         has_moved=has_moved,
         n=n,
@@ -507,8 +503,6 @@ def views(draw):
         R=draw(st.integers(4, 8)),
         n=draw(st.integers(4, 8)),
         right_cur=draw(st.booleans()),
-        left_cur=draw(st.booleans()),
-        right_prev=draw(st.booleans()),
         left_prev=draw(st.booleans()),
         has_moved=draw(st.booleans()),
     )
@@ -795,8 +789,6 @@ def tower_views(draw):
         R=R,
         n=draw(st.integers(4, 8)),
         right_cur=draw(st.booleans()),
-        left_cur=draw(st.booleans()),
-        right_prev=draw(st.booleans()),
         left_prev=draw(st.booleans()),
         has_moved=draw(st.booleans()),
     )

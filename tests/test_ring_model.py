@@ -263,6 +263,53 @@ def test_cot_iff_at_most_one_cycle_absent_edge(ring):
     assert verify_class(ring, DynClass(COT)) == (whole and absent <= 1)
 
 
+def connects_the_ring(n, snaps):
+    """BFS oracle: do the edges present in some snapshot of snaps connect all
+    n nodes of the ring? Edge i joins node i and node i + 1 mod n."""
+    edges = {e for snap in snaps for e in range(n) if snap[e]}
+    reached, todo = {0}, [0]
+    while todo:
+        v = todo.pop()
+        for e, w in ((v, (v + 1) % n), ((v - 1) % n, (v - 1) % n)):
+            if e in edges and w not in reached:
+                reached.add(w)
+                todo.append(w)
+    return len(reached) == n
+
+
+def whole_footprint(ring):
+    snaps = ring.schedule.prefix + ring.schedule.cycle
+    return all(any(snap[e] for snap in snaps) for e in range(ring.n))
+
+
+@settings(max_examples=300)
+@given(rings())
+def test_ac_iff_every_snapshot_connects_the_ring(ring):
+    snaps = ring.schedule.prefix + ring.schedule.cycle
+    each = all(connects_the_ring(ring.n, [snap]) for snap in snaps)
+    assert verify_class(ring, DynClass(AC)) == (whole_footprint(ring) and each)
+
+
+@settings(max_examples=300)
+@given(rings())
+def test_cot_iff_the_cycle_edges_connect_the_ring(ring):
+    recurrent = connects_the_ring(ring.n, ring.schedule.cycle)
+    assert verify_class(ring, DynClass(COT)) == (whole_footprint(ring) and recurrent)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("full_prefix", [False, True], ids=["static", "after-full"])
+def test_ac_on_every_snapshot(n, full_prefix):
+    # The static ring of each snapshot, and the ring that shows every edge
+    # once and then keeps that snapshot forever.
+    for bits in range(2**n):
+        snap = tuple(bits >> e & 1 for e in range(n))
+        prefix = ((1,) * n,) if full_prefix else ()
+        ring = EvolvingRing(n, Schedule(prefix, (snap,)))
+        expected = whole_footprint(ring) and connects_the_ring(n, [snap])
+        assert verify_class(ring, DynClass(AC)) == expected
+
+
 @settings(max_examples=300)
 @given(st.data())
 def test_bre_equals_a_check_of_every_window(data):

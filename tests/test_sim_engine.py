@@ -116,8 +116,6 @@ def reference_build_view(config, snap, robot_id):
         self_vars=config.vars[robot_id],
         mates=mates,
         edge_right_current=bool(snap[right]),
-        edge_left_current=bool(snap[left]),
-        edge_right_previous=bool(config.last_snap[right]),
         edge_left_previous=bool(config.last_snap[left]),
         has_moved=config.robots[robot_id].moved,
         n=n,
@@ -196,7 +194,6 @@ class TestBuildView:
         config = initial_configuration(PLACEMENT, 4)
         view = build_view(config, FULL, 1)
         assert view.mates == ()
-        assert not view.edge_right_previous
         assert not view.edge_left_previous
         assert not view.has_moved
         assert (view.n, view.R) == (4, 4)
@@ -213,16 +210,16 @@ class TestBuildView:
 
     def test_edges_from_current_snapshot(self):
         config = initial_configuration(PLACEMENT, 4)
-        view = build_view(config, (0, 1, 1, 1), 1)  # node 0: right edge e0, left edge e3
+        view = build_view(config, (0, 1, 1, 1), 1)  # node 0: right edge e0
         assert not view.edge_right_current
-        assert view.edge_left_current
+        assert build_view(config, (0, 1, 1, 1), 2).edge_right_current  # node 1: e1
 
     def test_edges_from_previous_snapshot(self):
         config = step(initial_configuration(PLACEMENT, 4), FULL)
         config = config._replace(last_snap=(1, 1, 1, 0))
-        view = build_view(config, FULL, 4)  # node 0: right edge e0, left edge e3
-        assert view.edge_right_previous
+        view = build_view(config, FULL, 4)  # node 0: left edge e3
         assert not view.edge_left_previous
+        assert build_view(config, FULL, 1).edge_left_previous  # node 1: e0
 
     def test_has_moved_reads_the_last_round(self):
         config = initial_configuration(PLACEMENT, 4)
@@ -248,10 +245,8 @@ class TestBuildView:
         expected = (bool(gap[right_edge_of(node, n)]), bool(gap[left_edge_of(node, n)]))
         now = build_view(config._replace(last_snap=full), gap, 1)
         before = build_view(config._replace(last_snap=gap), full, 1)
-        assert (now.edge_right_current, now.edge_left_current) == expected
-        assert (before.edge_right_previous, before.edge_left_previous) == expected
-        assert now.edge_right_previous and now.edge_left_previous
-        assert before.edge_right_current and before.edge_left_current
+        assert (now.edge_right_current, before.edge_left_previous) == expected
+        assert now.edge_left_previous and before.edge_right_current
 
     @pytest.mark.parametrize(
         "dyn, seed", [(DynClass(ST), 7016), (DynClass(BRE, 3), 7022), (DynClass(AC), 7002)]
@@ -485,16 +480,16 @@ class TestFixed:
         assert stop == Stop("horizon")
 
     def test_the_round_after_the_prefix_is_not_taken_for_its_cycle_twin(self):
-        # Robots at node 0 head right only if their right edge e0 was there
+        # Robots at node 1 head right only if their left edge e0 was there
         # the round before. Round 1 follows the prefix's GAP, so they wait
         # and hand the dicts on; round 2 has the same phase but follows FULL,
         # so they move.
         def follow_last_round(view):
-            dir = Direction.RIGHT if view.edge_right_previous else Direction.BOT
+            dir = Direction.RIGHT if view.edge_left_previous else Direction.BOT
             return view.self_vars._replace(dir=dir), "follow"
 
         ring = ring_of(4, [GAP], [FULL])
-        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 20, follow_last_round)
+        stop = check_against_reference(ring, {1: 1, 2: 1, 3: 1, 4: 1}, 20, follow_last_round)
         assert stop == Stop("horizon")
 
     def test_fixed_follows_changes_under_equal_records(self):
