@@ -197,16 +197,17 @@ def adaptive_ac_adversary(
         raise ValueError("ring size must be >= 4")
     source = _Adversary(n, r1, r2, compute_fn)
     trace, stop = sim_engine.run(source, placement, horizon, compute_fn, class_claim=AC)
-    defeated: Optional[int] = None
-    last = None
-    for ev in trace.events:  # a repeated round puts every robot where it was
-        if ev.robots is not last and ev.robots[r1].position == ev.robots[r2].position:
-            defeated = ev.round
-            break
-        last = ev.robots
+    events = trace.events
+    if stop.reason == "cycle":
+        # Every later event copies one of events[start:start + period], so
+        # the duel and its schedule are read from those rounds and before.
+        events = events[: stop.start + stop.period]
+    defeated = next(
+        (t for t, robots, _ in events if robots[r1].position == robots[r2].position), None
+    )
 
-    snapshots = tuple(ev.snapshot for ev in trace.events)
+    snapshots = tuple(snap for _, _, snap in events)
     prefix, cycle = snapshots, (snapshots[-1],)
     if stop.reason == "cycle":
-        prefix, cycle = snapshots[: stop.start], snapshots[stop.start : stop.start + stop.period]
+        prefix, cycle = snapshots[: stop.start], snapshots[stop.start :]
     return AdversaryResult(EvolvingRing(n, Schedule(prefix, cycle)), trace, defeated, stop)

@@ -181,7 +181,8 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     is left or entered, the tower-min flag already holds this round's value,
     and the direction history only records again what it recorded. So from
     the second repeat in a row on, an event yields exactly the violations of
-    the event before, which are copied with the new round.
+    the event before, which are copied with the new round; an event that
+    repeats one without violations costs one identity test.
     """
     rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
@@ -197,14 +198,16 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     start = end = 0  # violations[start:end] came from the last event checked in full
 
     for ev in trace.events:
-        robots, t = ev.robots, ev.round
+        robots = ev.robots  # by name, the one field a repeated event needs
         if robots is last:
             repeats += 1
             if repeats > 1:
-                violations.extend((name, t) for name, _ in violations[start:end])
+                if start != end:
+                    violations.extend((name, ev.round) for name, _ in violations[start:end])
                 continue
         else:
             last, repeats = robots, 0
+        t = ev.round
         start = len(violations)
         # The first minWaitingWalker, found before the loop: smaller ids are checked against it.
         anchor = next((rec for rec in robots.values() if rec.state == "minWaitingWalker"), None)

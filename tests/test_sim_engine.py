@@ -602,6 +602,26 @@ class TestRun:
         assert len(trace.events) == 200
         assert all(ev.snapshot is source.emitted[12] for ev in trace.events[12:])
 
+    @pytest.mark.parametrize(
+        "cycle, period",
+        [([GAP, (0, 1, 1, 0)], 2), ([GAP, (0, 1, 0, 1), (0, 0, 1, 1)], 3)],
+        ids=["period-2", "period-3"],
+    )
+    def test_copies_reuse_the_events_of_the_cycle(self, cycle, period):
+        # The source emits a new snapshot object every round, so a copy that
+        # shares its twin's snapshot took it from the event, not the ring.
+        source = RecordingSource(ring_of(4, [FULL], cycle))
+        trace, stop = run(source, STRANDED, horizon=60)
+        assert stop.reason == "cycle" and stop.period == period
+        stepped = stop.start + period
+        assert len(source.asked) == stepped
+        assert all(type(ev) is TraceEvent for ev in trace.events)
+        assert [ev.round for ev in trace.events] == list(range(60))
+        for ev in trace.events[stepped:]:
+            twin = trace.events[ev.round - period]
+            assert ev.robots is twin.robots and ev.snapshot is twin.snapshot
+        check_against_reference(ring_of(4, [FULL], cycle), STRANDED, 60)
+
     def test_permanent_gap_funnels_everyone(self):
         # e0 vanishes permanently after round 0. Rightbound robots pile up
         # against the gap at node 0 and gather there.
@@ -690,6 +710,8 @@ class TestTraceSerialization:
             for ev, again in zip(trace.events, loaded.events)
             for a, b in zip(ev.robots.values(), again.robots.values())
         )
+        # Equal snapshots decode to one object too: the ring's two snapshots.
+        assert len({id(ev.snapshot) for ev in loaded.events}) == 2
 
     @pytest.mark.parametrize("order", [("robots", "snapshot", "round"),
                                        ("round", "robots", "snapshot")])
@@ -706,3 +728,66 @@ class TestTraceSerialization:
         header = trace_to_jsonl(trace).splitlines()[0]
         assert '"n":4' in header
         assert '"seed":3' in header
+
+    @pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_text_without_a_header_is_rejected(self, text):
+        with pytest.raises(ValueError, match="needs a header line"):
+            trace_from_jsonl(text)
+
+    @pytest.mark.parametrize("key", ["n", "R", "ids", "class", "seed", "horizon"])
+    def test_header_without_a_key_is_rejected(self, key):
+        trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
+        header, *lines = trace_to_jsonl(trace).splitlines()
+        doc = json.loads(header)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"header lacks the keys {key}$"):
+            trace_from_jsonl("\n".join([dump(doc)] + lines))
+
+    def test_event_line_without_robots_is_rejected(self):
+        trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
+        header, *lines = trace_to_jsonl(trace).splitlines()
+        doc = json.loads(lines[1])
+        del doc["robots"]
+        lines[1] = dump(doc)
+        with pytest.raises(ValueError, match="line 3 lacks the key robots$"):
+            trace_from_jsonl("\n".join([header] + lines))
+
+
+SNAPSHOTS = st.tuples(*[st.integers(0, 1)] * 4)
+RECORDS = st.builds(
+    RobotRecord,
+    position=st.integers(0, 3),
+    state=st.sampled_from(("righter", "dumbSearcher", "minWaitingWalker")),
+    dir=st.sampled_from(("right", "left", "bot")),
+    rule=st.sampled_from(("M8", "M11", "Term1", "terminated")),
+    moved=st.booleans(),
+)
+
+
+@st.composite
+def shared_traces(draw):
+    """Blocks of events that share one robots dict, drawn from a small pool so
+    that a dict recurs after another one. Inside a block each event's
+    snapshot is a pooled object, which other events and blocks share, or an
+    equal but distinct tuple; pooled snapshots may differ in their bits."""
+    snapshots = draw(st.lists(SNAPSHOTS, min_size=1, max_size=3))
+    dicts = draw(st.lists(st.fixed_dictionaries({rid: RECORDS for rid in (1, 2, 3, 4)}),
+                          min_size=1, max_size=3))
+    events = []
+    for _ in range(draw(st.integers(1, 6))):
+        robots = draw(st.sampled_from(dicts))
+        for _ in range(draw(st.integers(1, 5))):
+            snap = draw(st.sampled_from(snapshots))
+            if draw(st.booleans()):
+                snap = tuple(list(snap))
+            events.append(TraceEvent(len(events), robots, snap))
+    return Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim=None, seed=None,
+                 horizon=len(events), events=tuple(events))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_traces())
+def test_encoder_tail_cache_equals_the_reference(trace):
+    text = trace_to_jsonl(trace)
+    assert text == reference_jsonl(trace)
+    assert trace_from_jsonl(text) == trace
