@@ -95,13 +95,12 @@ def _termination_info(trace: Trace) -> tuple[dict[int, int], dict[int, int]]:
 
 def check_safety(trace: Trace) -> bool:
     """All robots that terminate do so on the same node."""
-    _, nodes = _termination_info(trace)
-    return len(set(nodes.values())) <= 1
+    return check_variant(trace, trace.horizon).safety_ok
 
 
 def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Verdict:
     rounds, nodes = _termination_info(trace)
-    safety = len(set(nodes.values())) <= 1  # check_safety, from the same scan
+    safety = len(set(nodes.values())) <= 1  # all terminated robots on one node
     done = sorted(rounds.values())
     variants: set[str] = set()
     if safety and len(done) >= trace.R - 1:

@@ -148,8 +148,11 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     ids = _parse_ids(args.ids)
     seed = _resolve_seed(args.seed)
     rng = random.Random(seed)
-    r1 = args.r1 if args.r1 is not None else sorted(ids)[-1]
-    r2 = args.r2 if args.r2 is not None else sorted(ids)[-2]
+    *_, second, top = sorted(ids)
+    # An unset target takes its default, the largest id for r1 and the second
+    # largest for r2, or the other of the two if the other target holds it.
+    r1 = args.r1 if args.r1 is not None else next(i for i in (top, second) if i != args.r2)
+    r2 = args.r2 if args.r2 is not None else next(i for i in (second, top) if i != r1)
     if r1 == r2 or r1 not in ids or r2 not in ids:
         raise CliError("--r1 and --r2 must be two distinct ids from --ids")
     placement = _placement_for(ids, n, args.placement, rng)

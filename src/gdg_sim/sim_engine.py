@@ -8,33 +8,27 @@ robots are always processed in id order and every decision is deterministic.
 
 Id order is an invariant, not a per-round sort: ``initial_configuration``
 keys every dict in increasing robot id and ``step`` keeps that order, so
-nothing sorts again. RobotRecords are immutable and shared: ``step`` and
-``trace_from_jsonl`` take equal records from one ``functools.cache``,
-bounded by the number of distinct records rather than by the horizon.
+nothing sorts again.
 
-A round that repeats the last one shares its robots dict: when every
-record a round produces equals the previous round's, ``step`` returns the
-previous round's ``robots`` dict itself, so ``ev.robots is prev.robots``
-holds for consecutive events exactly when their records are equal. ``run``,
-the only code that knows about repeats, reads this sharing and compares the
-vars by value to prove that a run cycles, and then copies the cycle's
-events instead of stepping them. Consumers of a trace (the checkers, the
-JSONL encoder) skip their per-robot work on a repeated event. A decoded
-trace shares records and snapshots, not robots dicts: ``trace_from_jsonl``
-builds each line's dict anew, and those consumers do the full work on every
-event.
-
-A copied event costs one small tuple, and its JSONL line one short
-string. A TraceEvent is a NamedTuple, and ``run`` builds a copied event in
-C from its twin's robots dict and snapshot object. ``trace_to_jsonl``
-writes each line as its round head plus a tail that it caches per snapshot
-object while the robots dict stays the same, and keys snapshot and record
-text by object identity.
-
-The Look phase reads a per-node grouping: each configuration's ``towers``
-maps every occupied node to the vars of the robots on it, built once per
-configuration, so ``build_view`` finds a robot's mates in its own tower
-instead of scanning every position.
+A trace shares equal parts as one object. Three places create the sharing:
+- ``_record`` gives equal records as one object, to ``step`` and
+  ``trace_from_jsonl``, from a cache bounded by the number of distinct
+  records rather than by the horizon.
+- ``step`` returns the previous round's ``robots`` dict itself when every
+  record it produces equals that round's, so ``ev.robots is prev.robots``
+  holds for consecutive events exactly when their records are equal.
+- ``run``'s copies after a proven cycle take the cycle's one ``robots`` dict
+  and the snapshot objects of its rounds.
+Four places read it, and skip work on an event that repeats the last:
+- ``run`` keeps its repeat key only while rounds hand on the ``robots``
+  dict, and compares the vars by value to prove that a run cycles.
+- ``_termination_info`` skips the event, as it fires no rule anew.
+- ``monitor_invariants`` copies the violations of the event before.
+- ``trace_to_jsonl`` reuses the line tail it built for the same ``robots``
+  dict and snapshot object, and keys record and snapshot text by identity.
+A decoded trace shares records and snapshots, not robots dicts:
+``trace_from_jsonl`` builds each line's dict anew, so its readers do the
+full work on every event.
 """
 
 from __future__ import annotations
@@ -42,6 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -264,19 +259,13 @@ def run(
         start = seen.get(key)
         if start is not None:
             stop = Stop("cycle", start, t - start)
-            # Round r repeats round r - period: every copy shares that round's
-            # robots dict and snapshot object. map, zip and itertools.cycle
-            # build the copies in C, each by one tuple.__new__ call.
-            cycle = events[start:]
-            events += map(
-                tuple.__new__,
-                itertools.repeat(TraceEvent),
-                zip(
-                    range(t, horizon),
-                    itertools.cycle([ev.robots for ev in cycle]),
-                    itertools.cycle([ev.snapshot for ev in cycle]),
-                ),
-            )
+            # Every round of the cycle handed on config.robots, so every copy
+            # shares it, and round r shares round r - period's snapshot object.
+            # map, zip and itertools build the copies in C, each by one
+            # tuple.__new__ call.
+            snapshots = itertools.cycle([ev.snapshot for ev in events[start:]])
+            copies = zip(range(t, horizon), itertools.repeat(config.robots), snapshots)
+            events += map(tuple.__new__, itertools.repeat(TraceEvent), copies)
             break
         last = config
         config = step(config, ring.next_snapshot(config), compute_fn)
@@ -304,6 +293,13 @@ def run(
 # JSON-lines trace format: one header object, then one object per round.
 # ---------------------------------------------------------------------------
 
+# The layout, as (JSON key, field) pairs: the header line's keys for a Trace,
+# and each robot's keys in an event line for a RobotRecord, in field order.
+_HEADER = (("n", "n"), ("R", "R"), ("ids", "ids"), ("class", "class_claim"),
+           ("seed", "seed"), ("horizon", "horizon"))
+_RECORD = (("pos", "position"), ("state", "state"), ("dir", "dir"), ("rule", "rule"),
+           ("moved", "moved"))
+
 
 def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
@@ -323,15 +319,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     the trace keeps every snapshot and record alive while it is encoded,
     so no id is reused. Equal records from step or trace_from_jsonl are one
     object; equal snapshots that are distinct objects are encoded apart."""
-    header = {
-        "n": trace.n,
-        "R": trace.R,
-        "ids": list(trace.ids),
-        "class": trace.class_claim,
-        "seed": trace.seed,
-        "horizon": trace.horizon,
-    }
-    out = [_dumps(header) + "\n"]
+    out = [_dumps({key: getattr(trace, field) for key, field in _HEADER}) + "\n"]
     append = out.append
     snapshots: dict[int, str] = {}  # id(snapshot) -> its text
     # '"rid":', the key of a robot's entry, by robot id.
@@ -350,15 +338,7 @@ def trace_to_jsonl(trace: Trace) -> str:
                     key = keys[rid] = _dumps(str(rid)) + ":"
                 body = bodies.get(id(rec))
                 if body is None:
-                    body = bodies[id(rec)] = _dumps(
-                        {
-                            "pos": rec.position,
-                            "state": rec.state,
-                            "dir": rec.dir,
-                            "rule": rec.rule,
-                            "moved": rec.moved,
-                        }
-                    )
+                    body = bodies[id(rec)] = _dumps({k: getattr(rec, f) for k, f in _RECORD})
                 parts.append(key + body)
             robots_text = ",".join(parts)
         tail = tails.get(id(snap))
@@ -372,44 +352,37 @@ def trace_to_jsonl(trace: Trace) -> str:
     return "".join(out)
 
 
-_HEADER_KEYS = ("n", "R", "ids", "class", "seed", "horizon")
-
-
 def trace_from_jsonl(text: str) -> Trace:
     """Decode a trace. Equal records and equal snapshots are shared objects.
     Text without a header line, a header that is not an object or lacks one
-    of its six keys, and an event line that lacks a key raise a ValueError
-    naming what is missing."""
+    of its six keys, and an event line that lacks a key or is malformed
+    raise a ValueError naming what is wrong."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("a trace needs a header line")
     header = json.loads(lines[0])
     if not isinstance(header, dict):
         raise ValueError("a trace header must be a JSON object")
-    missing = [key for key in _HEADER_KEYS if key not in header]
+    missing = [key for key, _ in _HEADER if key not in header]
     if missing:
         raise ValueError(f"the trace header lacks the keys {', '.join(missing)}")
+    fields = {field: header[key] for key, field in _HEADER}
+    fields["ids"] = tuple(fields["ids"])
+    record_fields = operator.itemgetter(*(key for key, _ in _RECORD))
     events = []
     # Equal snapshots become one object, as equal records do, so that
     # trace_to_jsonl, which keys snapshot text by identity, encodes each once.
     snapshots: dict[Snapshot, Snapshot] = {}
     for number, ln in enumerate(lines[1:], 2):
-        doc = json.loads(ln)
         try:
-            robots = {
-                int(rid): _record(rec["pos"], rec["state"], rec["dir"], rec["rule"], rec["moved"])
-                for rid, rec in doc["robots"].items()
-            }
+            doc = json.loads(ln)
+            robots = {int(rid): _record(*record_fields(rec)) for rid, rec in doc["robots"].items()}
             snap = tuple(doc["snapshot"])
             events.append(TraceEvent(doc["round"], robots, snapshots.setdefault(snap, snap)))
         except KeyError as key:
             raise ValueError(f"trace line {number} lacks the key {key.args[0]}") from None
-    return Trace(
-        n=header["n"],
-        R=header["R"],
-        ids=tuple(header["ids"]),
-        class_claim=header["class"],
-        seed=header["seed"],
-        horizon=header["horizon"],
-        events=tuple(events),
-    )
+        except (AttributeError, TypeError, ValueError) as exc:
+            # Not JSON, not an object (the line, its robots or a record), a
+            # robot key that is not an int, or a snapshot that is not a list.
+            raise ValueError(f"trace line {number} is malformed: {exc}") from None
+    return Trace(**fields, events=tuple(events))

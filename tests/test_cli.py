@@ -334,6 +334,23 @@ def test_adversary_bad_targets_are_usage_errors(capsys, targets):
     assert "--r1 and --r2 must be two distinct ids" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target", [["--r1", "3"], ["--r2", "4"]], ids=["r1-3", "r2-4"])
+def test_adversary_unset_target_takes_the_other_default(capsys, monkeypatch, target):
+    # r1 defaults to the largest id and r2 to the second largest. A set target
+    # holding the other's default leaves that one the other of the two ids.
+    seen = []
+    real = adversary.adaptive_ac_adversary
+
+    def spy(n, R, placement, r1, r2, horizon):
+        seen.append((r1, r2))
+        return real(n, R, placement, r1, r2, horizon)
+
+    monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
+    code = main(["adversary", "--n", "6", "--ids", "1,2,3,4", "--horizon", "5", *target])
+    assert code == 0
+    assert seen == [(3, 4)]
+
+
 def test_adversary_explicit_placement_with_colocated_targets_is_usage_error(
     tmp_path, capsys
 ):

@@ -11,6 +11,8 @@ from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
 from gdg_sim.ring_model import (
     AC,
     BRE,
+    COT,
+    RE,
     ST,
     DynClass,
     EvolvingRing,
@@ -752,6 +754,25 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match="line 3 lacks the key robots$"):
             trace_from_jsonl("\n".join([header] + lines))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda doc: [1],
+            lambda doc: {**doc, "robots": {**doc["robots"], "2": 5}},
+            lambda doc: {**doc, "snapshot": 5},
+            lambda doc: {**doc, "robots": [1]},
+            lambda doc: {**doc, "robots": {"x": doc["robots"]["1"]}},
+        ],
+        ids=["line-not-an-object", "record-not-an-object", "snapshot-not-a-list",
+             "robots-not-an-object", "robot-key-not-an-int"],
+    )
+    def test_malformed_event_line_is_rejected(self, change):
+        trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
+        header, *lines = trace_to_jsonl(trace).splitlines()
+        lines[1] = dump(change(json.loads(lines[1])))
+        with pytest.raises(ValueError, match="line 3"):
+            trace_from_jsonl("\n".join([header] + lines))
+
 
 SNAPSHOTS = st.tuples(*[st.integers(0, 1)] * 4)
 RECORDS = st.builds(
@@ -769,9 +790,11 @@ def shared_traces(draw):
     """Blocks of events that share one robots dict, drawn from a small pool so
     that a dict recurs after another one. Inside a block each event's
     snapshot is a pooled object, which other events and blocks share, or an
-    equal but distinct tuple; pooled snapshots may differ in their bits."""
+    equal but distinct tuple; pooled snapshots may differ in their bits.
+    The header draws every field of its own: ids, class, seed and horizon."""
+    ids = tuple(sorted(draw(st.sets(st.integers(1, 10**6), min_size=4, max_size=6))))
     snapshots = draw(st.lists(SNAPSHOTS, min_size=1, max_size=3))
-    dicts = draw(st.lists(st.fixed_dictionaries({rid: RECORDS for rid in (1, 2, 3, 4)}),
+    dicts = draw(st.lists(st.fixed_dictionaries({rid: RECORDS for rid in ids}),
                           min_size=1, max_size=3))
     events = []
     for _ in range(draw(st.integers(1, 6))):
@@ -781,8 +804,11 @@ def shared_traces(draw):
             if draw(st.booleans()):
                 snap = tuple(list(snap))
             events.append(TraceEvent(len(events), robots, snap))
-    return Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim=None, seed=None,
-                 horizon=len(events), events=tuple(events))
+    class_claim = draw(st.none() | st.sampled_from((ST, BRE, RE, AC, COT)))
+    seed = draw(st.none() | st.integers(-(2**63), 2**63))
+    horizon = len(events) + draw(st.integers(0, 10**6))
+    return Trace(n=4, R=len(ids), ids=ids, class_claim=class_claim, seed=seed,
+                 horizon=horizon, events=tuple(events))
 
 
 @settings(max_examples=200, deadline=None)
