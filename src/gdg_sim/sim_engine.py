@@ -40,7 +40,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .gdg_protocol import Direction, RobotVars, View, compute
+from .gdg_protocol import LEFT, RIGHT, RobotVars, View, compute
 from .ring_model import EvolvingRing, Snapshot
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
@@ -205,10 +205,10 @@ def step(
             # Move, with the edges indexed as in build_view; a step wraps
             # n - 1 -> 0 and 0 -> n - 1.
             if not vars.terminated:
-                if vars.dir is Direction.RIGHT:
+                if vars.dir is RIGHT:
                     if snap[node]:
                         target = node + 1 if node + 1 < n else 0
-                elif vars.dir is Direction.LEFT and snap[node - 1]:
+                elif vars.dir is LEFT and snap[node - 1]:
                     target = node - 1 if node else n - 1
         new_vars[rid] = vars
         # Enum's _value_ is the plain attribute behind its slower .value.
@@ -293,10 +293,22 @@ def run(
 # JSON-lines trace format: one header object, then one object per round.
 # ---------------------------------------------------------------------------
 
-# The layout, as (JSON key, field) pairs: the header line's keys for a Trace,
-# and each robot's keys in an event line for a RobotRecord, in field order.
-_HEADER = (("n", "n"), ("R", "R"), ("ids", "ids"), ("class", "class_claim"),
-           ("seed", "seed"), ("horizon", "horizon"))
+
+def _int(value: object) -> bool:
+    return type(value) is int  # not a bool, which JSON's true and false decode to
+
+
+# The layout: the header line's keys for a Trace, as (JSON key, field, test of
+# the decoded value) triples, and each robot's keys in an event line for a
+# RobotRecord, as (JSON key, field) pairs, both in field order.
+_HEADER = (
+    ("n", "n", _int),
+    ("R", "R", _int),
+    ("ids", "ids", lambda value: type(value) is list and all(map(_int, value))),
+    ("class", "class_claim", lambda value: value is None or type(value) is str),
+    ("seed", "seed", lambda value: value is None or _int(value)),
+    ("horizon", "horizon", _int),
+)
 _RECORD = (("pos", "position"), ("state", "state"), ("dir", "dir"), ("rule", "rule"),
            ("moved", "moved"))
 
@@ -319,7 +331,7 @@ def trace_to_jsonl(trace: Trace) -> str:
     the trace keeps every snapshot and record alive while it is encoded,
     so no id is reused. Equal records from step or trace_from_jsonl are one
     object; equal snapshots that are distinct objects are encoded apart."""
-    out = [_dumps({key: getattr(trace, field) for key, field in _HEADER}) + "\n"]
+    out = [_dumps({key: getattr(trace, field) for key, field, _ in _HEADER}) + "\n"]
     append = out.append
     snapshots: dict[int, str] = {}  # id(snapshot) -> its text
     # '"rid":', the key of a robot's entry, by robot id.
@@ -354,20 +366,26 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 def trace_from_jsonl(text: str) -> Trace:
     """Decode a trace. Equal records and equal snapshots are shared objects.
-    Text without a header line, a header that is not an object or lacks one
-    of its six keys, and an event line that lacks a key or is malformed
-    raise a ValueError naming what is wrong."""
+    Text without a header line, a header that is not an object, lacks one of
+    its six keys or holds a value of the wrong type, and an event line that
+    lacks a key or is malformed raise a ValueError naming what is wrong. n, R,
+    horizon, each id, a round and each snapshot bit must be ints, not bools;
+    a snapshot holds n bits, each 0 or 1."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("a trace needs a header line")
     header = json.loads(lines[0])
     if not isinstance(header, dict):
         raise ValueError("a trace header must be a JSON object")
-    missing = [key for key, _ in _HEADER if key not in header]
+    missing = [key for key, _, _ in _HEADER if key not in header]
     if missing:
         raise ValueError(f"the trace header lacks the keys {', '.join(missing)}")
-    fields = {field: header[key] for key, field in _HEADER}
+    wrong = [key for key, _, valid in _HEADER if not valid(header[key])]
+    if wrong:
+        raise ValueError(f"the trace header has a wrong value for {', '.join(wrong)}")
+    fields = {field: header[key] for key, field, _ in _HEADER}
     fields["ids"] = tuple(fields["ids"])
+    n = fields["n"]
     record_fields = operator.itemgetter(*(key for key, _ in _RECORD))
     events = []
     # Equal snapshots become one object, as equal records do, so that
@@ -377,12 +395,20 @@ def trace_from_jsonl(text: str) -> Trace:
         try:
             doc = json.loads(ln)
             robots = {int(rid): _record(*record_fields(rec)) for rid, rec in doc["robots"].items()}
-            snap = tuple(doc["snapshot"])
-            events.append(TraceEvent(doc["round"], robots, snapshots.setdefault(snap, snap)))
+            t, snap = doc["round"], doc["snapshot"]
+            if not _int(t):
+                raise ValueError(f"the round {t!r} is not an int")
+            # Both tests run in C; equal values alone would let true and 1.0 in.
+            if not (type(snap) is list and len(snap) == n and {0, 1}.issuperset(snap)
+                    and {int}.issuperset(map(type, snap))):
+                raise ValueError(f"the snapshot {snap!r} is not a list of {n} bits 0 or 1")
+            snap = tuple(snap)
+            events.append(TraceEvent(t, robots, snapshots.setdefault(snap, snap)))
         except KeyError as key:
             raise ValueError(f"trace line {number} lacks the key {key.args[0]}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             # Not JSON, not an object (the line, its robots or a record), a
-            # robot key that is not an int, or a snapshot that is not a list.
+            # robot key that is not an int, a round that is not an int, or a
+            # snapshot that is not a list of n bits.
             raise ValueError(f"trace line {number} is malformed: {exc}") from None
     return Trace(**fields, events=tuple(events))

@@ -1,3 +1,6 @@
+import ast
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -842,3 +845,52 @@ def test_tower_rule_needs_its_whole_tower(rule, drop):
     smaller = view._replace(mates=mates)
     assert first_enabled_rule(smaller) != rule
     assert first_enabled_rule(smaller) == reference_first_enabled_rule(smaller)
+
+
+ENUMS = ("Direction", "RobotState")
+
+
+def _enum_reads_in_bodies(tree):
+    """The lines of the `Direction.X` and `RobotState.X` reads (also through
+    a module, `gdg_protocol.Direction.X`) inside a function or lambda body.
+    Defaults, decorators and module-level code run once, so they are left out."""
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for stmt in node.body if isinstance(node.body, list) else [node.body]:
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Attribute):
+                        owner = sub.value
+                        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
+                        if name in ENUMS:
+                            lines.add(sub.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "source, found",
+    [
+        ("def f(v):\n    return v.dir is Direction.RIGHT\n", [2]),
+        ("f = lambda v: v.state is gdg_protocol.RobotState.RIGHTER\n", [1]),
+        ("RIGHT = Direction.RIGHT\ndef f(v, d=Direction.LEFT):\n    return v.dir is RIGHT\n", []),
+    ],
+    ids=["function", "lambda", "module-level-and-default"],
+)
+def test_enum_read_scan_finds_reads_in_bodies_only(source, found):
+    assert _enum_reads_in_bodies(ast.parse(source)) == found
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(pathlib.Path(gdg_protocol.__file__).parent.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_no_function_reads_an_enum_member_as_a_class_attribute(path):
+    # On Python 3.10 and 3.11 such a read costs a slow metaclass hook on every
+    # call; hot code reads the members through gdg_protocol's module names.
+    assert _enum_reads_in_bodies(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("member", [*RobotState, *Direction], ids=lambda member: member.name)
+def test_module_name_is_the_member(member):
+    assert getattr(gdg_protocol, member.name) is member

@@ -745,6 +745,20 @@ class TestTraceSerialization:
         with pytest.raises(ValueError, match=f"header lacks the keys {key}$"):
             trace_from_jsonl("\n".join([dump(doc)] + lines))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("n", "x"), ("R", True), ("horizon", None), ("ids", 5), ("ids", [1, 2, "3", 4]),
+         ("class", 5), ("seed", "x"), ("seed", 1.5)],
+        ids=["n-a-string", "R-a-bool", "horizon-null", "ids-an-int", "id-a-string",
+             "class-an-int", "seed-a-string", "seed-a-float"],
+    )
+    def test_header_with_a_wrong_value_is_rejected(self, key, value):
+        trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
+        header, *lines = trace_to_jsonl(trace).splitlines()
+        doc = {**json.loads(header), key: value}
+        with pytest.raises(ValueError, match=f"header has a wrong value for {key}$"):
+            trace_from_jsonl("\n".join([dump(doc)] + lines))
+
     def test_event_line_without_robots_is_rejected(self):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
         header, *lines = trace_to_jsonl(trace).splitlines()
@@ -762,9 +776,19 @@ class TestTraceSerialization:
             lambda doc: {**doc, "snapshot": 5},
             lambda doc: {**doc, "robots": [1]},
             lambda doc: {**doc, "robots": {"x": doc["robots"]["1"]}},
+            lambda doc: {**doc, "round": "x"},
+            lambda doc: {**doc, "round": True},
+            lambda doc: {**doc, "snapshot": "0101"},
+            lambda doc: {**doc, "snapshot": [2, 0, 0, 0]},
+            lambda doc: {**doc, "snapshot": [1, 1, 1]},
+            lambda doc: {**doc, "snapshot": [1, 1, 1, 1, 1]},
+            lambda doc: {**doc, "snapshot": [True, 1, 1, 1]},
+            lambda doc: {**doc, "snapshot": [1.0, 1, 1, 1]},
         ],
         ids=["line-not-an-object", "record-not-an-object", "snapshot-not-a-list",
-             "robots-not-an-object", "robot-key-not-an-int"],
+             "robots-not-an-object", "robot-key-not-an-int", "round-a-string",
+             "round-a-bool", "snapshot-a-string", "snapshot-bit-2", "snapshot-too-short",
+             "snapshot-too-long", "snapshot-bit-a-bool", "snapshot-bit-a-float"],
     )
     def test_malformed_event_line_is_rejected(self, change):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
