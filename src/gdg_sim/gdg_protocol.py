@@ -43,7 +43,7 @@ a present edge, skips even `_replace`: it builds its RobotVars in one
 `test_m8_builds_the_replaced_vars` pins. An action that changes nothing
 returns its input. RobotVars checks none of its fields: a robot's id enters
 a run once, with the placement, and `sim_engine.initial_configuration`
-rejects one that is not strictly positive.
+rejects one that is not exactly an int, or not strictly positive.
 
 Code that runs per compute or per move reads each `RobotState` and
 `Direction` member through its module name (`RIGHTER`, `RIGHT`, ...),

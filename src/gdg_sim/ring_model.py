@@ -10,6 +10,7 @@ repeating cycle, which makes recurrence and window properties decidable.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
@@ -57,6 +58,10 @@ class Schedule:
 
 @dataclass(frozen=True, slots=True)
 class EvolvingRing:
+    """A ring of n >= 4 nodes and its schedule. Every snapshot holds n bits,
+    each exactly the int 0 or 1: True, False, 1.0 and 0.0 equal a bit but
+    are refused, as a trace would write them as true, false, 1.0 and 0.0."""
+
     n: int
     schedule: Schedule
 
@@ -67,8 +72,10 @@ class EvolvingRing:
         for snap in snaps:
             if len(snap) != self.n:
                 raise ValueError("snapshot length must equal ring size")
-        if not set().union(*snaps) <= {0, 1}:
-            raise ValueError("schedule bits must be 0 or 1")
+        # Types first, so the union sees only hashable ints; both tests run in C.
+        if not ({int}.issuperset(map(type, itertools.chain.from_iterable(snaps)))
+                and set().union(*snaps) <= {0, 1}):
+            raise ValueError("schedule bits must be the ints 0 or 1")
 
     def phase(self, t: int) -> int:
         """Round t's place in prefix + cycle; rounds of one phase get one snapshot."""
@@ -179,9 +186,6 @@ def ring_to_json(ring: EvolvingRing) -> str:
 def _snapshots_from_json(rows: object) -> tuple[Snapshot, ...]:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise ValueError("prefix and cycle must be lists of snapshots")
-    # Only exact ints: True and 0.0 would pass EvolvingRing's test as 1 and 0.
-    if any(type(b) is not int for row in rows for b in row):
-        raise ValueError("schedule bits must be 0 or 1")
     return tuple(tuple(row) for row in rows)
 
 

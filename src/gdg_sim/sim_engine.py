@@ -42,6 +42,7 @@ import itertools
 import json
 import operator
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, NamedTuple, Optional
 
 from .gdg_protocol import LEFT, RIGHT, Direction, RobotState, RobotVars, View, compute
@@ -150,6 +151,11 @@ def _towers(
 
 
 def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
+    """Round 0 of a run on the n-ring. placement maps each robot id, an int
+    >= 1, to its node, an int in range(n). Both must be exactly ints: a bool
+    or a float equal to one would enter the trace as true or 1.0."""
+    if not {int}.issuperset(map(type, itertools.chain(placement, placement.values()))):
+        raise ValueError("robot ids and placement nodes must be ints, not bools or floats")
     if any(not 0 <= node < n for node in placement.values()):
         raise ValueError("placement node out of range")
     if any(rid <= 0 for rid in placement):  # UNSET is -1, so an id is >= 1
@@ -316,57 +322,35 @@ def _int(value: object) -> bool:
 
 
 # The layout: the header line's keys for a Trace, as (JSON key, field, test of
-# the decoded value) triples, and each robot's keys in an event line for a
-# RobotRecord, as (JSON key, field) pairs, both in field order.
+# the decoded value) triples, and each robot's keys in an event line, in
+# RobotRecord's field order, as _record_text writes them.
 _HEADER = (
     ("n", "n", _int),
     ("R", "R", _int),
-    ("ids", "ids", lambda value: type(value) is list and all(map(_int, value))),
+    ("ids", "ids", lambda value: type(value) is list and all(map(_int, value))
+     and len(set(value)) == len(value)),
     ("class", "class_claim", lambda value: value is None or type(value) is str),
     ("seed", "seed", lambda value: value is None or _int(value)),
     ("horizon", "horizon", _int),
 )
-_RECORD = (("pos", "position"), ("state", "state"), ("dir", "dir"), ("rule", "rule"),
-           ("moved", "moved"))
+_RECORD = ("pos", "state", "dir", "rule", "moved")
 # The values a record's state and dir may take.
 _STATES = frozenset(state._value_ for state in RobotState)
 _DIRECTIONS = frozenset(direction._value_ for direction in Direction)
 
 
-def _dumps(obj: object) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _plain(text: object) -> bool:
-    """Whether JSON writes text as itself between quotes: a str of ASCII
-    letters and digits, which holds nothing to escape."""
-    return type(text) is str and text.isascii() and text.isalnum()
-
-
 def _record_text(rec: RobotRecord) -> str:
-    """_dumps of a record's object, keyed as in _RECORD, by one format when
-    the format gives the same bytes: an int position that is not a bool, a
-    bool moved, and plain strings."""
-    pos, state, dir, rule, moved = rec.position, rec.state, rec.dir, rec.rule, rec.moved
-    if type(pos) is int and type(moved) is bool and _plain(state) and _plain(dir) and _plain(rule):
-        moved_text = "true" if moved else "false"
-        return (f'{{"pos":{pos},"state":"{state}","dir":"{dir}","rule":"{rule}",'
-                f'"moved":{moved_text}}}')
-    return _dumps({key: getattr(rec, field) for key, field in _RECORD})
-
-
-def _snapshot_text(snap: Snapshot) -> str:
-    """_dumps of a snapshot's list: for bits that are all exactly ints, the
-    list's str without its spaces. json writes a True bit as true."""
-    if {int}.issuperset(map(type, snap)):
-        return str(list(snap)).replace(" ", "")
-    return _dumps(list(snap))
+    """The text json.dumps gives a record's object, keyed as in _RECORD."""
+    moved = "true" if rec.moved else "false"
+    return (f'{{"pos":{rec.position},"state":{_string(rec.state)},"dir":{_string(rec.dir)},'
+            f'"rule":{_string(rec.rule)},"moved":{moved}}}')
 
 
 def trace_to_jsonl(trace: Trace) -> str:
-    """Encode a trace. Each line equals _dumps of the same dicts plus a
-    newline, but is built as its round head '{"round":t' and a cached tail
-    ',"snapshot":[...],"robots":{...}}' and all lines are joined once.
+    """Encode a trace. Each line equals json.dumps of the same dicts, with
+    separators (",", ":"), plus a newline, but is built as its round head
+    '{"round":t' and a cached tail ',"snapshot":[...],"robots":{...}}' and
+    all lines are joined once.
 
     The tail is built once per snapshot object in each stretch of events
     that share one robots dict, and the cache starts again when the dict
@@ -378,19 +362,17 @@ def trace_to_jsonl(trace: Trace) -> str:
     so no id is reused. Equal records from step or trace_from_jsonl are one
     object; equal snapshots that are distinct objects are encoded apart.
 
-    Only the header goes through json.dumps. Given separators, json.dumps
-    builds a new JSONEncoder on every call: on a shared 2-core Xeon host
-    with Python 3.11.7 a call took 4.4 us for a record, 1.3 us for a
-    robot's key and 3.4 us for an 8-bit snapshot, where a format took 0.9,
-    0.1 and 1.4 us. So the text of a record, a key and a snapshot is one
-    format each, which gives json's bytes for every value that step, run
-    and trace_from_jsonl produce. A value whose text a format would not
-    reproduce byte for byte falls back to _dumps: a position that is not
-    exactly an int (a bool, say), a moved that is not a bool, a string
-    holding anything but ASCII letters and digits, and a robot id or a
-    snapshot bit that is not exactly an int (EvolvingRing accepts True
-    bits, which json writes as true)."""
-    out = [_dumps({key: getattr(trace, field) for key, field, _ in _HEADER}) + "\n"]
+    Each value has one path, as it is exact where it enters a run:
+    initial_configuration takes only int ids and nodes, EvolvingRing only
+    the int bits 0 and 1, and step writes int positions and bool moved
+    flags. So an id, a position and a bit are written as their str, and a
+    string (state, dir, rule) through json's own escaper. json.dumps is
+    called once per trace, for the header: given separators it builds a new
+    JSONEncoder on every call, which on a shared 2-core Xeon host with
+    Python 3.11.7 took 4.4 us for a record, 1.3 us for a robot's key and
+    3.4 us for an 8-bit snapshot, where a format took 0.9, 0.1 and 1.4 us."""
+    header = {key: getattr(trace, field) for key, field, _ in _HEADER}
+    out = [json.dumps(header, separators=(",", ":")) + "\n"]
     append = out.append
     snapshots: dict[int, str] = {}  # id(snapshot) -> its text
     # '"rid":', the key of a robot's entry, by robot id.
@@ -406,7 +388,7 @@ def trace_to_jsonl(trace: Trace) -> str:
             for rid, rec in robots.items():
                 key = keys.get(rid)
                 if key is None:
-                    key = keys[rid] = f'"{rid}":' if type(rid) is int else _dumps(str(rid)) + ":"
+                    key = keys[rid] = f'"{rid}":'
                 body = bodies.get(id(rec))
                 if body is None:
                     body = bodies[id(rec)] = _record_text(rec)
@@ -416,7 +398,7 @@ def trace_to_jsonl(trace: Trace) -> str:
         if tail is None:
             text = snapshots.get(id(snap))
             if text is None:
-                text = snapshots[id(snap)] = _snapshot_text(snap)
+                text = snapshots[id(snap)] = str(list(snap)).replace(" ", "")
             tail = tails[id(snap)] = ',"snapshot":%s,"robots":{%s}}\n' % (text, robots_text)
         append(f'{{"round":{t}')  # an f-string formats an int faster than %d
         append(tail)
@@ -429,7 +411,9 @@ def trace_from_jsonl(text: str) -> Trace:
     its six keys or holds a value of the wrong type, and an event line that
     lacks a key or is malformed raise a ValueError naming what is wrong. n, R,
     horizon, each id, a round and each snapshot bit must be ints, not bools;
-    a snapshot holds n bits, each 0 or 1. A record's pos is an int in
+    the ids are distinct and R counts them; a snapshot holds n bits, each 0
+    or 1. An event's robot keys are the header's ids, each written as
+    str(id), in any order. A record's pos is an int in
     range(n), not a bool; its state is a RobotState value and its dir a
     Direction value; its rule is any string, since compute_fn may label its
     rules as it likes; and its moved is a bool."""
@@ -443,12 +427,15 @@ def trace_from_jsonl(text: str) -> Trace:
     if missing:
         raise ValueError(f"the trace header lacks the keys {', '.join(missing)}")
     wrong = [key for key, _, valid in _HEADER if not valid(header[key])]
+    if not wrong and header["R"] != len(header["ids"]):
+        wrong.append("R")
     if wrong:
         raise ValueError(f"the trace header has a wrong value for {', '.join(wrong)}")
     fields = {field: header[key] for key, field, _ in _HEADER}
-    fields["ids"] = tuple(fields["ids"])
+    ids = fields["ids"] = tuple(fields["ids"])
     n = fields["n"]
-    record_fields = operator.itemgetter(*(key for key, _ in _RECORD))
+    names = {str(rid): rid for rid in ids}  # robot key -> id, as trace_to_jsonl writes it
+    record_fields = operator.itemgetter(*_RECORD)
     events = []
     # Equal snapshots become one object, as equal records do, so that
     # trace_to_jsonl, which keys snapshot text by identity, encodes each once.
@@ -456,8 +443,10 @@ def trace_from_jsonl(text: str) -> Trace:
     for number, ln in enumerate(lines[1:], 2):
         try:
             doc = json.loads(ln)
-            robots = {}
-            for rid, rec in doc["robots"].items():
+            robots, entries = {}, doc["robots"]
+            if entries.keys() != names.keys():
+                raise ValueError(f"the robot keys {list(entries)} are not the ids {ids}")
+            for name, rec in entries.items():
                 pos, state, dir, rule, moved = values = record_fields(rec)
                 if not (type(pos) is int and 0 <= pos < n and state in _STATES
                         and dir in _DIRECTIONS and type(rule) is str and type(moved) is bool):
@@ -465,7 +454,7 @@ def trace_from_jsonl(text: str) -> Trace:
                         f"the record {rec!r} needs a node of the {n}-ring, a robot state, "
                         "a direction, a rule string and a bool moved"
                     )
-                robots[int(rid)] = _record(*values)
+                robots[names[name]] = _record(*values)
             t, snap = doc["round"], doc["snapshot"]
             if not _int(t):
                 raise ValueError(f"the round {t!r} is not an int")
@@ -478,8 +467,8 @@ def trace_from_jsonl(text: str) -> Trace:
         except KeyError as key:
             raise ValueError(f"trace line {number} lacks the key {key.args[0]}") from None
         except (AttributeError, TypeError, ValueError) as exc:
-            # Not JSON, not an object (the line, its robots or a record), a
-            # robot key that is not an int, a record with a wrong value, a
+            # Not JSON, not an object (the line, its robots or a record), robot
+            # keys that are not the ids, a record with a wrong value, a
             # round that is not an int, or a snapshot that is not a list of n
             # bits.
             raise ValueError(f"trace line {number} is malformed: {exc}") from None

@@ -189,10 +189,17 @@ class TestScheduleBits:
         with pytest.raises(ValueError):
             ring_of(4, [[1, 1, 1, 1]], [[1, bit, 1, 1]])
 
-    @pytest.mark.parametrize("bit", [2, -1, 0.5, '"1"'])
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+    def test_ring_rejects_bits_that_are_not_exactly_ints(self, bit):
+        # Each equals a bit, but a trace would write it as true, false, 1.0
+        # or 0.0. A set of the bits hides it: {1, True} is {1}.
+        with pytest.raises(ValueError, match="0 or 1"):
+            ring_of(4, [], [[1, bit, 1, 1]])
+
+    @pytest.mark.parametrize("bit", [2, -1, 0.5, '"1"', "true", "1.0", "[1]", "{}"])
     def test_json_rejects_non_binary_bits(self, bit):
         text = f'{{"n": 4, "prefix": [[1, 1, {bit}, 1]], "cycle": [[1, 1, 1, 1]]}}'
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="0 or 1"):
             ring_from_json(text)
 
 
