@@ -31,7 +31,8 @@ CLASS_TAGS = (COT, RE, BRE, AC, ST)
 
 @dataclass(frozen=True, slots=True)
 class DynClass:
-    """One of the five dynamics classes; delta only applies to BRE."""
+    """One of the five dynamics classes; delta only applies to BRE, and is
+    exactly an int there: 2.5 and True are refused."""
 
     tag: str
     delta: Optional[int] = None
@@ -40,8 +41,8 @@ class DynClass:
         if self.tag not in CLASS_TAGS:
             raise ValueError(f"unknown dynamics class {self.tag!r}")
         if self.tag == BRE:
-            if self.delta is None or self.delta < 1:
-                raise ValueError("BRE requires delta >= 1")
+            if type(self.delta) is not int or self.delta < 1:
+                raise ValueError(f"BRE requires delta >= 1, an int, not {self.delta!r}")
         elif self.delta is not None:
             raise ValueError(f"delta is only meaningful for BRE, not {self.tag}")
 
@@ -58,14 +59,17 @@ class Schedule:
 
 @dataclass(frozen=True, slots=True)
 class EvolvingRing:
-    """A ring of n >= 4 nodes and its schedule. Every snapshot holds n bits,
-    each exactly the int 0 or 1: True, False, 1.0 and 0.0 equal a bit but
-    are refused, as a trace would write them as true, false, 1.0 and 0.0."""
+    """A ring of n >= 4 nodes and its schedule. n is exactly an int, and
+    every snapshot holds n bits, each exactly the int 0 or 1: True, False,
+    1.0 and 0.0 equal a bit but are refused, as a trace would write them as
+    true, false, 1.0 and 0.0."""
 
     n: int
     schedule: Schedule
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int:  # 4.0, "4" and True are refused
+            raise ValueError(f"ring size must be an int, not {self.n!r}")
         if self.n < 4:
             raise ValueError("ring size must be >= 4")
         snaps = self.schedule.prefix + self.schedule.cycle
@@ -193,8 +197,6 @@ def ring_from_json(text: str) -> EvolvingRing:
     doc = json.loads(text)
     if not isinstance(doc, dict) or set(doc) != {"n", "prefix", "cycle"}:
         raise ValueError('a schedule must be an object with the keys "n", "prefix" and "cycle"')
-    if type(doc["n"]) is not int:
-        raise ValueError("n must be an integer")
     prefix = _snapshots_from_json(doc["prefix"])
     cycle = _snapshots_from_json(doc["cycle"])
     return EvolvingRing(doc["n"], Schedule(prefix, cycle))

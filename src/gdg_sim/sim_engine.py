@@ -411,12 +411,14 @@ def trace_from_jsonl(text: str) -> Trace:
     its six keys or holds a value of the wrong type, and an event line that
     lacks a key or is malformed raise a ValueError naming what is wrong. n, R,
     horizon, each id, a round and each snapshot bit must be ints, not bools;
-    the ids are distinct and R counts them; a snapshot holds n bits, each 0
-    or 1. An event's robot keys are the header's ids, each written as
-    str(id), in any order. A record's pos is an int in
-    range(n), not a bool; its state is a RobotState value and its dir a
-    Direction value; its rule is any string, since compute_fn may label its
-    rules as it likes; and its moved is a bool."""
+    the ids are distinct and R counts them; the horizon is at least 1 and at
+    least the number of event lines, and event line i (from 0) holds round
+    i, as run writes them; a snapshot holds n bits, each 0 or 1. An event's
+    robot keys are the header's ids, each written as str(id), in any order.
+    A record's pos is an int in range(n), not a bool; its state is a
+    RobotState value and its dir a Direction value; its rule is any string,
+    since compute_fn may label its rules as it likes; and its moved is a
+    bool."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("a trace needs a header line")
@@ -429,6 +431,9 @@ def trace_from_jsonl(text: str) -> Trace:
     wrong = [key for key, _, valid in _HEADER if not valid(header[key])]
     if not wrong and header["R"] != len(header["ids"]):
         wrong.append("R")
+    # run writes at most horizon >= 1 events.
+    if not wrong and header["horizon"] < max(1, len(lines) - 1):
+        wrong.append("horizon")
     if wrong:
         raise ValueError(f"the trace header has a wrong value for {', '.join(wrong)}")
     fields = {field: header[key] for key, field, _ in _HEADER}
@@ -456,8 +461,8 @@ def trace_from_jsonl(text: str) -> Trace:
                     )
                 robots[names[name]] = _record(*values)
             t, snap = doc["round"], doc["snapshot"]
-            if not _int(t):
-                raise ValueError(f"the round {t!r} is not an int")
+            if not (_int(t) and t == len(events)):
+                raise ValueError(f"the round {t!r} is not the event's position {len(events)}")
             # Both tests run in C; equal values alone would let true and 1.0 in.
             if not (type(snap) is list and len(snap) == n and {0, 1}.issuperset(snap)
                     and {int}.issuperset(map(type, snap))):
@@ -469,7 +474,7 @@ def trace_from_jsonl(text: str) -> Trace:
         except (AttributeError, TypeError, ValueError) as exc:
             # Not JSON, not an object (the line, its robots or a record), robot
             # keys that are not the ids, a record with a wrong value, a
-            # round that is not an int, or a snapshot that is not a list of n
-            # bits.
+            # round that is not the event's position, or a snapshot that is
+            # not a list of n bits.
             raise ValueError(f"trace line {number} is malformed: {exc}") from None
     return Trace(**fields, events=tuple(events))

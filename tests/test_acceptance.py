@@ -1,14 +1,20 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-The corpus of seeded runs is built once and shared: the safety, variant,
-monitor, and replay criteria all inspect the same executions, and replays
-regenerate everything from the recorded seeds.
+The inputs are the benchmark's own: the corpus is the 252 runs of
+``build("corpus", 0)`` and the duels are ``DUELS``, both from
+perfbench/workloads.py, which is loaded by file path so that no other
+benchmark module becomes importable here. Each corpus input is judged
+through ``checkers.experiment`` with the input's ring, placement, class,
+seed and horizon. The corpus is built once and shared: the safety,
+variant, monitor, and replay criteria all inspect the same executions, and
+replays rebuild the rings from a second ``build`` call.
 """
 
 import hashlib
+import importlib.util
 import json
 import operator
-import random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,40 +23,22 @@ from typing import Optional
 import pytest
 
 from gdg_sim import sim_engine
-from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
-from gdg_sim.checkers import (
-    _termination_info,
-    check_safety,
-    default_horizon,
-    experiment,
-    monitor_invariants,
-)
-from gdg_sim.ring_model import (
-    AC,
-    BRE,
-    COT,
-    RE,
-    ST,
-    DynClass,
-    EvolvingRing,
-    remove_edge_interval,
-    verify_class,
-)
-from gdg_sim.sim_engine import (
-    RobotRecord,
-    Stop,
-    Trace,
-    TraceEvent,
-    run,
-    trace_to_jsonl,
-)
+from gdg_sim.adversary import adaptive_ac_adversary
+from gdg_sim.checkers import _termination_info, check_safety, experiment, monitor_invariants
+from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
+from gdg_sim.sim_engine import Stop, Trace, TraceEvent, run, trace_to_jsonl
 
 import test_oracle_trace as oracle
+from test_checkers import rec, trace_of
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+_spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules["workloads"] = workloads  # its dataclasses look their module up there
+_spec.loader.exec_module(workloads)
 
 # The benchmark's reference sha256 digests of concatenated JSONL traces.
-DIGESTS = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "digests.json").read_text()
-)
+DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
 
 
 @dataclass
@@ -58,7 +46,6 @@ class RunRec:
     dyn: DynClass
     n: int
     R: int
-    ids: tuple
     placement: dict
     seed: int
     horizon: int
@@ -72,69 +59,34 @@ class RunRec:
     jsonl: str
 
 
-def _build_ring(dyn: DynClass, n: int, seed: int) -> EvolvingRing:
-    ring = generate(GeneratorSpec(dyn, n, seed))
-    if dyn.tag == RE:
-        # Force an eventually-periodic shape: some edge absent throughout a
-        # nonempty prefix while staying recurrent in the cycle.
-        rng = random.Random(seed ^ 0x5EED)
-        e = rng.randrange(n)
-        ring = remove_edge_interval(ring, e, 0, rng.randint(2, 10))
-        assert verify_class(ring, DynClass(RE))
-    return ring
-
-
-def _make_run(dyn: DynClass, seed: int) -> RunRec:
-    rng = random.Random(seed)
-    n = rng.randint(4, 12)
-    R = rng.randint(4, 8)
-    ids = tuple(sorted(rng.sample(range(1, 33), R)))
-    placement = {rid: rng.randrange(n) for rid in ids}
-    ring = _build_ring(dyn, n, seed)
-    cap = 5000 if dyn.tag in (RE, COT) else 8000
-    horizon = min(default_horizon(ring, dyn, R, min(ids)), cap)
-    exp = experiment(ring, placement, dyn, seed, horizon)
-    return RunRec(
-        dyn=dyn,
-        n=n,
-        R=R,
-        ids=ids,
-        placement=placement,
-        seed=seed,
-        horizon=exp.trace.horizon,
-        bound=exp.bound,
-        ring=ring,
-        trace=exp.trace,
-        stop=exp.stop,
-        verdict=exp.verdict,
-        violations=exp.violations,
-        termination_rounds=_termination_info(exp.trace)[0],
-        jsonl=trace_to_jsonl(exp.trace),
-    )
-
-
 @pytest.fixture(scope="module")
 def corpus():
-    runs = {
-        ST: [_make_run(DynClass(ST), 1000 + s) for s in range(50)],
-        AC: [_make_run(DynClass(AC), 2000 + s) for s in range(50)],
-        RE: [_make_run(DynClass(RE), 3000 + s) for s in range(50)],
-        COT: [_make_run(DynClass(COT), 4000 + s) for s in range(50)],
-        BRE: [
-            _make_run(DynClass(BRE, delta), 5000 + 100 * delta + s)
-            for delta in (1, 2, 3, 5)
-            for s in range(13)
-        ],
-    }
+    # Inputs come in the benchmark's order (st, ac, re, cot, bre), which the
+    # corpus digest depends on.
+    runs = {}
+    for inp in workloads.build("corpus", 0):
+        exp = experiment(inp.ring, inp.placement, inp.dyn, inp.seed, inp.horizon)
+        runs.setdefault(inp.dyn.tag, []).append(RunRec(
+            dyn=inp.dyn,
+            n=inp.ring.n,
+            R=exp.trace.R,
+            placement=inp.placement,
+            seed=inp.seed,
+            horizon=exp.trace.horizon,
+            bound=exp.bound,
+            ring=inp.ring,
+            trace=exp.trace,
+            stop=exp.stop,
+            verdict=exp.verdict,
+            violations=exp.violations,
+            termination_rounds=_termination_info(exp.trace)[0],
+            jsonl=trace_to_jsonl(exp.trace),
+        ))
     return runs
 
 
 # The three 10,000-round duels: n, placement and the two targets.
-DUELS = [
-    (4, {1: 0, 2: 1, 3: 2, 4: 3}, 3, 4),
-    (6, {2: 0, 5: 2, 9: 4, 11: 1}, 9, 11),
-    (8, {1: 0, 3: 2, 7: 4, 12: 6, 20: 1}, 12, 20),
-]
+DUELS = workloads.DUELS
 # The cycle each duel is proven to repeat from its state after round start.
 DUEL_CYCLES = [Stop("cycle", 21, 1), Stop("cycle", 60, 1), Stop("cycle", 48, 1)]
 
@@ -263,43 +215,32 @@ def test_criterion_7_adversary(adversary_runs, capsys):
     )
 
 
-def _fault_trace(events):
-    return Trace(
-        n=4, R=4, ids=(1, 2, 3, 4), class_claim=None, seed=None,
-        horizon=len(events), events=tuple(events),
-    )
-
-
-def _rec(pos, state="righter", dir="right", rule="M8", moved=False):
-    return RobotRecord(position=pos, state=state, dir=dir, rule=rule, moved=moved)
-
-
 def test_criterion_8_monitors(corpus, capsys):
     dirty = [r.seed for r in _all_runs(corpus) if r.violations]
 
-    moved_waiting = _fault_trace([
+    moved_waiting = trace_of([
         TraceEvent(0, {
-            1: _rec(0, "minWaitingWalker", "bot", "M1"),
-            2: _rec(1, "waitingWalker", "bot", "K3", moved=True),
-            3: _rec(2), 4: _rec(3),
+            1: rec(0, "minWaitingWalker", "bot", "M1"),
+            2: rec(1, "waitingWalker", "bot", "K3", moved=True),
+            3: rec(2), 4: rec(3),
         }, (1, 1, 1, 1)),
     ])
-    wrong_min = _fault_trace([
+    wrong_min = trace_of([
         TraceEvent(0, {
-            1: _rec(0),
-            2: _rec(1, "minWaitingWalker", "bot", "M1"),
-            3: _rec(2), 4: _rec(3),
+            1: rec(0),
+            2: rec(1, "minWaitingWalker", "bot", "M1"),
+            3: rec(2), 4: rec(3),
         }, (1, 1, 1, 1)),
     ])
 
     def tower(t, formed):
         return TraceEvent(t, {
-            1: _rec(0, "minWaitingWalker", "bot", "K2"),
-            2: _rec(0, "waitingWalker" if formed else "awareSearcher", "bot", "K2"),
-            3: _rec(1), 4: _rec(2),
+            1: rec(0, "minWaitingWalker", "bot", "K2"),
+            2: rec(0, "waitingWalker" if formed else "awareSearcher", "bot", "K2"),
+            3: rec(1), 4: rec(2),
         }, (1, 1, 1, 1))
 
-    second_tower = _fault_trace([tower(0, True), tower(1, False), tower(2, True)])
+    second_tower = trace_of([tower(0, True), tower(1, False), tower(2, True)])
 
     flagged = [
         ("waiting-still", 0) in monitor_invariants(moved_waiting),
@@ -334,13 +275,12 @@ def test_criterion_9_oracle_trace(capsys):
 
 def test_criterion_10_replay_determinism(corpus, adversary_runs, capsys):
     drift = []
-    for rec in _all_runs(corpus):
-        ring = _build_ring(rec.dyn, rec.n, rec.seed)
-        if ring != rec.ring:
+    for rec, inp in zip(_all_runs(corpus), workloads.build("corpus", 0)):
+        if inp.ring != rec.ring:
             drift.append(("ring", rec.seed))
             continue
         trace, _ = run(
-            ring, rec.placement, rec.horizon, class_claim=rec.dyn.tag, seed=rec.seed
+            inp.ring, rec.placement, rec.horizon, class_claim=rec.dyn.tag, seed=rec.seed
         )
         if trace_to_jsonl(trace) != rec.jsonl:
             drift.append(("trace", rec.seed))

@@ -18,6 +18,7 @@ from gdg_sim.checkers import (
 from gdg_sim.gdg_protocol import MIN_STATES, WAITING_STATES, RobotState
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
 from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
+from test_ring_model import ring_of
 
 
 def rec(pos, state="righter", dir="right", rule="M8", moved=False):
@@ -260,6 +261,24 @@ class TestExperiment:
         exp = experiment(static_ring(4), self.PLACEMENT, None, horizon=1)
         assert (exp.bound, exp.trace.horizon, exp.trace.class_claim) == (None, 1, None)
         assert exp.ok
+
+    # The default horizons: rounds 0..bound for a bounded class (ST's is
+    # checked above), four BRE bounds of the cycle length past the prefix for
+    # RE and COT, and 10,000 rounds without a class.
+    @pytest.mark.parametrize("dyn", [DynClass(BRE, 2), DynClass(AC)], ids=[BRE, AC])
+    def test_bounded_class_default_horizon_is_bound_plus_one(self, dyn):
+        exp = experiment(static_ring(4), self.PLACEMENT, dyn)
+        assert exp.trace.horizon == bound_for(BoundParams(dyn, 4, 4, 1)) + 1
+
+    @pytest.mark.parametrize("tag", [RE, COT])
+    def test_unbounded_class_default_horizon_follows_the_cycle(self, tag):
+        full = [1, 1, 1, 1]
+        exp = experiment(ring_of(4, [full] * 2, [full] * 3), self.PLACEMENT, DynClass(tag))
+        assert bound_for(BoundParams(DynClass(BRE, 3), 4, 4, 1)) == 288
+        assert exp.trace.horizon == 4 * 288 + 2
+
+    def test_run_without_class_defaults_to_10000_rounds(self):
+        assert experiment(static_ring(4), self.PLACEMENT, None).trace.horizon == 10_000
 
 
 # Traces whose repeated rounds share one robots dict, as step's do, built

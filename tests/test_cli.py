@@ -262,7 +262,9 @@ def test_adversary_trace_out(tmp_path, capsys):
     assert len(trace.events) == doc["rounds"] == 40
 
 
-def test_adversary_random_placement_redraws_colocated_targets(capsys, monkeypatch):
+@pytest.fixture
+def adversary_calls(monkeypatch):
+    """The (placement, r1, r2) of each call the CLI makes to the adaptive adversary."""
     seen = []
     real = adversary.adaptive_ac_adversary
 
@@ -271,11 +273,15 @@ def test_adversary_random_placement_redraws_colocated_targets(capsys, monkeypatc
         return real(n, R, placement, r1, r2, horizon)
 
     monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
+    return seen
+
+
+def test_adversary_random_placement_redraws_colocated_targets(capsys, adversary_calls):
     code = main(["adversary", "--n", "4", "--ids", "1,2,3,4", "--horizon", "5", "--seed", "13"])
     assert code == 0
     # Seed 13 draws nodes 2, 2, 1, 1, so targets 4 and 3 meet on node 1, and
     # the next draw moves target 3 to node 0.
-    assert seen == [({1: 2, 2: 2, 3: 0, 4: 1}, 4, 3)]
+    assert adversary_calls == [({1: 2, 2: 2, 3: 0, 4: 1}, 4, 3)]
 
 
 def test_adversary_never_defeated(tmp_path, capsys):
@@ -335,20 +341,12 @@ def test_adversary_bad_targets_are_usage_errors(capsys, targets):
 
 
 @pytest.mark.parametrize("target", [["--r1", "3"], ["--r2", "4"]], ids=["r1-3", "r2-4"])
-def test_adversary_unset_target_takes_the_other_default(capsys, monkeypatch, target):
+def test_adversary_unset_target_takes_the_other_default(capsys, adversary_calls, target):
     # r1 defaults to the largest id and r2 to the second largest. A set target
     # holding the other's default leaves that one the other of the two ids.
-    seen = []
-    real = adversary.adaptive_ac_adversary
-
-    def spy(n, R, placement, r1, r2, horizon):
-        seen.append((r1, r2))
-        return real(n, R, placement, r1, r2, horizon)
-
-    monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
     code = main(["adversary", "--n", "6", "--ids", "1,2,3,4", "--horizon", "5", *target])
     assert code == 0
-    assert seen == [(3, 4)]
+    assert [(r1, r2) for _, r1, r2 in adversary_calls] == [(3, 4)]
 
 
 def test_adversary_explicit_placement_with_colocated_targets_is_usage_error(
@@ -366,15 +364,7 @@ def test_adversary_explicit_placement_with_colocated_targets_is_usage_error(
     assert not trace_out.exists()
 
 
-def test_adversary_explicit_placement_is_kept(capsys, monkeypatch):
-    seen = []
-    real = adversary.adaptive_ac_adversary
-
-    def spy(n, R, placement, r1, r2, horizon):
-        seen.append((dict(placement), r1, r2))
-        return real(n, R, placement, r1, r2, horizon)
-
-    monkeypatch.setattr(adversary, "adaptive_ac_adversary", spy)
+def test_adversary_explicit_placement_is_kept(capsys, adversary_calls):
     code = main(
         [
             "adversary", "--n", "6", "--ids", "1,2,3,4", "--placement", "0,0,0,3",
@@ -382,7 +372,7 @@ def test_adversary_explicit_placement_is_kept(capsys, monkeypatch):
         ]
     )
     assert code == 0
-    assert seen == [({1: 0, 2: 0, 3: 0, 4: 3}, 4, 3)]
+    assert adversary_calls == [({1: 0, 2: 0, 3: 0, 4: 3}, 4, 3)]
 
 
 def test_batch_aggregates(tmp_path, capsys):

@@ -44,8 +44,8 @@ def test_tracer_finds_every_wrapped_attribute():
 
 
 def test_crowd_jsonl_bytes_match_reference_digest():
-    # The corpus and duel digests are checked against the acceptance suite's
-    # runs; crowd is built here through the benchmark's own recipe.
+    # The corpus and duel digests are checked in the acceptance suite, which
+    # judges the same recipe's inputs in process; crowd is built here.
     script = (
         "import hashlib, sys; sys.path[:0] = ['perfbench', 'src']\n"
         "import workloads\n"

@@ -157,9 +157,13 @@ class TestVerifyClass:
         (lambda: DynClass("xx"), "unknown dynamics class"),
         (lambda: DynClass(BRE), "BRE requires delta >= 1"),
         (lambda: DynClass(BRE, 0), "BRE requires delta >= 1"),
+        (lambda: DynClass(BRE, 2.5), "BRE requires delta >= 1, an int"),
+        (lambda: DynClass(BRE, True), "BRE requires delta >= 1, an int"),
         (lambda: DynClass(ST, 3), "delta is only meaningful for BRE"),
         (lambda: Schedule((), ()), "cycle must be non-empty"),
         (lambda: ring_of(3, [], [[1, 1, 1]]), "ring size must be >= 4"),
+        (lambda: ring_of(4.0, [], [[1, 1, 1, 1]]), "ring size must be an int"),
+        (lambda: ring_of("4", [], [[1, 1, 1, 1]]), "ring size must be an int"),
         (lambda: ring_of(4, [], [[1, 1, 1]]), "snapshot length must equal ring size"),
         (lambda: static_ring(4).phase(-1), "round index must be >= 0"),
         (lambda: remove_edge_interval(static_ring(4), 0, -1, 2), "interval start must be >= 0"),
@@ -167,8 +171,9 @@ class TestVerifyClass:
         (lambda: remove_edge_interval(static_ring(4), -1, 0, 2), "edge out of range"),
     ],
     ids=[
-        "unknown-tag", "bre-no-delta", "bre-delta-0", "st-with-delta", "empty-cycle",
-        "n-3", "short-snapshot", "negative-round", "negative-start", "edge-4", "edge-minus-1",
+        "unknown-tag", "bre-no-delta", "bre-delta-0", "bre-delta-2.5", "bre-delta-true",
+        "st-with-delta", "empty-cycle", "n-3", "n-4.0", "n-a-string", "short-snapshot",
+        "negative-round", "negative-start", "edge-4", "edge-minus-1",
     ],
 )
 def test_bad_input_is_rejected(build, message):

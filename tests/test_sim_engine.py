@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gdg_sim import adversary, sim_engine
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
 from gdg_sim.checkers import _termination_info
-from gdg_sim.gdg_protocol import Direction, RobotState, RobotVars, View
+from gdg_sim.gdg_protocol import Direction, RobotVars, View
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -16,8 +16,6 @@ from gdg_sim.ring_model import (
     RE,
     ST,
     DynClass,
-    EvolvingRing,
-    Schedule,
     static_ring,
 )
 from gdg_sim.sim_engine import (
@@ -33,11 +31,8 @@ from gdg_sim.sim_engine import (
     trace_to_jsonl,
 )
 from test_acceptance import DUEL_CYCLES, DUELS
-from test_ring_model import left_edge_of, right_edge_of, step_left, step_right
-
-
-def ring_of(n, prefix, cycle):
-    return EvolvingRing(n, Schedule(tuple(map(tuple, prefix)), tuple(map(tuple, cycle))))
+from test_checkers import rec, trace_of
+from test_ring_model import left_edge_of, right_edge_of, ring_of, step_left, step_right
 
 
 def never_move(view: View) -> tuple[RobotVars, str]:
@@ -496,7 +491,7 @@ class TestFixed:
         prefix = data.draw(st.lists(snapshot, max_size=2))
         cycle = data.draw(st.lists(snapshot, min_size=1, max_size=3))
         placement = {rid: data.draw(st.integers(0, n - 1)) for rid in (1, 2, 3, 4)}
-        ring = EvolvingRing(n, Schedule(tuple(prefix), tuple(cycle)))
+        ring = ring_of(n, prefix, cycle)
         stop = check_against_reference(ring, placement, horizon=60)
         # Only rounds of one phase share a key, and the first repeat comes
         # one cycle after its round.
@@ -727,15 +722,10 @@ class TestTraceSerialization:
 
     def test_unshared_equal_records(self):
         # Records built outside step are equal by value but distinct objects.
-        def rec(pos):
-            return RobotRecord(position=pos, state="righter", dir="right", rule="M8", moved=True)
-
-        events = tuple(
-            TraceEvent(t, {rid: rec((rid + t) % 4) for rid in (1, 2, 3, 4)}, FULL)
+        trace = trace_of([
+            TraceEvent(t, {rid: rec((rid + t) % 4, moved=True) for rid in (1, 2, 3, 4)}, FULL)
             for t in range(6)
-        )
-        trace = Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim=None, seed=None, horizon=6,
-                      events=events)
+        ])
         text = trace_to_jsonl(trace)
         assert text == reference_jsonl(trace)
         loaded = trace_from_jsonl(text)
@@ -829,10 +819,11 @@ class TestTraceSerialization:
     @pytest.mark.parametrize(
         "key, value",
         [("n", "x"), ("R", True), ("horizon", None), ("ids", 5), ("ids", [1, 2, "3", 4]),
-         ("class", 5), ("seed", "x"), ("seed", 1.5), ("R", 7), ("ids", [1, 2, 2, 3])],
+         ("class", 5), ("seed", "x"), ("seed", 1.5), ("R", 7), ("ids", [1, 2, 2, 3]),
+         ("horizon", 0), ("horizon", 2)],
         ids=["n-a-string", "R-a-bool", "horizon-null", "ids-an-int", "id-a-string",
              "class-an-int", "seed-a-string", "seed-a-float", "R-not-the-id-count",
-             "ids-repeated"],
+             "ids-repeated", "horizon-0", "horizon-below-the-3-events"],
     )
     def test_header_with_a_wrong_value_is_rejected(self, key, value):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
@@ -887,6 +878,8 @@ class TestTraceSerialization:
             renamed_robot("2", "\u0662"),
             renamed_robot("4", None),
             lambda doc: {**doc, "robots": {**doc["robots"], "5": doc["robots"]["1"]}},
+            lambda doc: {**doc, "round": 0},
+            lambda doc: {**doc, "round": 2},
         ],
         ids=["line-not-an-object", "record-not-an-object", "snapshot-not-a-list",
              "robots-not-an-object", "robot-key-not-an-int", "round-a-string",
@@ -896,7 +889,8 @@ class TestTraceSerialization:
              "pos-off-the-ring", "state-unknown", "state-a-member-name", "dir-unknown",
              "dir-null", "rule-an-int", "rule-null", "moved-an-int", "moved-1",
              "moved-a-string", "robot-renamed", "robot-key-signed", "robot-key-zero-padded",
-             "robot-key-arabic-indic-digit", "robot-missing", "robot-extra"],
+             "robot-key-arabic-indic-digit", "robot-missing", "robot-extra",
+             "round-repeated", "round-skipped"],
     )
     def test_malformed_event_line_is_rejected(self, change):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
