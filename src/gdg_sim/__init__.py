@@ -13,6 +13,6 @@ from .ring_model import (  # noqa: F401
     static_ring,
     verify_class,
 )
-from .gdg_protocol import Direction, RobotState, RobotVars, View  # noqa: F401
+from .gdg_protocol import RobotVars, View  # noqa: F401
 from .sim_engine import Stop, Trace, run, step  # noqa: F401
 from .checkers import BoundParams, Verdict, bound_for, check_safety, check_variant  # noqa: F401

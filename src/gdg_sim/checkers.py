@@ -16,6 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .gdg_protocol import (
+    MIN_STATES, MIN_WAITING_WALKER, RIGHT, RIGHTER, RIGHTWARD, WAITING_STATES, WAITING_WALKER,
+)
 from .ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
 from .sim_engine import Stop, Trace, run
 
@@ -153,11 +156,6 @@ def experiment(
 # Invariant monitors
 # ---------------------------------------------------------------------------
 
-MIN_STATE_NAMES = {"minWaitingWalker", "minTailWalker"}
-WAITING_NAMES = {"waitingWalker", "minWaitingWalker"}
-RIGHTWARD_NAMES = {"righter", "potentialMin"}
-
-
 def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """Check GDG execution invariants round by round; returns violations.
 
@@ -185,7 +183,7 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """
     rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
-    prev: dict[int, str] = {rid: "righter" for rid in trace.ids}
+    prev: dict[int, str] = {rid: RIGHTER for rid in trace.ids}
     left_righter: set[int] = set()
     left_rightward: set[int] = set()
     left_waiting: set[int] = set()
@@ -209,31 +207,31 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
         t = ev.round
         start = len(violations)
         # The first minWaitingWalker, found before the loop: smaller ids are checked against it.
-        anchor = next((rec for rec in robots.values() if rec.state == "minWaitingWalker"), None)
+        anchor = next((rec for rec in robots.values() if rec.state == MIN_WAITING_WALKER), None)
         waiting_here = 0
 
         for rid, rec in robots.items():
             st, was = rec.state, prev[rid]
-            if st in MIN_STATE_NAMES and rid != rmin:
+            if st in MIN_STATES and rid != rmin:
                 violations.append(("min-id", t))
-            if was in MIN_STATE_NAMES and st not in MIN_STATE_NAMES:
+            if was in MIN_STATES and st not in MIN_STATES:
                 violations.append(("min-closed", t))
-            if st == "righter" and rid in left_righter:
+            if st == RIGHTER and rid in left_righter:
                 violations.append(("no-reentry", t))
-            rightward = st in RIGHTWARD_NAMES
+            rightward = st in RIGHTWARD
             if rightward and rid in left_rightward:
                 violations.append(("no-reentry", t))
-            if st in WAITING_NAMES and rid in left_waiting:
+            if st in WAITING_STATES and rid in left_waiting:
                 violations.append(("no-reentry", t))
 
             # A terminated robot has no Move phase, so no direction to choose.
             if rec.rule != "terminated":
-                if rightward and (rec.dir != "right" or rid in turned):
+                if rightward and (rec.dir != RIGHT or rid in turned):
                     violations.append(("dir-right", t))
-                if rec.dir != "right":
+                if rec.dir != RIGHT:
                     turned.add(rid)
 
-            if st == "waitingWalker":
+            if st == WAITING_WALKER:
                 if rec.moved:
                     violations.append(("waiting-still", t))
                 if anchor is not None:
@@ -242,11 +240,11 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
                     if not together or anchor.moved:
                         violations.append(("waiting-still", t))
 
-            if was == "righter" and st != "righter":
+            if was == RIGHTER and st != RIGHTER:
                 left_righter.add(rid)
-            if was in RIGHTWARD_NAMES and not rightward:
+            if was in RIGHTWARD and not rightward:
                 left_rightward.add(rid)
-            if was in WAITING_NAMES and st not in WAITING_NAMES:
+            if was in WAITING_STATES and st not in WAITING_STATES:
                 left_waiting.add(rid)
             prev[rid] = st
 

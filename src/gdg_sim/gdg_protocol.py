@@ -23,9 +23,9 @@ of the 11 rules ahead of it fires from righter or potentialMin, as M8
 does, so no linear order puts it earlier.
 
 `first_enabled_rule` reads the mates once per compute: `present` is the OR
-of their states' bits (each `RobotState` member carries one as `bit`) and
-`gap` is `R - len(mates)`. A rule's derived `seen` is the OR of its
-witness states' bits, so a witness test is one AND, `seen & present`. A
+of their states' bits (`BIT` maps each state to one) and `gap` is
+`R - len(mates)`. A rule's derived `seen` is the OR of its witness states'
+bits, so a witness test is one AND, `seen & present`. A
 tower-size rule carries the one `gap` it fires at (Term1 1, Term2 2, M6 2,
 K1 3), so its size test is one compare, and its condition tests only the
 rest. So the paper's two gathering predicates are Term1's gap (all R
@@ -45,80 +45,52 @@ returns its input. RobotVars checks none of its fields: a robot's id enters
 a run once, with the placement, and `sim_engine.initial_configuration`
 rejects one that is not exactly an int, or not strictly positive.
 
-Code that runs per compute or per move reads each `RobotState` and
-`Direction` member through its module name (`RIGHTER`, `RIGHT`, ...),
-bound once at import, never as `RobotState.RIGHTER`. On Python 3.10 and
-3.11 the Enum metaclass defines `__getattr__`, so every read of a class
-attribute goes through CPython's slot hook. Timed net of loop overhead on
-a shared 2-core Xeon host, a read of `Direction.RIGHT` took 187 ns on
-3.10.13 and 165 ns on 3.11.7, against 2-9 ns for a module global, and
-24 ns on 3.12.1, whose Enum metaclass has no `__getattr__`. The names are
-the members themselves, so `is` tests, `_value_` and `bit` are unchanged.
-`test_no_function_reads_an_enum_member_as_a_class_attribute` and
-`test_module_name_is_the_member` pin both facts.
+A state or a direction is a `str`, the very text a trace writes for it
+(`RIGHTER` is "righter"), defined here once: `RobotVars` holds it,
+`sim_engine.step` writes it into the round's record as it is, and the
+trace decoder and `checkers.monitor_invariants` test records against
+`ALL_STATES`, `DIRECTIONS` and the state groups below. Code compares
+states and directions with `==` or `in`, never `is`: equal text need not
+be one object, as in a decoded trace.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 UNSET = -1  # robot ids are >= 1, so -1 is an unambiguous "not learned yet"
 
+# The ten robot states and three directions, as a trace writes them.
+RIGHTER = "righter"
+DUMB_SEARCHER = "dumbSearcher"
+AWARE_SEARCHER = "awareSearcher"
+POTENTIAL_MIN = "potentialMin"
+WAITING_WALKER = "waitingWalker"
+MIN_WAITING_WALKER = "minWaitingWalker"
+HEAD_WALKER = "headWalker"
+TAIL_WALKER = "tailWalker"
+MIN_TAIL_WALKER = "minTailWalker"
+LEFT_WALKER = "leftWalker"
+RIGHT = "right"
+LEFT = "left"
+BOT = "bot"
 
-class RobotState(enum.Enum):
-    RIGHTER = "righter"
-    DUMB_SEARCHER = "dumbSearcher"
-    AWARE_SEARCHER = "awareSearcher"
-    POTENTIAL_MIN = "potentialMin"
-    WAITING_WALKER = "waitingWalker"
-    MIN_WAITING_WALKER = "minWaitingWalker"
-    HEAD_WALKER = "headWalker"
-    TAIL_WALKER = "tailWalker"
-    MIN_TAIL_WALKER = "minTailWalker"
-    LEFT_WALKER = "leftWalker"
+ALL_STATES = (RIGHTER, DUMB_SEARCHER, AWARE_SEARCHER, POTENTIAL_MIN, WAITING_WALKER,
+              MIN_WAITING_WALKER, HEAD_WALKER, TAIL_WALKER, MIN_TAIL_WALKER, LEFT_WALKER)
+DIRECTIONS = (RIGHT, LEFT, BOT)
+# Each state's bit: first_enabled_rule ORs the mates' bits once per compute,
+# and a witness test is one AND on that.
+BIT = {state: 1 << i for i, state in enumerate(ALL_STATES)}
 
-
-# Each state's bit, an attribute of the member: first_enabled_rule ORs the
-# mates' bits once per compute, and a witness test is one AND on that.
-for _i, _state in enumerate(RobotState):
-    _state.bit = 1 << _i
-del _i, _state
-
-
-class Direction(enum.Enum):
-    RIGHT = "right"
-    LEFT = "left"
-    BOT = "bot"
-
-
-# Each member as a module name, read from its class once, at import (see the
-# module docstring). One assignment per name, so that reordering the members
-# cannot swap two names.
-RIGHTER = RobotState.RIGHTER
-DUMB_SEARCHER = RobotState.DUMB_SEARCHER
-AWARE_SEARCHER = RobotState.AWARE_SEARCHER
-POTENTIAL_MIN = RobotState.POTENTIAL_MIN
-WAITING_WALKER = RobotState.WAITING_WALKER
-MIN_WAITING_WALKER = RobotState.MIN_WAITING_WALKER
-HEAD_WALKER = RobotState.HEAD_WALKER
-TAIL_WALKER = RobotState.TAIL_WALKER
-MIN_TAIL_WALKER = RobotState.MIN_TAIL_WALKER
-LEFT_WALKER = RobotState.LEFT_WALKER
-RIGHT = Direction.RIGHT
-LEFT = Direction.LEFT
-BOT = Direction.BOT
-
-
-# State groups are tuples: finding an Enum member in a short tuple is an
-# identity scan, while a frozenset lookup calls Enum's Python-level __hash__.
-ALL_STATES = tuple(RobotState)
 SEARCHERS = (DUMB_SEARCHER, AWARE_SEARCHER)
 MIN_STATES = (MIN_WAITING_WALKER, MIN_TAIL_WALKER)
 WAITING_STATES = (WAITING_WALKER, MIN_WAITING_WALKER)
 WALKERS = (HEAD_WALKER, TAIL_WALKER, MIN_TAIL_WALKER)
 NOT_WALKER = (RIGHTER, POTENTIAL_MIN, DUMB_SEARCHER, AWARE_SEARCHER)
+# The states that head right: the states of M1 and M8, and those the
+# monitor's dir-right invariant holds for.
+RIGHTWARD = (RIGHTER, POTENTIAL_MIN)
 
 
 class ProtocolViolation(Exception):
@@ -127,8 +99,8 @@ class ProtocolViolation(Exception):
 
 class RobotVars(NamedTuple):
     id: int
-    state: RobotState = RIGHTER
-    dir: Direction = RIGHT
+    state: str = RIGHTER
+    dir: str = RIGHT
     right_steps: int = 0
     id_potential_min: int = UNSET
     id_min: int = UNSET
@@ -167,14 +139,14 @@ def min_discovery(view: View) -> bool:
     for m in view.mates:
         if (
             m.id_min == me.id
-            or (m.state is RIGHTER and me.id < m.id and me.state is POTENTIAL_MIN)
+            or (m.state == RIGHTER and me.id < m.id and me.state == POTENTIAL_MIN)
             or (m.state in (DUMB_SEARCHER, POTENTIAL_MIN) and me.id < m.id_potential_min)
         ):
             return True
     return me.right_steps == 4 * me.id * view.n
 
 
-def select_witness(view: View, states: tuple[RobotState, ...]) -> RobotVars:
+def select_witness(view: View, states: tuple[str, ...]) -> RobotVars:
     """Deterministic witness for an "exists a mate" guard: smallest id wins."""
     hits = [m for m in view.mates if m.state in states]
     if not hits:
@@ -188,7 +160,7 @@ def select_witness(view: View, states: tuple[RobotState, ...]) -> RobotVars:
 
 
 def _stop_moving(vars: RobotVars) -> RobotVars:
-    return vars if vars.dir is BOT else vars._replace(dir=BOT)
+    return vars if vars.dir == BOT else vars._replace(dir=BOT)
 
 
 def _walk(vars: RobotVars, view: View) -> RobotVars:
@@ -200,7 +172,7 @@ def _walk(vars: RobotVars, view: View) -> RobotVars:
     else:
         new_dir = RIGHT
     steps = vars.walk_steps
-    if new_dir is RIGHT and view.edge_right_current:
+    if new_dir == RIGHT and view.edge_right_current:
         steps += 1
     return vars._replace(dir=new_dir, walk_steps=steps)
 
@@ -210,7 +182,7 @@ def _initiate_walk(vars: RobotVars, view: View) -> RobotVars:
     head = max({vars.id} | mate_ids)
     if vars.id == head:
         state = HEAD_WALKER
-    elif vars.state is MIN_WAITING_WALKER:
+    elif vars.state == MIN_WAITING_WALKER:
         state = MIN_TAIL_WALKER
     else:
         state = TAIL_WALKER
@@ -236,7 +208,7 @@ def _become_min_waiting_walker(vars: RobotVars) -> RobotVars:
 
 
 def _become_aware_searcher(vars: RobotVars, witness: RobotVars) -> RobotVars:
-    if witness.state is DUMB_SEARCHER:
+    if witness.state == DUMB_SEARCHER:
         learned = witness.id_potential_min
     else:
         learned = witness.id_min
@@ -267,7 +239,7 @@ def _move_right(vars: RobotVars, view: View) -> RobotVars:
         return tuple.__new__(
             RobotVars, (vars.id, vars.state, RIGHT, vars.right_steps + 1) + vars[4:]
         )
-    return vars if vars.dir is RIGHT else vars._replace(dir=RIGHT)
+    return vars if vars.dir == RIGHT else vars._replace(dir=RIGHT)
 
 
 def _initiate_search(vars: RobotVars, view: View) -> RobotVars:
@@ -275,7 +247,7 @@ def _initiate_search(vars: RobotVars, view: View) -> RobotVars:
     state = POTENTIAL_MIN if vars.id == candidate else DUMB_SEARCHER
     steps = vars.right_steps
     # A robot firing this rule is a righter, hence already headed right.
-    if state is POTENTIAL_MIN and view.edge_right_current:
+    if state == POTENTIAL_MIN and view.edge_right_current:
         steps += 1
     return vars._replace(id_potential_min=candidate, state=state, right_steps=steps)
 
@@ -284,7 +256,7 @@ def _search(vars: RobotVars, view: View) -> RobotVars:
     if len(view.mates) >= 1:
         top = max({vars.id} | view.mate_ids())
         new_dir = LEFT if vars.id == top else RIGHT
-        if new_dir is not vars.dir:
+        if new_dir != vars.dir:
             return vars._replace(dir=new_dir)
     return vars
 
@@ -315,9 +287,9 @@ class Rule:
     """
 
     name: str
-    states: tuple[RobotState, ...]
+    states: tuple[str, ...]
     action: Callable[[RobotVars, View, Optional[RobotVars]], RobotVars]
-    witness: tuple[RobotState, ...] = ()
+    witness: tuple[str, ...] = ()
     condition: Optional[Callable[[View], bool]] = None
     gap: Optional[int] = None
     seen: int = field(init=False)
@@ -325,7 +297,7 @@ class Rule:
     def __post_init__(self) -> None:
         seen = 0
         for state in self.witness:
-            seen |= state.bit
+            seen |= BIT[state]
         object.__setattr__(self, "seen", seen)
 
 
@@ -359,7 +331,7 @@ RULES = (
     ),
     Rule(
         "M1",
-        (POTENTIAL_MIN, RIGHTER),
+        RIGHTWARD,
         lambda me, view, w: _become_min_waiting_walker(me),
         condition=min_discovery,
     ),
@@ -393,13 +365,13 @@ RULES = (
         (RIGHTER,),
         lambda me, view, w: _initiate_search(me, view),
         # all robots but one are here, and all of them are righters
-        condition=lambda view: all(m.state is RIGHTER for m in view.mates),
+        condition=lambda view: all(m.state == RIGHTER for m in view.mates),
         gap=2,
     ),
     Rule("M7", (RIGHTER,), _learn_then_search, witness=SEARCHERS),
     Rule(
         "M8",
-        (POTENTIAL_MIN, RIGHTER),
+        RIGHTWARD,
         lambda me, view, w: _move_right(me, view),
     ),
     Rule(
@@ -409,7 +381,7 @@ RULES = (
         # a righter larger than the candidate it carries reveals that
         # candidate as the minimum
         condition=lambda view: any(
-            m.state is RIGHTER and m.id > view.self_vars.id_potential_min
+            m.state == RIGHTER and m.id > view.self_vars.id_potential_min
             for m in view.mates
         ),
     ),
@@ -455,7 +427,7 @@ RULE_ORDER = tuple(rule.name for rule in RULES)
 _BY_NAME = {rule.name: rule for rule in RULES}
 
 
-def _guard(rule: Rule, state: RobotState, gap: int, present: int, view: View) -> bool:
+def _guard(rule: Rule, state: str, gap: int, present: int, view: View) -> bool:
     """Is `rule` enabled? `gap` is `R - len(mates)` and `present` the OR of
     the mates' state bits, both read once per compute by the caller."""
     if state not in rule.states:
@@ -479,7 +451,7 @@ def first_enabled_rule(view: View) -> str:
     gap = view.R - len(mates)
     present = 0
     for m in mates:
-        present |= m.state.bit
+        present |= BIT[m.state]
     for rule in RULES:
         if _guard(rule, state, gap, present, view):
             return rule.name

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 from typing import Callable, NamedTuple, Optional
 
-from .gdg_protocol import LEFT, RIGHT, Direction, RobotState, RobotVars, View, compute
+from .gdg_protocol import BIT, DIRECTIONS, LEFT, RIGHT, RIGHTER, RobotVars, View, compute
 from .ring_model import EvolvingRing, Snapshot
 
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
@@ -161,7 +161,7 @@ def initial_configuration(placement: dict[int, int], n: int) -> Configuration:
     if any(rid <= 0 for rid in placement):  # UNSET is -1, so an id is >= 1
         raise ValueError("robot ids must be strictly positive")
     ids = sorted(placement)
-    robots = {rid: _record(placement[rid], "righter", "right", "placed", False) for rid in ids}
+    robots = {rid: _record(placement[rid], RIGHTER, RIGHT, "placed", False) for rid in ids}
     vars = {rid: RobotVars(id=rid) for rid in ids}
     return Configuration(0, vars, robots, _towers(robots, vars), (0,) * n)
 
@@ -207,7 +207,9 @@ def step(
     """One full Look-Compute-Move round. snap is the snapshot of round
     config.round, and nothing else of the schedule is read, so a caller can
     choose each snapshot as the run goes. The result's robots and last_snap
-    are the round's records and snapshot."""
+    are the round's records and snapshot. A record holds its robot's state
+    and dir as the robot's vars do: the strings of gdg_protocol, which are
+    the text a trace writes."""
     n = len(config.last_snap)
     if len(snap) != n:
         raise ValueError(f"snap must have one edge per node of the {n}-ring")
@@ -224,14 +226,13 @@ def step(
             # Move, with the edges indexed as in build_view; a step wraps
             # n - 1 -> 0 and 0 -> n - 1.
             if not vars.terminated:
-                if vars.dir is RIGHT:
+                if vars.dir == RIGHT:
                     if snap[node]:
                         target = node + 1 if node + 1 < n else 0
-                elif vars.dir is LEFT and snap[node - 1]:
+                elif vars.dir == LEFT and snap[node - 1]:
                     target = node - 1 if node else n - 1
         new_vars[rid] = vars
-        # Enum's _value_ is the plain attribute behind its slower .value.
-        robots[rid] = _record(target, vars.state._value_, vars.dir._value_, rule, target != node)
+        robots[rid] = _record(target, vars.state, vars.dir, rule, target != node)
         grouped.setdefault(target, []).append(vars)
     # Records from _record are equal exactly when they are one object, so in
     # a run this identity test is record equality. Dict equality would call
@@ -317,26 +318,26 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-def _int(value: object) -> bool:
-    return type(value) is int  # not a bool, which JSON's true and false decode to
+def _at_least(low: int) -> Callable[[object], bool]:
+    # type, not isinstance: a bool, which JSON's true and false decode to, is no int here.
+    return lambda value: type(value) is int and value >= low
 
 
 # The layout: the header line's keys for a Trace, as (JSON key, field, test of
 # the decoded value) triples, and each robot's keys in an event line, in
-# RobotRecord's field order, as _record_text writes them.
+# RobotRecord's field order, as _record_text writes them. A header holds only
+# values a run writes: a ring of n >= 4 nodes (EvolvingRing's floor), R >= 4
+# robots (run's) and distinct ids >= 1 (initial_configuration's).
 _HEADER = (
-    ("n", "n", _int),
-    ("R", "R", _int),
-    ("ids", "ids", lambda value: type(value) is list and all(map(_int, value))
+    ("n", "n", _at_least(4)),
+    ("R", "R", _at_least(4)),
+    ("ids", "ids", lambda value: type(value) is list and all(map(_at_least(1), value))
      and len(set(value)) == len(value)),
     ("class", "class_claim", lambda value: value is None or type(value) is str),
-    ("seed", "seed", lambda value: value is None or _int(value)),
-    ("horizon", "horizon", _int),
+    ("seed", "seed", lambda value: value is None or type(value) is int),
+    ("horizon", "horizon", _at_least(1)),
 )
 _RECORD = ("pos", "state", "dir", "rule", "moved")
-# The values a record's state and dir may take.
-_STATES = frozenset(state._value_ for state in RobotState)
-_DIRECTIONS = frozenset(direction._value_ for direction in Direction)
 
 
 def _record_text(rec: RobotRecord) -> str:
@@ -409,20 +410,24 @@ def trace_from_jsonl(text: str) -> Trace:
     """Decode a trace. Equal records and equal snapshots are shared objects.
     Text without a header line, a header that is not an object, lacks one of
     its six keys or holds a value of the wrong type, and an event line that
-    lacks a key or is malformed raise a ValueError naming what is wrong. n, R,
-    horizon, each id, a round and each snapshot bit must be ints, not bools;
-    the ids are distinct and R counts them; the horizon is at least 1 and at
-    least the number of event lines, and event line i (from 0) holds round
-    i, as run writes them; a snapshot holds n bits, each 0 or 1. An event's
-    robot keys are the header's ids, each written as str(id), in any order.
-    A record's pos is an int in range(n), not a bool; its state is a
-    RobotState value and its dir a Direction value; its rule is any string,
-    since compute_fn may label its rules as it likes; and its moved is a
-    bool."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lacks a key or is malformed raise a ValueError naming what is wrong, and
+    an event line's error gives its line number in the text, blank lines
+    counted. n, R, horizon, each id, a round and each snapshot bit must be
+    ints, not bools. As a run writes them, n and R are at least 4, the ids
+    are distinct and at least 1 and R counts them; the horizon is at least 1
+    and at least the number of event lines, and event line i (from 0) holds
+    round i; a snapshot holds n bits, each 0 or 1. An event's robot keys are
+    the header's ids, each written as str(id), in any order. A record's pos
+    is an int in range(n), not a bool; its state is one of
+    gdg_protocol.ALL_STATES and its dir one of DIRECTIONS; its rule is any
+    string, since compute_fn may label its rules as it likes; and its moved
+    is a bool."""
+    # Numbered before the blank lines are dropped, so that an error names its
+    # line as the text counts it.
+    lines = [(number, ln) for number, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise ValueError("a trace needs a header line")
-    header = json.loads(lines[0])
+    header = json.loads(lines[0][1])
     if not isinstance(header, dict):
         raise ValueError("a trace header must be a JSON object")
     missing = [key for key, _, _ in _HEADER if key not in header]
@@ -431,8 +436,8 @@ def trace_from_jsonl(text: str) -> Trace:
     wrong = [key for key, _, valid in _HEADER if not valid(header[key])]
     if not wrong and header["R"] != len(header["ids"]):
         wrong.append("R")
-    # run writes at most horizon >= 1 events.
-    if not wrong and header["horizon"] < max(1, len(lines) - 1):
+    # run writes at most horizon events.
+    if not wrong and header["horizon"] < len(lines) - 1:
         wrong.append("horizon")
     if wrong:
         raise ValueError(f"the trace header has a wrong value for {', '.join(wrong)}")
@@ -445,7 +450,7 @@ def trace_from_jsonl(text: str) -> Trace:
     # Equal snapshots become one object, as equal records do, so that
     # trace_to_jsonl, which keys snapshot text by identity, encodes each once.
     snapshots: dict[Snapshot, Snapshot] = {}
-    for number, ln in enumerate(lines[1:], 2):
+    for number, ln in lines[1:]:
         try:
             doc = json.loads(ln)
             robots, entries = {}, doc["robots"]
@@ -453,15 +458,16 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"the robot keys {list(entries)} are not the ids {ids}")
             for name, rec in entries.items():
                 pos, state, dir, rule, moved = values = record_fields(rec)
-                if not (type(pos) is int and 0 <= pos < n and state in _STATES
-                        and dir in _DIRECTIONS and type(rule) is str and type(moved) is bool):
+                # BIT's keys are the states, and a dict finds one by hash.
+                if not (type(pos) is int and 0 <= pos < n and state in BIT
+                        and dir in DIRECTIONS and type(rule) is str and type(moved) is bool):
                     raise ValueError(
                         f"the record {rec!r} needs a node of the {n}-ring, a robot state, "
                         "a direction, a rule string and a bool moved"
                     )
                 robots[names[name]] = _record(*values)
             t, snap = doc["round"], doc["snapshot"]
-            if not (_int(t) and t == len(events)):
+            if not (type(t) is int and t == len(events)):
                 raise ValueError(f"the round {t!r} is not the event's position {len(events)}")
             # Both tests run in C; equal values alone would let true and 1.0 in.
             if not (type(snap) is list and len(snap) == n and {0, 1}.issuperset(snap)

@@ -25,8 +25,9 @@ import pytest
 from gdg_sim import sim_engine
 from gdg_sim.adversary import adaptive_ac_adversary
 from gdg_sim.checkers import _termination_info, check_safety, experiment, monitor_invariants
+from gdg_sim.gdg_protocol import ALL_STATES, DIRECTIONS
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
-from gdg_sim.sim_engine import Stop, Trace, TraceEvent, run, trace_to_jsonl
+from gdg_sim.sim_engine import Stop, Trace, TraceEvent, run, trace_from_jsonl, trace_to_jsonl
 
 import test_oracle_trace as oracle
 from test_checkers import rec, trace_of
@@ -311,6 +312,37 @@ def test_corpus_jsonl_bytes_match_reference_digest(corpus):
 def test_duel_jsonl_bytes_match_reference_digest(adversary_runs):
     traces = (trace_to_jsonl(res.trace) for *_, res in adversary_runs)
     assert _sha256(traces) == DIGESTS["duel"]
+
+
+def test_records_speak_the_protocols_vocabulary(corpus):
+    # Every state and dir the corpus writes is one of gdg_protocol's, and the
+    # decoder takes exactly those: each of them, and none of the other
+    # strings tried, the other field's values and other spellings included.
+    written = [
+        (rec.state, rec.dir)
+        for run_rec in _all_runs(corpus)
+        for robots in {id(ev.robots): ev.robots for ev in run_rec.trace.events}.values()
+        for rec in robots.values()
+    ]
+    assert {state for state, _ in written} <= set(ALL_STATES)
+    assert {dir for _, dir in written} <= set(DIRECTIONS)
+
+    header, line = corpus[ST][0].jsonl.splitlines()[:2]
+    event = json.loads(line)
+    first = next(iter(event["robots"]))
+
+    def decodes(field, value):
+        robots = {**event["robots"], first: {**event["robots"][first], field: value}}
+        try:
+            trace_from_jsonl(header + "\n" + json.dumps({**event, "robots": robots}))
+        except ValueError:
+            return False
+        return True
+
+    words = [*ALL_STATES, *DIRECTIONS, "nonsense", ""]
+    words += [word.upper() for word in words] + [word.capitalize() for word in words]
+    assert {word for word in words if decodes("state", word)} == set(ALL_STATES)
+    assert {word for word in words if decodes("dir", word)} == set(DIRECTIONS)
 
 
 def _repeats(trace, same):

@@ -5,9 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from gdg_sim import checkers
 from gdg_sim.checkers import (
-    MIN_STATE_NAMES,
-    RIGHTWARD_NAMES,
-    WAITING_NAMES,
     BoundParams,
     bound_for,
     check_safety,
@@ -15,7 +12,7 @@ from gdg_sim.checkers import (
     experiment,
     monitor_invariants,
 )
-from gdg_sim.gdg_protocol import MIN_STATES, WAITING_STATES, RobotState
+from gdg_sim.gdg_protocol import ALL_STATES, DIRECTIONS, MIN_STATES, RIGHTWARD, WAITING_STATES
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
 from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
 from test_ring_model import ring_of
@@ -134,13 +131,6 @@ class TestSafetyAndVariants:
 
 
 class TestMonitors:
-    def test_state_names_are_the_protocols(self):
-        # The monitors define their state groups by name, independently of
-        # gdg_protocol; a renamed state would leave them checking nothing.
-        assert MIN_STATE_NAMES == {state.value for state in MIN_STATES}
-        assert WAITING_NAMES == {state.value for state in WAITING_STATES}
-        assert RIGHTWARD_NAMES <= {state.value for state in RobotState}
-
     def test_clean_run_has_no_violations(self):
         trace, _ = run(static_ring(4), {1: 0, 2: 1, 3: 2, 4: 3}, horizon=200)
         assert monitor_invariants(trace) == []
@@ -397,15 +387,15 @@ def reference_monitor(trace):
         positions = {rid: rec.position for rid, rec in ev.robots.items()}
 
         for rid, st in states.items():
-            if st in MIN_STATE_NAMES and rid != rmin:
+            if st in MIN_STATES and rid != rmin:
                 violations.append(("min-id", ev.round))
-            if prev_states[rid] in MIN_STATE_NAMES and st not in MIN_STATE_NAMES:
+            if prev_states[rid] in MIN_STATES and st not in MIN_STATES:
                 violations.append(("min-closed", ev.round))
             if st == "righter" and rid in left_righter:
                 violations.append(("no-reentry", ev.round))
-            if st in RIGHTWARD_NAMES and rid in left_rightward:
+            if st in RIGHTWARD and rid in left_rightward:
                 violations.append(("no-reentry", ev.round))
-            if st in WAITING_NAMES and rid in left_waiting:
+            if st in WAITING_STATES and rid in left_waiting:
                 violations.append(("no-reentry", ev.round))
 
         # While a robot remains righter/potentialMin it
@@ -413,7 +403,7 @@ def reference_monitor(trace):
         for rid, rec in ev.robots.items():
             if rec.rule == "terminated":
                 continue
-            if states[rid] in RIGHTWARD_NAMES:
+            if states[rid] in RIGHTWARD:
                 if rec.dir != "right" or not dir_history_ok[rid]:
                     violations.append(("dir-right", ev.round))
             if rec.dir != "right":
@@ -452,9 +442,9 @@ def reference_monitor(trace):
         for rid, st in states.items():
             if prev_states[rid] == "righter" and st != "righter":
                 left_righter.add(rid)
-            if prev_states[rid] in RIGHTWARD_NAMES and st not in RIGHTWARD_NAMES:
+            if prev_states[rid] in RIGHTWARD and st not in RIGHTWARD:
                 left_rightward.add(rid)
-            if prev_states[rid] in WAITING_NAMES and st not in WAITING_NAMES:
+            if prev_states[rid] in WAITING_STATES and st not in WAITING_STATES:
                 left_waiting.add(rid)
         prev_states = states
         end = len(violations)
@@ -465,8 +455,8 @@ def reference_monitor(trace):
 all_records = st.builds(
     rec,
     pos=st.integers(0, 2),
-    state=st.sampled_from([s.value for s in RobotState]),
-    dir=st.sampled_from(("right", "left", "bot")),
+    state=st.sampled_from(ALL_STATES),
+    dir=st.sampled_from(DIRECTIONS),
     rule=st.sampled_from(("M8", "K2", "Term1", "terminated")),
     moved=st.booleans(),
 )

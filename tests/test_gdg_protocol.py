@@ -1,6 +1,3 @@
-import ast
-import pathlib
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,13 +5,26 @@ from gdg_sim import gdg_protocol
 from gdg_sim.adversary import adaptive_ac_adversary
 from gdg_sim.gdg_protocol import (
     ALL_STATES,
+    AWARE_SEARCHER,
+    BIT,
+    BOT,
+    DIRECTIONS,
+    DUMB_SEARCHER,
+    HEAD_WALKER,
+    LEFT,
+    LEFT_WALKER,
     MIN_STATES,
-    WAITING_STATES,
-    Direction,
-    ProtocolViolation,
+    MIN_TAIL_WALKER,
+    MIN_WAITING_WALKER,
+    POTENTIAL_MIN,
+    RIGHT,
+    RIGHTER,
     RULE_ORDER,
     RULES,
-    RobotState,
+    TAIL_WALKER,
+    WAITING_STATES,
+    WAITING_WALKER,
+    ProtocolViolation,
     RobotVars,
     View,
     apply_rule,
@@ -47,32 +57,32 @@ def make_view(
     )
 
 
-def robot(rid, state=RobotState.RIGHTER, **kw):
+def robot(rid, state=RIGHTER, **kw):
     return RobotVars(id=rid, state=state, **kw)
 
 
 class TestMinDiscovery:
     def test_potential_min_meets_larger_righter(self):
-        me = robot(1, RobotState.POTENTIAL_MIN)
+        me = robot(1, POTENTIAL_MIN)
         view = make_view(me, [robot(5)])
         assert min_discovery(view)
 
     def test_potential_min_meets_smaller_righter(self):
-        me = robot(5, RobotState.POTENTIAL_MIN)
+        me = robot(5, POTENTIAL_MIN)
         view = make_view(me, [robot(1)])
         assert not min_discovery(view)
 
     def test_mate_announces_my_id_as_min(self):
         me = robot(2)
-        mate = robot(7, RobotState.AWARE_SEARCHER, id_min=2, id_potential_min=2)
+        mate = robot(7, AWARE_SEARCHER, id_min=2, id_potential_min=2)
         assert min_discovery(make_view(me, [mate]))
 
     def test_searcher_carries_larger_candidate(self):
         me = robot(1)
-        mate = robot(6, RobotState.DUMB_SEARCHER, id_potential_min=3)
+        mate = robot(6, DUMB_SEARCHER, id_potential_min=3)
         assert min_discovery(make_view(me, [mate]))
         # equal candidate does not qualify
-        mate_eq = robot(6, RobotState.DUMB_SEARCHER, id_potential_min=1)
+        mate_eq = robot(6, DUMB_SEARCHER, id_potential_min=1)
         assert not min_discovery(make_view(me, [mate_eq]))
 
     def test_full_lap_counter(self):
@@ -85,88 +95,47 @@ class TestGatheringPredicates:
     """Term1 fires when all R robots are here; Term2 when all but one are,
     and one of them, the robot itself or a mate, is in a min state."""
 
-    def test_all_present(self):
-        view = make_view(robot(1), [robot(2), robot(3), robot(4)], R=4)
-        assert first_enabled_rule(view) == "Term1"
-
     def test_all_but_one_with_min(self):
-        me = robot(1, RobotState.MIN_WAITING_WALKER)
-        view = make_view(me, [robot(3, RobotState.WAITING_WALKER), robot(4)], R=4)
+        me = robot(1, MIN_WAITING_WALKER)
+        view = make_view(me, [robot(3, WAITING_WALKER), robot(4)], R=4)
         assert first_enabled_rule(view) == "Term2"
-        mate = robot(1, RobotState.MIN_TAIL_WALKER)
-        view = make_view(robot(3, RobotState.WAITING_WALKER), [mate, robot(4)], R=4)
+        mate = robot(1, MIN_TAIL_WALKER)
+        view = make_view(robot(3, WAITING_WALKER), [mate, robot(4)], R=4)
         assert first_enabled_rule(view) == "Term2"
 
     def test_all_but_one_without_min(self):
-        for state in RobotState:
+        for state in ALL_STATES:
             if state not in MIN_STATES:
                 view = make_view(robot(1, state), [robot(3), robot(4)], R=4)
                 assert first_enabled_rule(view) not in ("Term1", "Term2")
 
 
 class TestDispatch:
-    def test_fresh_righter_alone_moves_right(self):
-        assert first_enabled_rule(make_view(robot(3))) == "M8"
-
-    def test_three_righters_initiate_search(self):
-        view = make_view(robot(1), [robot(2), robot(3)], R=4)
-        assert first_enabled_rule(view) == "M6"
-
-    def test_four_righters_terminate(self):
-        view = make_view(robot(1), [robot(2), robot(3), robot(4)], R=4)
-        assert first_enabled_rule(view) == "Term1"
-
-    def test_left_walker_turns_back(self):
-        assert first_enabled_rule(make_view(robot(2, RobotState.LEFT_WALKER))) == "T1"
-
-    def test_walker_with_full_lap_stops(self):
-        me = robot(5, RobotState.HEAD_WALKER, walk_steps=4, id_head_walker=5)
-        assert first_enabled_rule(make_view(me, n=4)) == "T3"
-
-    def test_head_walker_lost_mates(self):
-        me = robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5)
-        view = make_view(me, [robot(1, RobotState.TAIL_WALKER)], left_prev=True, has_moved=False)
-        assert first_enabled_rule(view) == "T2"
-
     def test_head_walker_lost_mates_excused_after_missing_edge(self):
-        me = robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5)
-        view = make_view(me, [robot(1, RobotState.TAIL_WALKER)], left_prev=False)
+        me = robot(5, HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5)
+        view = make_view(me, [robot(1, TAIL_WALKER)], left_prev=False)
         assert first_enabled_rule(view) == "W1"
 
-    def test_waiting_tower_initiates_walk(self):
-        me = robot(1, RobotState.MIN_WAITING_WALKER)
-        mates = [robot(4, RobotState.WAITING_WALKER), robot(7, RobotState.WAITING_WALKER)]
-        assert first_enabled_rule(make_view(me, mates, R=5)) == "K1"
-
-    def test_waiting_walker_otherwise_parks(self):
-        me = robot(4, RobotState.WAITING_WALKER)
-        assert first_enabled_rule(make_view(me, [robot(9)], R=5)) == "K2"
-
     def test_searcher_meets_min(self):
-        me = robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2)
-        view = make_view(me, [robot(1, RobotState.MIN_WAITING_WALKER)], R=5)
+        me = robot(4, DUMB_SEARCHER, id_potential_min=2)
+        view = make_view(me, [robot(1, MIN_WAITING_WALKER)], R=5)
         assert first_enabled_rule(view) == "K3"
 
     def test_righter_meets_min_needs_right_edge(self):
         me = robot(4)
-        mates = [robot(1, RobotState.MIN_WAITING_WALKER)]
+        mates = [robot(1, MIN_WAITING_WALKER)]
         assert first_enabled_rule(make_view(me, mates, R=5, right_cur=True)) == "K4"
         assert first_enabled_rule(make_view(me, mates, R=5, right_cur=False)) == "M8"
 
-    def test_righter_meets_searcher(self):
-        me = robot(4)
-        view = make_view(me, [robot(6, RobotState.DUMB_SEARCHER, id_potential_min=2)], R=5)
-        assert first_enabled_rule(view) == "M7"
-
     def test_dumb_searcher_min_revelation_preempts_search(self):
-        me = robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        me = robot(4, DUMB_SEARCHER, id_potential_min=2)
         assert first_enabled_rule(make_view(me, [robot(6)], R=5)) == "M9"
-        me_sure = robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        me_sure = robot(4, DUMB_SEARCHER, id_potential_min=2)
         assert first_enabled_rule(make_view(me_sure, [robot(1)], R=5)) == "M11"
 
     def test_head_walker_mate_needs_edge_for_m2(self):
         me = robot(2)
-        mates = [robot(8, RobotState.HEAD_WALKER, id_head_walker=8)]
+        mates = [robot(8, HEAD_WALKER, id_head_walker=8)]
         assert first_enabled_rule(make_view(me, mates, R=5, right_cur=True)) == "M2"
         assert first_enabled_rule(make_view(me, mates, R=5, right_cur=False)) == "M3"
 
@@ -179,13 +148,13 @@ class TestActions:
     def test_initiate_search_splits_roles(self):
         view5 = make_view(robot(5), [robot(2), robot(9)], R=5)
         out5 = apply_rule("M6", view5)
-        assert out5.state is RobotState.DUMB_SEARCHER
+        assert out5.state == DUMB_SEARCHER
         assert out5.id_potential_min == 2
         assert out5.right_steps == 0
 
         view2 = make_view(robot(2, right_steps=3), [robot(5), robot(9)], R=5)
         out2 = apply_rule("M6", view2)
-        assert out2.state is RobotState.POTENTIAL_MIN
+        assert out2.state == POTENTIAL_MIN
         assert out2.id_potential_min == 2
         assert out2.right_steps == 4  # candidate keeps walking right
 
@@ -196,143 +165,143 @@ class TestActions:
 
     def test_initiate_walk_assigns_roles(self):
         waiting = {
-            1: robot(1, RobotState.MIN_WAITING_WALKER, dir=Direction.BOT),
-            4: robot(4, RobotState.WAITING_WALKER, dir=Direction.BOT),
-            7: robot(7, RobotState.WAITING_WALKER, dir=Direction.BOT),
-            8: robot(8, RobotState.WAITING_WALKER, dir=Direction.BOT),
+            1: robot(1, MIN_WAITING_WALKER, dir=BOT),
+            4: robot(4, WAITING_WALKER, dir=BOT),
+            7: robot(7, WAITING_WALKER, dir=BOT),
+            8: robot(8, WAITING_WALKER, dir=BOT),
         }
         outs = {}
         for rid, me in waiting.items():
             mates = [v for k, v in sorted(waiting.items()) if k != rid]
             outs[rid] = apply_rule("K1", make_view(me, mates, R=6))
-        assert outs[8].state is RobotState.HEAD_WALKER
+        assert outs[8].state == HEAD_WALKER
         assert outs[8].walker_mate == frozenset({1, 4, 7})
-        assert outs[1].state is RobotState.MIN_TAIL_WALKER
-        assert outs[4].state is RobotState.TAIL_WALKER
-        assert outs[7].state is RobotState.TAIL_WALKER
+        assert outs[1].state == MIN_TAIL_WALKER
+        assert outs[4].state == TAIL_WALKER
+        assert outs[7].state == TAIL_WALKER
         assert all(v.id_head_walker == 8 for v in outs.values())
 
     def test_walk_head_moves_with_full_escort(self):
         me = robot(
             8,
-            RobotState.HEAD_WALKER,
+            HEAD_WALKER,
             id_head_walker=8,
             walker_mate=frozenset({1, 4}),
             walk_steps=2,
         )
-        mates = [robot(1, RobotState.MIN_TAIL_WALKER, id_head_walker=8),
-                 robot(4, RobotState.TAIL_WALKER, id_head_walker=8)]
+        mates = [robot(1, MIN_TAIL_WALKER, id_head_walker=8),
+                 robot(4, TAIL_WALKER, id_head_walker=8)]
         out = apply_rule("W1", make_view(me, mates, R=5))
-        assert out.dir is Direction.RIGHT
+        assert out.dir == RIGHT
         assert out.walk_steps == 3
 
     def test_walk_head_pauses_when_escort_changes(self):
-        me = robot(8, RobotState.HEAD_WALKER, id_head_walker=8, walker_mate=frozenset({1, 4}))
-        out = apply_rule("W1", make_view(me, [robot(1, RobotState.MIN_TAIL_WALKER)], R=5))
-        assert out.dir is Direction.BOT
+        me = robot(8, HEAD_WALKER, id_head_walker=8, walker_mate=frozenset({1, 4}))
+        out = apply_rule("W1", make_view(me, [robot(1, MIN_TAIL_WALKER)], R=5))
+        assert out.dir == BOT
         assert out.walk_steps == 0
 
     def test_walk_tail_pauses_while_head_present(self):
-        me = robot(4, RobotState.TAIL_WALKER, id_head_walker=8, walk_steps=1)
-        with_head = make_view(me, [robot(8, RobotState.HEAD_WALKER, id_head_walker=8)], R=5)
-        assert apply_rule("W1", with_head).dir is Direction.BOT
+        me = robot(4, TAIL_WALKER, id_head_walker=8, walk_steps=1)
+        with_head = make_view(me, [robot(8, HEAD_WALKER, id_head_walker=8)], R=5)
+        assert apply_rule("W1", with_head).dir == BOT
         without_head = make_view(me, [], R=5)
         out = apply_rule("W1", without_head)
-        assert out.dir is Direction.RIGHT
+        assert out.dir == RIGHT
         assert out.walk_steps == 2
 
     def test_walk_does_not_count_blocked_step(self):
-        me = robot(4, RobotState.TAIL_WALKER, id_head_walker=8, walk_steps=1)
+        me = robot(4, TAIL_WALKER, id_head_walker=8, walk_steps=1)
         out = apply_rule("W1", make_view(me, [], R=5, right_cur=False))
-        assert out.dir is Direction.RIGHT
+        assert out.dir == RIGHT
         assert out.walk_steps == 1
 
     def test_become_waiting_walker_records_min(self):
-        me = robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2)
-        view = make_view(me, [robot(1, RobotState.MIN_WAITING_WALKER)], R=5)
+        me = robot(4, DUMB_SEARCHER, id_potential_min=2)
+        view = make_view(me, [robot(1, MIN_WAITING_WALKER)], R=5)
         out = apply_rule("K3", view)
-        assert out.state is RobotState.WAITING_WALKER
+        assert out.state == WAITING_WALKER
         assert (out.id_potential_min, out.id_min) == (1, 1)
-        assert out.dir is Direction.BOT
+        assert out.dir == BOT
 
     def test_become_min_waiting_walker(self):
-        me = robot(1, RobotState.POTENTIAL_MIN, id_potential_min=1)
+        me = robot(1, POTENTIAL_MIN, id_potential_min=1)
         out = apply_rule("M1", make_view(me, [robot(5)], R=5))
-        assert out.state is RobotState.MIN_WAITING_WALKER
+        assert out.state == MIN_WAITING_WALKER
         assert (out.id_potential_min, out.id_min) == (1, 1)
-        assert out.dir is Direction.BOT
+        assert out.dir == BOT
 
     def test_aware_searcher_copies_candidate_from_dumb_witness(self):
         me = robot(9)
-        witness = robot(6, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        witness = robot(6, DUMB_SEARCHER, id_potential_min=2)
         out = apply_rule("M7", make_view(me, [witness], R=5))
-        assert out.state is RobotState.AWARE_SEARCHER
+        assert out.state == AWARE_SEARCHER
         assert (out.id_potential_min, out.id_min) == (2, 2)
 
     def test_aware_searcher_copies_min_from_aware_witness(self):
         me = robot(9)
-        witness = robot(6, RobotState.AWARE_SEARCHER, id_potential_min=3, id_min=3)
+        witness = robot(6, AWARE_SEARCHER, id_potential_min=3, id_min=3)
         out = apply_rule("M7", make_view(me, [witness], R=5))
         assert (out.id_potential_min, out.id_min) == (3, 3)
 
     def test_min_revelation_promotes_self_candidate(self):
-        me = robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2)
+        me = robot(4, DUMB_SEARCHER, id_potential_min=2)
         out = apply_rule("M9", make_view(me, [robot(6)], R=5))
-        assert out.state is RobotState.AWARE_SEARCHER
+        assert out.state == AWARE_SEARCHER
         assert (out.id_potential_min, out.id_min) == (2, 2)
 
     def test_search_splits_largest_left(self):
-        me = robot(9, RobotState.AWARE_SEARCHER, id_min=2, id_potential_min=2)
-        out = apply_rule("M11", make_view(me, [robot(6, RobotState.DUMB_SEARCHER)], R=5))
-        assert out.dir is Direction.LEFT
-        me_small = robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2)
-        out2 = apply_rule("M11", make_view(me_small, [robot(6, RobotState.DUMB_SEARCHER)], R=5))
-        assert out2.dir is Direction.RIGHT
+        me = robot(9, AWARE_SEARCHER, id_min=2, id_potential_min=2)
+        out = apply_rule("M11", make_view(me, [robot(6, DUMB_SEARCHER)], R=5))
+        assert out.dir == LEFT
+        me_small = robot(3, DUMB_SEARCHER, id_potential_min=2)
+        out2 = apply_rule("M11", make_view(me_small, [robot(6, DUMB_SEARCHER)], R=5))
+        assert out2.dir == RIGHT
 
     def test_search_alone_keeps_direction(self):
-        me = robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2, dir=Direction.LEFT)
-        assert apply_rule("M11", make_view(me, [], R=5)).dir is Direction.LEFT
+        me = robot(3, DUMB_SEARCHER, id_potential_min=2, dir=LEFT)
+        assert apply_rule("M11", make_view(me, [], R=5)).dir == LEFT
 
     def test_tail_walker_adoption(self):
         witness = robot(
             1,
-            RobotState.MIN_TAIL_WALKER,
+            MIN_TAIL_WALKER,
             id_potential_min=1,
             id_min=1,
             id_head_walker=8,
             walker_mate=frozenset({1, 4}),
             walk_steps=3,
         )
-        me = robot(6, RobotState.AWARE_SEARCHER, id_min=1, id_potential_min=1)
+        me = robot(6, AWARE_SEARCHER, id_min=1, id_potential_min=1)
         out = apply_rule("M4", make_view(me, [witness], R=5))
-        assert out.state is RobotState.TAIL_WALKER
+        assert out.state == TAIL_WALKER
         assert out.id_head_walker == 8
         assert out.walk_steps == 4  # walks along immediately
 
     def test_m3_joins_walk_but_stops(self):
         me = robot(2)
-        head = robot(8, RobotState.HEAD_WALKER, id_min=1, id_potential_min=1, id_head_walker=8)
+        head = robot(8, HEAD_WALKER, id_min=1, id_potential_min=1, id_head_walker=8)
         out = apply_rule("M3", make_view(me, [head], R=5, right_cur=False))
-        assert out.state is RobotState.AWARE_SEARCHER
-        assert out.dir is Direction.BOT
+        assert out.state == AWARE_SEARCHER
+        assert out.dir == BOT
         assert (out.id_potential_min, out.id_min) == (1, 1)
 
     def test_termination_freezes(self):
         view = make_view(robot(1), [robot(2), robot(3), robot(4)], R=4)
         out = apply_rule("Term1", view)
         assert out.terminated
-        assert out.state is RobotState.RIGHTER
+        assert out.state == RIGHTER
 
 
 class TestWitness:
     def test_smallest_id_wins(self):
         me = robot(9)
         mates = [
-            robot(6, RobotState.DUMB_SEARCHER, id_potential_min=3),
-            robot(2, RobotState.DUMB_SEARCHER, id_potential_min=5),
+            robot(6, DUMB_SEARCHER, id_potential_min=3),
+            robot(2, DUMB_SEARCHER, id_potential_min=5),
         ]
         view = make_view(me, mates, R=5)
-        witness = select_witness(view, (RobotState.DUMB_SEARCHER,))
+        witness = select_witness(view, (DUMB_SEARCHER,))
         assert witness.id == 2
         out = apply_rule("M7", view)
         assert out.id_min == 5  # learned from robot 2, not robot 6
@@ -346,52 +315,52 @@ class TestWitness:
 # Every rule: a view in which it is the first enabled one
 # ---------------------------------------------------------------------------
 
-HEAD = robot(8, RobotState.HEAD_WALKER, id_min=1, id_potential_min=1, id_head_walker=8)
-MIN_WAITING = robot(1, RobotState.MIN_WAITING_WALKER, id_min=1, id_potential_min=1)
-AWARE = robot(6, RobotState.AWARE_SEARCHER, id_min=1, id_potential_min=1)
+HEAD = robot(8, HEAD_WALKER, id_min=1, id_potential_min=1, id_head_walker=8)
+MIN_WAITING = robot(1, MIN_WAITING_WALKER, id_min=1, id_potential_min=1)
+AWARE = robot(6, AWARE_SEARCHER, id_min=1, id_potential_min=1)
 
 # In priority order; each view enables its rule and no earlier one.
 FIRST_ENABLED = {
     "Term1": make_view(robot(1), [robot(2), robot(3), robot(4)], R=4),
     "Term2": make_view(
-        robot(1, RobotState.MIN_WAITING_WALKER),
-        [robot(3, RobotState.WAITING_WALKER), robot(4)],
+        robot(1, MIN_WAITING_WALKER),
+        [robot(3, WAITING_WALKER), robot(4)],
         R=4,
     ),
-    "K3": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [MIN_WAITING], R=5),
+    "K3": make_view(robot(4, DUMB_SEARCHER, id_potential_min=2), [MIN_WAITING], R=5),
     "K4": make_view(robot(4), [MIN_WAITING], R=5),
-    "M1": make_view(robot(1, RobotState.POTENTIAL_MIN, id_potential_min=1), [robot(5)], R=5),
+    "M1": make_view(robot(1, POTENTIAL_MIN, id_potential_min=1), [robot(5)], R=5),
     "M2": make_view(robot(2), [HEAD], R=5),
     "M3": make_view(robot(2), [HEAD], R=5, right_cur=False),
     "M4": make_view(
         AWARE,
-        [robot(1, RobotState.MIN_TAIL_WALKER, id_min=1, id_head_walker=8)],
+        [robot(1, MIN_TAIL_WALKER, id_min=1, id_head_walker=8)],
         R=5,
     ),
-    "M5": make_view(robot(2, RobotState.POTENTIAL_MIN, id_potential_min=2), [AWARE], R=5),
+    "M5": make_view(robot(2, POTENTIAL_MIN, id_potential_min=2), [AWARE], R=5),
     "M6": make_view(robot(1), [robot(2), robot(3)], R=4),
-    "M7": make_view(robot(4), [robot(6, RobotState.DUMB_SEARCHER, id_potential_min=2)], R=5),
+    "M7": make_view(robot(4), [robot(6, DUMB_SEARCHER, id_potential_min=2)], R=5),
     "M8": make_view(robot(3)),
-    "M9": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [robot(6)], R=5),
-    "M10": make_view(robot(4, RobotState.DUMB_SEARCHER, id_potential_min=2), [AWARE], R=5),
-    "M11": make_view(robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2), R=5),
-    "T1": make_view(robot(2, RobotState.LEFT_WALKER)),
+    "M9": make_view(robot(4, DUMB_SEARCHER, id_potential_min=2), [robot(6)], R=5),
+    "M10": make_view(robot(4, DUMB_SEARCHER, id_potential_min=2), [AWARE], R=5),
+    "M11": make_view(robot(3, DUMB_SEARCHER, id_potential_min=2), R=5),
+    "T1": make_view(robot(2, LEFT_WALKER)),
     "T2": make_view(
-        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5),
-        [robot(1, RobotState.TAIL_WALKER)],
+        robot(5, HEAD_WALKER, walker_mate=frozenset({1, 2}), id_head_walker=5),
+        [robot(1, TAIL_WALKER)],
     ),
-    "T3": make_view(robot(5, RobotState.HEAD_WALKER, walk_steps=4, id_head_walker=5), n=4),
+    "T3": make_view(robot(5, HEAD_WALKER, walk_steps=4, id_head_walker=5), n=4),
     "W1": make_view(
-        robot(5, RobotState.HEAD_WALKER, walker_mate=frozenset({1}), id_head_walker=5),
-        [robot(1, RobotState.MIN_TAIL_WALKER, id_head_walker=5)],
+        robot(5, HEAD_WALKER, walker_mate=frozenset({1}), id_head_walker=5),
+        [robot(1, MIN_TAIL_WALKER, id_head_walker=5)],
         R=5,
     ),
     "K1": make_view(
-        robot(1, RobotState.MIN_WAITING_WALKER),
-        [robot(4, RobotState.WAITING_WALKER), robot(7, RobotState.WAITING_WALKER)],
+        robot(1, MIN_WAITING_WALKER),
+        [robot(4, WAITING_WALKER), robot(7, WAITING_WALKER)],
         R=5,
     ),
-    "K2": make_view(robot(4, RobotState.WAITING_WALKER), [robot(9)], R=5),
+    "K2": make_view(robot(4, WAITING_WALKER), [robot(9)], R=5),
 }
 
 
@@ -410,62 +379,62 @@ class TestUnpinnedActions:
     def test_term2_freezes(self):
         out = apply_rule("Term2", FIRST_ENABLED["Term2"])
         assert out.terminated
-        assert out.state is RobotState.MIN_WAITING_WALKER
+        assert out.state == MIN_WAITING_WALKER
 
     def test_t1_turns_left(self):
         out = apply_rule("T1", FIRST_ENABLED["T1"])
-        assert (out.state, out.dir) == (RobotState.LEFT_WALKER, Direction.LEFT)
+        assert (out.state, out.dir) == (LEFT_WALKER, LEFT)
 
     def test_t2_becomes_parked_left_walker(self):
         out = apply_rule("T2", FIRST_ENABLED["T2"])
-        assert (out.state, out.dir) == (RobotState.LEFT_WALKER, Direction.BOT)
+        assert (out.state, out.dir) == (LEFT_WALKER, BOT)
         assert out.walker_mate == frozenset({1, 2})
 
     def test_t3_stops_after_full_walk(self):
         out = apply_rule("T3", FIRST_ENABLED["T3"])
-        assert (out.state, out.dir, out.walk_steps) == (RobotState.HEAD_WALKER, Direction.BOT, 4)
+        assert (out.state, out.dir, out.walk_steps) == (HEAD_WALKER, BOT, 4)
 
     def test_k2_parks(self):
         out = apply_rule("K2", FIRST_ENABLED["K2"])
-        assert (out.state, out.dir) == (RobotState.WAITING_WALKER, Direction.BOT)
+        assert (out.state, out.dir) == (WAITING_WALKER, BOT)
 
     def test_k4_learns_min_from_min_waiting(self):
         out = apply_rule("K4", FIRST_ENABLED["K4"])
-        assert (out.state, out.dir) == (RobotState.AWARE_SEARCHER, Direction.RIGHT)
+        assert (out.state, out.dir) == (AWARE_SEARCHER, RIGHT)
         assert (out.id_potential_min, out.id_min) == (1, 1)
 
     def test_m2_learns_min_from_head_walker_and_keeps_going(self):
         out = apply_rule("M2", FIRST_ENABLED["M2"])
-        assert (out.state, out.dir) == (RobotState.AWARE_SEARCHER, Direction.RIGHT)
+        assert (out.state, out.dir) == (AWARE_SEARCHER, RIGHT)
         assert (out.id_potential_min, out.id_min) == (1, 1)
 
     def test_m5_learns_from_smallest_aware_searcher_then_searches(self):
-        me = robot(2, RobotState.POTENTIAL_MIN, id_potential_min=2)
-        other = robot(9, RobotState.AWARE_SEARCHER, id_min=5, id_potential_min=5)
+        me = robot(2, POTENTIAL_MIN, id_potential_min=2)
+        other = robot(9, AWARE_SEARCHER, id_min=5, id_potential_min=5)
         out = apply_rule("M5", make_view(me, [other, AWARE], R=5))
-        assert out.state is RobotState.AWARE_SEARCHER
+        assert out.state == AWARE_SEARCHER
         assert (out.id_potential_min, out.id_min) == (1, 1)
-        assert out.dir is Direction.RIGHT  # not the largest id here
+        assert out.dir == RIGHT  # not the largest id here
 
     def test_m8_moves_right_counting_present_edges(self):
-        out = apply_rule("M8", make_view(robot(3, right_steps=2, dir=Direction.BOT)))
-        assert (out.state, out.dir, out.right_steps) == (RobotState.RIGHTER, Direction.RIGHT, 3)
+        out = apply_rule("M8", make_view(robot(3, right_steps=2, dir=BOT)))
+        assert (out.state, out.dir, out.right_steps) == (RIGHTER, RIGHT, 3)
         heading_right = make_view(robot(3, right_steps=2))
         assert apply_rule("M8", heading_right).right_steps == 3
         assert heading_right.self_vars.right_steps == 2
         blocked = apply_rule("M8", make_view(robot(3, right_steps=2), right_cur=False))
         assert blocked.right_steps == 2
-        parked_view = make_view(robot(3, right_steps=2, dir=Direction.BOT), right_cur=False)
+        parked_view = make_view(robot(3, right_steps=2, dir=BOT), right_cur=False)
         parked = apply_rule("M8", parked_view)
-        assert (parked.dir, parked.right_steps) == (Direction.RIGHT, 2)
+        assert (parked.dir, parked.right_steps) == (RIGHT, 2)
 
     def test_m10_dumb_searcher_learns_min_and_searches(self):
         out = apply_rule("M10", FIRST_ENABLED["M10"])
-        assert out.state is RobotState.AWARE_SEARCHER
+        assert out.state == AWARE_SEARCHER
         assert (out.id_potential_min, out.id_min) == (1, 1)
-        assert out.dir is Direction.RIGHT
-        me = robot(7, RobotState.DUMB_SEARCHER, id_potential_min=2)
-        assert apply_rule("M10", make_view(me, [AWARE], R=5)).dir is Direction.LEFT
+        assert out.dir == RIGHT
+        me = robot(7, DUMB_SEARCHER, id_potential_min=2)
+        assert apply_rule("M10", make_view(me, [AWARE], R=5)).dir == LEFT
 
     def test_unknown_rule_raises(self):
         with pytest.raises(ValueError, match="unknown rule"):
@@ -476,8 +445,8 @@ class TestUnpinnedActions:
 # Totality: every reachable-looking view dispatches exactly one rule
 # ---------------------------------------------------------------------------
 
-states = st.sampled_from(list(RobotState))
-dirs = st.sampled_from(list(Direction))
+states = st.sampled_from(ALL_STATES)
+dirs = st.sampled_from(DIRECTIONS)
 
 
 @st.composite
@@ -534,7 +503,7 @@ def test_terminated_only_via_term_rules(view):
 @settings(max_examples=300)
 @given(
     robot_vars(),
-    st.sampled_from([RobotState.RIGHTER, RobotState.POTENTIAL_MIN]),
+    st.sampled_from([RIGHTER, POTENTIAL_MIN]),
     st.booleans(),
 )
 def test_m8_builds_the_replaced_vars(drawn, state, right_cur):
@@ -545,9 +514,9 @@ def test_m8_builds_the_replaced_vars(drawn, state, right_cur):
     fields = tuple(me)
     out = apply_rule("M8", make_view(me, right_cur=right_cur))
     if right_cur:
-        assert out == me._replace(dir=Direction.RIGHT, right_steps=me.right_steps + 1)
+        assert out == me._replace(dir=RIGHT, right_steps=me.right_steps + 1)
     else:
-        assert out == me._replace(dir=Direction.RIGHT)
+        assert out == me._replace(dir=RIGHT)
     assert type(out) is RobotVars
     assert tuple(me) == fields
 
@@ -578,22 +547,22 @@ class TestValueTypes:
 
     def test_robot_vars_fields_cannot_be_set(self):
         with pytest.raises(AttributeError):
-            robot(3).state = RobotState.LEFT_WALKER
+            robot(3).state = LEFT_WALKER
 
     def test_view_fields_cannot_be_set(self):
         with pytest.raises(AttributeError):
             make_view(robot(3)).has_moved = True
 
     def test_replace_returns_robot_vars(self):
-        out = robot(3)._replace(dir=Direction.LEFT)
+        out = robot(3)._replace(dir=LEFT)
         assert type(out) is RobotVars
-        assert (out.id, out.dir) == (3, Direction.LEFT)
+        assert (out.id, out.dir) == (3, LEFT)
 
     def test_equal_vars_from_different_actions_are_equal_and_hash_equal(self):
         # K3 turns a searcher into this waiting walker; K2 parks one that was
         # already waiting but still headed right.
         via_k3 = apply_rule("K3", FIRST_ENABLED["K3"])
-        waiting = robot(4, RobotState.WAITING_WALKER, id_potential_min=1, id_min=1)
+        waiting = robot(4, WAITING_WALKER, id_potential_min=1, id_min=1)
         via_k2 = apply_rule("K2", make_view(waiting, [MIN_WAITING], R=5))
         assert via_k3 is not via_k2
         assert via_k3 == via_k2
@@ -603,12 +572,12 @@ class TestValueTypes:
     def test_keyword_construction_with_defaults(self):
         me = RobotVars(id=3)
         assert (me.state, me.dir, me.right_steps, me.walk_steps) == (
-            RobotState.RIGHTER, Direction.RIGHT, 0, 0
+            RIGHTER, RIGHT, 0, 0
         )
         assert (me.id_potential_min, me.id_min, me.id_head_walker) == (-1, -1, -1)
         assert (me.walker_mate, me.terminated) == (frozenset(), False)
-        assert RobotVars(3, RobotState.POTENTIAL_MIN, Direction.LEFT) == RobotVars(
-            id=3, state=RobotState.POTENTIAL_MIN, dir=Direction.LEFT
+        assert RobotVars(3, POTENTIAL_MIN, LEFT) == RobotVars(
+            id=3, state=POTENTIAL_MIN, dir=LEFT
         )
         view = make_view(me, R=6, n=9)
         assert (view.self_vars, view.mates, view.n, view.R) == (me, (), 9, 6)
@@ -625,7 +594,7 @@ class TestUnchangedVars:
         assert apply_rule("M8", view) is view.self_vars
 
     def test_k2_at_bot_returns_its_input(self):
-        view = make_view(robot(4, RobotState.WAITING_WALKER, dir=Direction.BOT), [robot(9)], R=5)
+        view = make_view(robot(4, WAITING_WALKER, dir=BOT), [robot(9)], R=5)
         assert apply_rule("K2", view) is view.self_vars
 
     def test_lone_m11_returns_its_input(self):
@@ -633,8 +602,8 @@ class TestUnchangedVars:
         assert apply_rule("M11", view) is view.self_vars
 
     def test_m11_keeping_its_direction_returns_its_input(self):
-        me = robot(3, RobotState.DUMB_SEARCHER, id_potential_min=2)
-        view = make_view(me, [robot(6, RobotState.DUMB_SEARCHER)], R=5)
+        me = robot(3, DUMB_SEARCHER, id_potential_min=2)
+        view = make_view(me, [robot(6, DUMB_SEARCHER)], R=5)
         assert apply_rule("M11", view) is me
 
 
@@ -651,7 +620,7 @@ PAPER_ORDER = (
 BY_NAME = {rule.name: rule for rule in RULES}
 
 
-@pytest.mark.parametrize("state", RobotState, ids=lambda state: state.value)
+@pytest.mark.parametrize("state", ALL_STATES)
 def test_rule_order_keeps_each_states_paper_order(state):
     # A rule whose states leave out the robot's is never enabled, so two
     # orders fire the same rule on every view iff they agree on the rules
@@ -697,11 +666,11 @@ def reference_min_discovery(view):
     """min_discovery as three separate scans of the mates."""
     me = view.self_vars
     return (
-        (me.state is RobotState.POTENTIAL_MIN
-         and any(m.state is RobotState.RIGHTER and me.id < m.id for m in view.mates))
+        (me.state == POTENTIAL_MIN
+         and any(m.state == RIGHTER and me.id < m.id for m in view.mates))
         or any(m.id_min == me.id for m in view.mates)
         or any(
-            m.state in (RobotState.DUMB_SEARCHER, RobotState.POTENTIAL_MIN)
+            m.state in (DUMB_SEARCHER, POTENTIAL_MIN)
             and me.id < m.id_potential_min
             for m in view.mates
         )
@@ -766,9 +735,9 @@ def test_guard_count_is_the_fired_rules_position(view):
 # Mate states that make the tower-size conditions hold or nearly hold: all
 # righters (M6), all waiting (K1), a min present (Term2), or anything.
 TOWER_MATE_STATES = {
-    "righters": st.just(RobotState.RIGHTER),
+    "righters": st.just(RIGHTER),
     "waiting": st.sampled_from(WAITING_STATES),
-    "min": st.sampled_from(MIN_STATES + (RobotState.RIGHTER, RobotState.WAITING_WALKER)),
+    "min": st.sampled_from(MIN_STATES + (RIGHTER, WAITING_WALKER)),
     "any": states,
 }
 
@@ -813,7 +782,8 @@ def test_dense_towers_dispatch_as_the_reference_walk(view):
 
 
 def test_state_bits_are_distinct_powers_of_two():
-    bits = [state.bit for state in RobotState]
+    assert list(BIT) == list(ALL_STATES)
+    bits = list(BIT.values())
     assert all(bit > 0 and bit & (bit - 1) == 0 for bit in bits)
     assert len(set(bits)) == len(bits)
 
@@ -822,7 +792,7 @@ def test_state_bits_are_distinct_powers_of_two():
 def test_seen_is_the_or_of_the_witness_bits(rule):
     expected = 0
     for state in rule.witness:
-        expected |= state.bit
+        expected |= BIT[state]
     assert rule.seen == expected
 
 
@@ -845,52 +815,3 @@ def test_tower_rule_needs_its_whole_tower(rule, drop):
     smaller = view._replace(mates=mates)
     assert first_enabled_rule(smaller) != rule
     assert first_enabled_rule(smaller) == reference_first_enabled_rule(smaller)
-
-
-ENUMS = ("Direction", "RobotState")
-
-
-def _enum_reads_in_bodies(tree):
-    """The lines of the `Direction.X` and `RobotState.X` reads (also through
-    a module, `gdg_protocol.Direction.X`) inside a function or lambda body.
-    Defaults, decorators and module-level code run once, so they are left out."""
-    lines = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            for stmt in node.body if isinstance(node.body, list) else [node.body]:
-                for sub in ast.walk(stmt):
-                    if isinstance(sub, ast.Attribute):
-                        owner = sub.value
-                        name = owner.id if isinstance(owner, ast.Name) else getattr(owner, "attr", None)
-                        if name in ENUMS:
-                            lines.add(sub.lineno)
-    return sorted(lines)
-
-
-@pytest.mark.parametrize(
-    "source, found",
-    [
-        ("def f(v):\n    return v.dir is Direction.RIGHT\n", [2]),
-        ("f = lambda v: v.state is gdg_protocol.RobotState.RIGHTER\n", [1]),
-        ("RIGHT = Direction.RIGHT\ndef f(v, d=Direction.LEFT):\n    return v.dir is RIGHT\n", []),
-    ],
-    ids=["function", "lambda", "module-level-and-default"],
-)
-def test_enum_read_scan_finds_reads_in_bodies_only(source, found):
-    assert _enum_reads_in_bodies(ast.parse(source)) == found
-
-
-@pytest.mark.parametrize(
-    "path",
-    sorted(pathlib.Path(gdg_protocol.__file__).parent.glob("*.py")),
-    ids=lambda path: path.name,
-)
-def test_no_function_reads_an_enum_member_as_a_class_attribute(path):
-    # On Python 3.10 and 3.11 such a read costs a slow metaclass hook on every
-    # call; hot code reads the members through gdg_protocol's module names.
-    assert _enum_reads_in_bodies(ast.parse(path.read_text())) == []
-
-
-@pytest.mark.parametrize("member", [*RobotState, *Direction], ids=lambda member: member.name)
-def test_module_name_is_the_member(member):
-    assert getattr(gdg_protocol, member.name) is member

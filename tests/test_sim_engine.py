@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gdg_sim import adversary, sim_engine
 from gdg_sim.adversary import GeneratorSpec, adaptive_ac_adversary, generate
 from gdg_sim.checkers import _termination_info
-from gdg_sim.gdg_protocol import Direction, RobotVars, View
+from gdg_sim.gdg_protocol import BOT, DIRECTIONS, LEFT, RIGHT, RobotVars, View
 from gdg_sim.ring_model import (
     AC,
     BRE,
@@ -37,7 +37,7 @@ from test_ring_model import left_edge_of, right_edge_of, ring_of, step_left, ste
 
 def never_move(view: View) -> tuple[RobotVars, str]:
     """Trivial algorithm under test: robots park forever."""
-    return view.self_vars._replace(dir=Direction.BOT), "idle"
+    return view.self_vars._replace(dir=BOT), "idle"
 
 
 PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
@@ -330,16 +330,16 @@ class TestStep:
         assert calls[-1] == (12, 4) and len(calls) == 11 * 4 + 2
 
     @pytest.mark.parametrize("present", [True, False], ids=["present", "absent"])
-    @pytest.mark.parametrize("dir", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("dir", DIRECTIONS)
     @pytest.mark.parametrize("n, node", [(n, v) for n in (4, 5, 6) for v in range(n)])
     def test_move_follows_ring_model(self, n, node, dir, present):
         # step indexes the snapshot and wraps around the ring itself. The
         # snapshot holds only the edge the robot's direction needs, or every
         # edge but that one (a parked robot gets all edges, or none), so
         # reading another edge moves a robot wrongly either way.
-        if dir is Direction.RIGHT:
+        if dir == RIGHT:
             edge, moved_to = right_edge_of(node, n), step_right(node, n)
-        elif dir is Direction.LEFT:
+        elif dir == LEFT:
             edge, moved_to = left_edge_of(node, n), step_left(node, n)
         else:
             edge, moved_to = None, node
@@ -358,7 +358,7 @@ class TestStep:
         for bits in (snap, tuple(map(bool, snap))):
             rec = step(config, bits, set_dir).robots[1]
             assert (rec.position, rec.moved) == (expected, expected != node)
-            assert rec.dir == dir.value
+            assert rec.dir == dir
 
     def test_equal_records_are_shared(self):
         trace, _ = run(STRANDED_RING, STRANDED, horizon=40)
@@ -385,7 +385,7 @@ class TestStep:
         # A counter the records do not show: equal records, new vars.
         def count(view):
             me = view.self_vars
-            return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
+            return me._replace(dir=BOT, walk_steps=me.walk_steps + 1), "idle"
 
         config = initial_configuration(PLACEMENT, 4)
         before = step(config, FULL, count)
@@ -415,7 +415,7 @@ class TestStep:
     def test_towers_follow_vars_changed_under_equal_records(self):
         def count(view):
             me = view.self_vars
-            return me._replace(dir=Direction.BOT, walk_steps=me.walk_steps + 1), "idle"
+            return me._replace(dir=BOT, walk_steps=me.walk_steps + 1), "idle"
 
         config = initial_configuration({1: 0, 2: 0, 3: 1, 4: 1}, 4)
         before = step(config, FULL, count)
@@ -504,7 +504,7 @@ class TestFixed:
         A, C = GAP, FULL
 
         def head_right(view):
-            return view.self_vars._replace(dir=Direction.RIGHT), "head"
+            return view.self_vars._replace(dir=RIGHT), "head"
 
         ring = ring_of(4, [], [A, A, C])
         stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 60, head_right)
@@ -516,7 +516,7 @@ class TestFixed:
         # and hand the dicts on; round 2 has the same phase but follows FULL,
         # so they move.
         def follow_last_round(view):
-            dir = Direction.RIGHT if view.edge_left_previous else Direction.BOT
+            dir = RIGHT if view.edge_left_previous else BOT
             return view.self_vars._replace(dir=dir), "follow"
 
         ring = ring_of(4, [GAP], [FULL])
@@ -531,7 +531,7 @@ class TestFixed:
         def park_and_count_gaps(view):
             me = view.self_vars
             gaps = me.walk_steps + (not view.edge_right_current)
-            return me._replace(dir=Direction.BOT, walk_steps=gaps, terminated=gaps == 3), "idle"
+            return me._replace(dir=BOT, walk_steps=gaps, terminated=gaps == 3), "idle"
 
         ring = ring_of(4, [], [FULL, GAP])
         stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 40, park_and_count_gaps)
@@ -572,7 +572,7 @@ class TestRun:
         def park_then_halt(view):
             me = view.self_vars
             steps = me.walk_steps + 1
-            return me._replace(dir=Direction.BOT, walk_steps=steps, terminated=steps == 3), "idle"
+            return me._replace(dir=BOT, walk_steps=steps, terminated=steps == 3), "idle"
 
         trace, stop = run(static_ring(4), PLACEMENT, horizon=10, compute_fn=park_then_halt)
         assert trace.events[2].robots is trace.events[1].robots
@@ -817,18 +817,25 @@ class TestTraceSerialization:
             trace_from_jsonl("\n".join([dump(doc)] + lines))
 
     @pytest.mark.parametrize(
-        "key, value",
-        [("n", "x"), ("R", True), ("horizon", None), ("ids", 5), ("ids", [1, 2, "3", 4]),
-         ("class", 5), ("seed", "x"), ("seed", 1.5), ("R", 7), ("ids", [1, 2, 2, 3]),
-         ("horizon", 0), ("horizon", 2)],
+        "values, key",
+        [({"n": "x"}, "n"), ({"R": True}, "R"), ({"horizon": None}, "horizon"),
+         ({"ids": 5}, "ids"), ({"ids": [1, 2, "3", 4]}, "ids"), ({"class": 5}, "class"),
+         ({"seed": "x"}, "seed"), ({"seed": 1.5}, "seed"), ({"R": 7}, "R"),
+         ({"ids": [1, 2, 2, 3]}, "ids"), ({"horizon": 0}, "horizon"),
+         ({"horizon": 2}, "horizon"),
+         # Values no run writes: a ring below 4 nodes, fewer than 4 robots,
+         # and an id below 1.
+         ({"n": 3}, "n"), ({"R": 3, "ids": [1, 2, 3]}, "R"), ({"ids": [0, 2, 3, 4]}, "ids"),
+         ({"ids": [-5, 2, 3, 4]}, "ids")],
         ids=["n-a-string", "R-a-bool", "horizon-null", "ids-an-int", "id-a-string",
              "class-an-int", "seed-a-string", "seed-a-float", "R-not-the-id-count",
-             "ids-repeated", "horizon-0", "horizon-below-the-3-events"],
+             "ids-repeated", "horizon-0", "horizon-below-the-3-events", "n-below-4",
+             "R-below-4", "id-0", "id-negative"],
     )
-    def test_header_with_a_wrong_value_is_rejected(self, key, value):
+    def test_header_with_a_wrong_value_is_rejected(self, values, key):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
         header, *lines = trace_to_jsonl(trace).splitlines()
-        doc = {**json.loads(header), key: value}
+        doc = {**json.loads(header), **values}
         with pytest.raises(ValueError, match=f"header has a wrong value for {key}$"):
             trace_from_jsonl("\n".join([dump(doc)] + lines))
 
@@ -880,6 +887,9 @@ class TestTraceSerialization:
             lambda doc: {**doc, "robots": {**doc["robots"], "5": doc["robots"]["1"]}},
             lambda doc: {**doc, "round": 0},
             lambda doc: {**doc, "round": 2},
+            # A blank and a whitespace-only line first: the bad round is on
+            # line 5 of the text.
+            lambda doc: "\n  \n" + dump({**doc, "round": "x"}),
         ],
         ids=["line-not-an-object", "record-not-an-object", "snapshot-not-a-list",
              "robots-not-an-object", "robot-key-not-an-int", "round-a-string",
@@ -890,13 +900,17 @@ class TestTraceSerialization:
              "dir-null", "rule-an-int", "rule-null", "moved-an-int", "moved-1",
              "moved-a-string", "robot-renamed", "robot-key-signed", "robot-key-zero-padded",
              "robot-key-arabic-indic-digit", "robot-missing", "robot-extra",
-             "round-repeated", "round-skipped"],
+             "round-repeated", "round-skipped", "after-blank-lines"],
     )
     def test_malformed_event_line_is_rejected(self, change):
         trace, _ = run(static_ring(4), PLACEMENT, horizon=3)
         header, *lines = trace_to_jsonl(trace).splitlines()
-        lines[1] = dump(change(json.loads(lines[1])))
-        with pytest.raises(ValueError, match="line 3"):
+        changed = change(json.loads(lines[1]))
+        lines[1] = changed if type(changed) is str else dump(changed)
+        # The error counts every line of the text, blank ones too, so it
+        # names the last line of lines[1].
+        number = 3 + lines[1].count("\n")
+        with pytest.raises(ValueError, match=f"trace line {number} "):
             trace_from_jsonl("\n".join([header] + lines))
 
 
