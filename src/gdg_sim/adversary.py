@@ -116,15 +116,15 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
 
 @dataclass(frozen=True, slots=True)
 class AdversaryResult:
-    """ring closes the emitted schedule: with a proven cycle, as the emitted
+    """ring is the emitted schedule, closed by the proven cycle: the emitted
     prefix plus that cycle, on which plain ``run`` repeats the duel forever.
-    A horizon too short for the proof (below 23, 62 and 50 on the acceptance
-    duels, n=4, 6 and 8) repeats the last snapshot instead, which keeps the
-    targets apart only once the duel has settled. Each snapshot misses at
-    most one edge, yet ring is AC only if every edge shows in some round: a
-    duel that withholds one edge in every round closes a ring in no class."""
+    It is None unless stop.reason is "cycle": a horizon too short for the
+    proof (below 23, 62 and 50 on the acceptance duels, n=4, 6 and 8) leaves
+    no schedule that is known to keep the targets apart. Each snapshot misses
+    at most one edge, yet ring is AC only if every edge shows in some round:
+    a duel that withholds one edge in every round closes a ring in no class."""
 
-    ring: EvolvingRing
+    ring: Optional[EvolvingRing]
     trace: Trace
     defeated_at: Optional[int]  # round at which the targets met, if ever
     stop: Stop
@@ -197,17 +197,14 @@ def adaptive_ac_adversary(
         raise ValueError("ring size must be >= 4")
     source = _Adversary(n, r1, r2, compute_fn)
     trace, stop = sim_engine.run(source, placement, horizon, compute_fn, class_claim=AC)
-    events = trace.events
+    events, ring = trace.events, None
     if stop.reason == "cycle":
         # Every later event copies one of events[start:start + period], so
         # the duel and its schedule are read from those rounds and before.
         events = events[: stop.start + stop.period]
+        snapshots = tuple(snap for _, _, snap in events)
+        ring = EvolvingRing(n, Schedule(snapshots[: stop.start], snapshots[stop.start :]))
     defeated = next(
         (t for t, robots, _ in events if robots[r1].position == robots[r2].position), None
     )
-
-    snapshots = tuple(snap for _, _, snap in events)
-    prefix, cycle = snapshots, (snapshots[-1],)
-    if stop.reason == "cycle":
-        prefix, cycle = snapshots[: stop.start], snapshots[stop.start :]
-    return AdversaryResult(EvolvingRing(n, Schedule(prefix, cycle)), trace, defeated, stop)
+    return AdversaryResult(ring, trace, defeated, stop)

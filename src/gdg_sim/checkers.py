@@ -45,14 +45,6 @@ class Verdict:
     termination_round: Optional[int]
     bound_ok: Optional[bool]
 
-    def to_dict(self) -> dict:
-        return {
-            "safety_ok": self.safety_ok,
-            "variants": sorted(self.variants),
-            "termination_round": self.termination_round,
-            "bound_ok": self.bound_ok,
-        }
-
 
 def bound_for(p: BoundParams) -> Optional[int]:
     """Explicit round bound for the bounded variants in AC, BRE, and ST;

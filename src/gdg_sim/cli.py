@@ -17,6 +17,7 @@ Twister), so identical configs replay byte-identically.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -28,11 +29,8 @@ from typing import Optional
 from . import adversary as adv
 from .checkers import Experiment, experiment
 from .ring_model import (
-    AC,
     BRE,
-    COT,
-    RE,
-    ST,
+    CLASS_TAGS,
     DynClass,
     ring_from_json,
     ring_to_json,
@@ -54,8 +52,8 @@ def _parse_ids(text: str) -> list[int]:
         ids = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise CliError(f"bad --ids value {text!r}")
-    if len(ids) != len(set(ids)) or any(i <= 0 for i in ids):
-        raise CliError("ids must be distinct positive integers")
+    if len(ids) != len(set(ids)):  # initial_configuration rejects an id below 1
+        raise CliError("ids must be distinct")
     if len(ids) < 4:
         raise CliError("at least 4 robots are required")
     return ids
@@ -84,9 +82,7 @@ def _placement_for(
         raise CliError(f"bad --placement value {placement!r}")
     if len(nodes) != len(ids):
         raise CliError("--placement must list one node per id")
-    if any(not 0 <= v < n for v in nodes):
-        raise CliError("--placement node out of range")
-    return dict(zip(sorted(ids), nodes))
+    return dict(zip(sorted(ids), nodes))  # initial_configuration checks the range
 
 
 def _dyn_class(tag: Optional[str], delta: Optional[int]) -> Optional[DynClass]:
@@ -124,8 +120,10 @@ def _experiment(args: argparse.Namespace) -> Experiment:
 
 
 def _verdict_doc(exp: Experiment) -> dict:
+    verdict = dataclasses.asdict(exp.verdict)
+    verdict["variants"] = sorted(verdict["variants"])
     violations = [list(v) for v in exp.violations]
-    return {**exp.verdict.to_dict(), "violations": violations, "stop": exp.stop._asdict()}
+    return {**verdict, "violations": violations, "stop": exp.stop._asdict()}
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -156,16 +154,14 @@ def cmd_adversary(args: argparse.Namespace) -> int:
     if r1 == r2 or r1 not in ids or r2 not in ids:
         raise CliError("--r1 and --r2 must be two distinct ids from --ids")
     placement = _placement_for(ids, n, args.placement, rng)
-    if placement[r1] == placement[r2]:  # targets must start apart
-        if args.placement not in (None, "random"):
-            raise CliError("--placement puts --r1 and --r2 on one node")
+    # A random draw that puts the targets on one node is drawn again; an
+    # explicit one is adaptive_ac_adversary's to reject.
+    if placement[r1] == placement[r2] and args.placement in (None, "random"):
         placement[r2] = (placement[r1] + 1 + rng.randrange(n - 1)) % n
 
     result = adv.adaptive_ac_adversary(n, len(ids), placement, r1, r2, args.horizon)
     if args.schedule_out:
-        if result.stop.reason != "cycle":
-            # Without the proof, result.ring repeats the last snapshot, on which
-            # the targets may meet: a schedule that would contradict the duel.
+        if result.ring is None:  # no cycle proven, so no schedule repeats the duel
             raise CliError(
                 f"no cycle was proven within --horizon {args.horizon}, so --schedule-out "
                 "has no schedule to write; raise --horizon"
@@ -223,16 +219,10 @@ def _run_namespace(entry: object) -> argparse.Namespace:
             raise CliError(f"unknown batch entry key {key!r}")
         if not isinstance(value, kind) or isinstance(value, bool):
             raise CliError(f"batch entry key {key!r} must be {kind.__name__}")
-    return argparse.Namespace(
-        n=entry.get("n", 0),
-        ids=entry.get("ids", ""),
-        dyn_class=entry.get("class"),
-        delta=entry.get("delta"),
-        schedule=None,
-        placement=entry.get("placement"),
-        seed=entry.get("seed"),
-        horizon=entry.get("horizon"),
-    )
+    args = build_parser().parse_args(["run", "--ids", ""])  # run's own defaults
+    for key, value in entry.items():
+        setattr(args, "dyn_class" if key == "class" else key, value)
+    return args
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="simulate one gathering run")
     p_run.add_argument("--n", type=int, default=0)
     p_run.add_argument("--ids", required=True)
-    p_run.add_argument("--class", dest="dyn_class", choices=[COT, AC, RE, BRE, ST])
+    p_run.add_argument("--class", dest="dyn_class", choices=CLASS_TAGS)
     p_run.add_argument("--delta", type=int)
     p_run.add_argument("--schedule")
     p_run.add_argument("--placement")

@@ -33,7 +33,9 @@ robots here) and Term2's gap with its condition (all but one here, and one
 of them in a min state). Both facts are arguments of `_guard`, which
 dispatch calls once per rule in `RULES` order up to the one that fires, so
 the guard count is the fired rule's position, as the tests and the
-benchmark's self-test count it.
+benchmark's self-test count it. Dispatch decides once: `first_enabled_rule`
+returns the fired `Rule` itself, `apply_rule` runs that `Rule`, and
+`compute` reports its name, so no name is looked up again.
 
 `RobotVars` and `View` are NamedTuples: every Compute phase builds a View
 and most build a RobotVars, and tuples build and `_replace` two to three
@@ -424,7 +426,6 @@ RULES = (
 )
 
 RULE_ORDER = tuple(rule.name for rule in RULES)
-_BY_NAME = {rule.name: rule for rule in RULES}
 
 
 def _guard(rule: Rule, state: str, gap: int, present: int, view: View) -> bool:
@@ -442,7 +443,7 @@ def _guard(rule: Rule, state: str, gap: int, present: int, view: View) -> bool:
     return condition is None or condition(view)
 
 
-def first_enabled_rule(view: View) -> str:
+def first_enabled_rule(view: View) -> Rule:
     me = view.self_vars
     if me.terminated:
         raise ProtocolViolation("terminated robots do not compute")
@@ -454,20 +455,17 @@ def first_enabled_rule(view: View) -> str:
         present |= BIT[m.state]
     for rule in RULES:
         if _guard(rule, state, gap, present, view):
-            return rule.name
+            return rule
     raise ProtocolViolation(f"no rule enabled for robot {me.id} in state {state}")
 
 
-def apply_rule(rule: str, view: View) -> RobotVars:
+def apply_rule(rule: Rule, view: View) -> RobotVars:
     """Run the action of `rule` against the frozen view; returns updated vars."""
-    entry = _BY_NAME.get(rule)
-    if entry is None:
-        raise ValueError(f"unknown rule {rule!r}")
-    witness = select_witness(view, entry.witness) if entry.witness else None
-    return entry.action(view.self_vars, view, witness)
+    witness = select_witness(view, rule.witness) if rule.witness else None
+    return rule.action(view.self_vars, view, witness)
 
 
 def compute(view: View) -> tuple[RobotVars, str]:
     """One Compute phase: pick the first enabled rule and run its action."""
     rule = first_enabled_rule(view)
-    return apply_rule(rule, view), rule
+    return apply_rule(rule, view), rule.name

@@ -11,28 +11,30 @@ keys every dict in increasing robot id and ``step`` keeps that order, so
 nothing sorts again. ``step`` groups the next round's towers in the pass
 that builds its records, so every tower lists its robots in id order too.
 
-A trace shares equal parts as one object. Three places create the sharing:
+A trace shares equal parts as one object. Four places create the sharing:
 - ``_record`` gives equal records as one object, to ``step`` and
   ``trace_from_jsonl``, from a cache bounded by the number of distinct
-  records rather than by the horizon.
+  records rather than by the horizon. A record's state and dir are checked
+  on the cache's miss path, so once per distinct record, never per round.
 - ``step`` returns the previous round's ``robots`` dict itself when every
   record it produces is that round's record object. Records from
-  ``_record`` are equal exactly when they are one object, so in a run
-  ``ev.robots is prev.robots`` holds for consecutive events exactly when
-  their records are equal. A hand-built configuration whose records are
-  equal but not interned gets the interned records in a dict of its own.
+  ``_record`` are equal exactly when they are one object, so this is
+  record equality. A hand-built configuration whose records are equal but
+  not interned gets the interned records in a dict of its own.
 - ``run``'s copies after a proven cycle take the cycle's one ``robots`` dict
   and the snapshot objects of its rounds.
-Four places read it, and skip work on an event that repeats the last:
+- ``trace_from_jsonl`` hands on the previous event's ``robots`` dict when
+  the event's records equal it.
+So in every trace that ``run`` or ``trace_from_jsonl`` makes,
+``ev.robots is prev.robots`` holds for consecutive events exactly when
+their records are equal. Four places read it, and skip work on an event
+that repeats the last:
 - ``run`` keeps its repeat key only while rounds hand on the ``robots``
   dict, and compares the vars by value to prove that a run cycles.
 - ``_termination_info`` skips the event, as it fires no rule anew.
 - ``monitor_invariants`` copies the violations of the event before.
 - ``trace_to_jsonl`` reuses the line tail it built for the same ``robots``
   dict and snapshot object, and keys record and snapshot text by identity.
-A decoded trace shares records and snapshots, not robots dicts:
-``trace_from_jsonl`` builds each line's dict anew, so its readers do the
-full work on every event.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from .ring_model import EvolvingRing, Snapshot
 # A pluggable per-robot algorithm: View -> (updated vars, fired-rule label).
 # It must be a pure function of its View: run copies the rounds it proves
 # repeat instead of stepping them, so a compute_fn that keeps state of its
-# own is not called on every round.
+# own is not called on every round. Its vars' state and dir must be
+# gdg_protocol's strings: step's _record raises a ValueError on any other.
 ComputeFn = Callable[[View], tuple[RobotVars, str]]
 
 
@@ -96,9 +99,19 @@ class RobotRecord:
     moved: bool
 
 
+def _new_record(position: int, state: str, dir: str, rule: str, moved: bool) -> RobotRecord:
+    """A record that is not in the cache yet. Its state and dir must be
+    gdg_protocol's, as the decoder reads them back: a compute_fn's other
+    strings would write a trace that trace_from_jsonl rejects."""
+    # BIT's keys are the states, and a dict finds one by hash.
+    if not (state in BIT and dir in DIRECTIONS):
+        raise ValueError(f"not a robot state and a direction: {state!r}, {dir!r}")
+    return RobotRecord(position, state, dir, rule, moved)
+
+
 # The shared records: every caller passes the five fields positionally, so
 # equal fields hit one cache entry and give one object.
-_record = functools.cache(RobotRecord)
+_record = functools.cache(_new_record)
 
 # run recounts its running robots with it, in C.
 _TERMINATED = operator.attrgetter("terminated")
@@ -267,11 +280,12 @@ def run(
     the rounds from start on forever. run then stops stepping and asking the
     source, and copies those rounds' events up to the horizon.
     """
+    # The placement first: a bad id can make a caller's horizon bad too.
+    config = initial_configuration(placement, ring.n)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     if len(placement) < 4:
         raise ValueError("at least 4 robots are required")
-    config = initial_configuration(placement, ring.n)
     events: list[TraceEvent] = []
     running = len(placement)
     # Key -> round, for the rounds since a step last changed a record or a vars.
@@ -407,7 +421,9 @@ def trace_to_jsonl(trace: Trace) -> str:
 
 
 def trace_from_jsonl(text: str) -> Trace:
-    """Decode a trace. Equal records and equal snapshots are shared objects.
+    """Decode a trace. Equal records and equal snapshots are shared objects,
+    and an event whose records equal the previous event's shares its robots
+    dict, as in a run.
     Text without a header line, a header that is not an object, lacks one of
     its six keys or holds a value of the wrong type, and an event line that
     lacks a key or is malformed raise a ValueError naming what is wrong, and
@@ -457,15 +473,18 @@ def trace_from_jsonl(text: str) -> Trace:
             if entries.keys() != names.keys():
                 raise ValueError(f"the robot keys {list(entries)} are not the ids {ids}")
             for name, rec in entries.items():
-                pos, state, dir, rule, moved = values = record_fields(rec)
-                # BIT's keys are the states, and a dict finds one by hash.
-                if not (type(pos) is int and 0 <= pos < n and state in BIT
-                        and dir in DIRECTIONS and type(rule) is str and type(moved) is bool):
+                pos, _, _, rule, moved = values = record_fields(rec)
+                # Checked before the cache, which keys 1 and True alike;
+                # _record checks the state and dir.
+                if not (type(pos) is int and 0 <= pos < n and type(rule) is str
+                        and type(moved) is bool):
                     raise ValueError(
-                        f"the record {rec!r} needs a node of the {n}-ring, a robot state, "
-                        "a direction, a rule string and a bool moved"
+                        f"the record {rec!r} needs a node of the {n}-ring, a rule string "
+                        "and a bool moved"
                     )
                 robots[names[name]] = _record(*values)
+            if events and robots == events[-1].robots:
+                robots = events[-1].robots  # shared, as run shares equal rounds
             t, snap = doc["round"], doc["snapshot"]
             if not (type(t) is int and t == len(events)):
                 raise ValueError(f"the round {t!r} is not the event's position {len(events)}")

@@ -363,6 +363,17 @@ def test_repeated_rounds_share_one_robots_dict(corpus, adversary_runs, which, ex
     assert shared == equal == expected
 
 
+def test_decoded_traces_share_as_run_traces(corpus, adversary_runs):
+    # A decoded event hands on the previous event's robots dict exactly when
+    # the run's event does, so the readers' repeat paths serve both.
+    def shares(trace):
+        return [b.robots is a.robots for a, b in zip(trace.events, trace.events[1:])]
+
+    traces = [(rec.trace, rec.jsonl) for rec in _all_runs(corpus)]
+    traces += [(res.trace, trace_to_jsonl(res.trace)) for *_, res in adversary_runs]
+    assert all(shares(trace_from_jsonl(text)) == shares(trace) for trace, text in traces)
+
+
 # Step calls, copied rounds and all rounds of the traces. The duels' forks
 # are step calls too, and every round not stepped is a copy of a proven
 # cycle. The corpus is re-run and must give the same traces.

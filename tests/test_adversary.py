@@ -7,6 +7,7 @@ from gdg_sim.adversary import (
     generate,
 )
 from gdg_sim import adversary, sim_engine
+from gdg_sim.gdg_protocol import BOT, LEFT, RIGHT
 from gdg_sim.sim_engine import Stop
 from gdg_sim.ring_model import (
     AC,
@@ -93,9 +94,10 @@ class TestAdaptiveAdversary:
         assert verify_class(res.ring, DynClass(AC))
 
     def test_a_ring_missing_an_edge_throughout_is_not_ac(self):
-        # The targets sit on nodes 2 and 3 at round 0, so the one round
-        # withholds edge 2: every snapshot is connected, yet edge 2 never shows.
-        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 1)
+        # The parked targets sit on nodes 2 and 3, so every round withholds
+        # edge 2: every snapshot is connected, yet edge 2 never shows.
+        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 50, compute_fn=never_move)
+        assert res.stop.reason == "cycle"
         assert footprint(res.ring) == {0, 1, 3}
         assert not verify_class(res.ring, DynClass(AC))
 
@@ -158,12 +160,40 @@ class TestAdaptiveAdversary:
         assert stop == cycle
         assert all(ev.robots[r1].position != ev.robots[r2].position for ev in replay.events)
 
-    def test_a_horizon_too_short_for_the_proof_repeats_the_last_snapshot(self):
-        res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 22)
-        assert res.stop == Stop("horizon")
-        snapshots = tuple(ev.snapshot for ev in res.trace.events)
-        assert res.ring.schedule == Schedule(snapshots, snapshots[-1:])
-        assert adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 23).stop == DUEL_CYCLES[0]
+    def test_a_horizon_too_short_for_the_proof_closes_no_ring(self):
+        for horizon in (1, 22):
+            res = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, horizon)
+            assert res.stop == Stop("horizon")
+            assert res.ring is None
+        proven = adaptive_ac_adversary(4, 4, self.PLACEMENT, 3, 4, 23)
+        assert proven.stop == DUEL_CYCLES[0]
+        snapshots = tuple(ev.snapshot for ev in proven.trace.events)
+        assert proven.ring.schedule == Schedule(snapshots[:21], snapshots[21:22])
+
+    @pytest.mark.parametrize(
+        "placement, dirs, meeting",
+        [
+            ({1: 0, 2: 2, 3: 4, 4: 4}, (RIGHT, LEFT), 1),
+            ({1: 0, 2: 4, 3: 2, 4: 2}, (LEFT, RIGHT), 5),  # they meet across node 0
+        ],
+        ids=["inside", "wrapping"],
+    )
+    def test_targets_two_apart_lose_the_edge_they_would_meet_across(
+        self, placement, dirs, meeting
+    ):
+        # Target 1 walks dirs[0], target 2 dirs[1], toward each other; the
+        # others park. On the all-present fork they would meet on `meeting`.
+        def toward_each_other(view):
+            me = view.self_vars
+            return me._replace(dir={1: dirs[0], 2: dirs[1]}.get(me.id, BOT)), "walk"
+
+        n = 6
+        res = adaptive_ac_adversary(n, 4, placement, 1, 2, 5, compute_fn=toward_each_other)
+        withheld = adversary._edge_between(placement[1], meeting, n)
+        assert res.trace.events[0].snapshot == tuple(int(e != withheld) for e in range(n))
+        after = res.trace.events[0].robots
+        assert after[1].position != after[2].position
+        assert res.defeated_at is None
 
     def test_steps_get_the_previous_emitted_snapshot(self, monkeypatch):
         # Only headWalker reads the previous snapshot, and the duels never

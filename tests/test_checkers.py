@@ -278,7 +278,7 @@ def shared_trace(blocks):
     events = []
     for robots, repeats in blocks:
         events += [TraceEvent(len(events) + k, robots, (1, 1, 1, 1)) for k in range(repeats)]
-    return trace_of(events)
+    return trace_of(events, R=len(blocks[0][0]))
 
 
 def unshared(trace):
@@ -294,21 +294,24 @@ def unshared(trace):
     return Trace(trace.n, trace.R, trace.ids, trace.class_claim, trace.seed, trace.horizon, events)
 
 
-STATES = ("righter", "potentialMin", "dumbSearcher", "waitingWalker", "minWaitingWalker",
-          "headWalker")
 records = st.builds(
     rec,
-    pos=st.integers(0, 1),
-    state=st.sampled_from(STATES),
-    dir=st.sampled_from(("right", "left", "bot")),
+    pos=st.integers(0, 2),
+    state=st.sampled_from(ALL_STATES),
+    dir=st.sampled_from(DIRECTIONS),
     rule=st.sampled_from(("M8", "K2", "Term1", "Term2", "terminated")),
     moved=st.booleans(),
 )
-blocks = st.lists(
-    st.tuples(st.fixed_dictionaries({rid: records for rid in (1, 2, 3, 4)}), st.integers(1, 4)),
-    min_size=1,
-    max_size=8,
-)
+
+
+@st.composite
+def shared_traces(draw):
+    """R = 4-6 robots over 1-8 blocks of 1-4 events sharing one robots dict."""
+    R = draw(st.integers(4, 6))
+    robots = st.fixed_dictionaries({rid: records for rid in range(1, R + 1)})
+    return shared_trace(draw(st.lists(st.tuples(robots, st.integers(1, 4)), min_size=1,
+                                      max_size=8)))
+
 
 # Each block list holds a violation for at least three repeated events.
 MIN_WAITING = rec(0, "minWaitingWalker", "bot", "K2")
@@ -340,9 +343,9 @@ def assert_same_on_unshared(trace):
 
 class TestRepeatedRounds:
     @settings(max_examples=300, deadline=None)
-    @given(blocks)
-    def test_shared_trace_judged_as_its_unshared_copy(self, blocks):
-        assert_same_on_unshared(shared_trace(blocks))
+    @given(shared_traces())
+    def test_shared_trace_judged_as_its_unshared_copy(self, trace):
+        assert_same_on_unshared(trace)
 
     @pytest.mark.parametrize("name", sorted(STANDING))
     def test_standing_violation_repeats_every_round(self, name):
@@ -452,31 +455,9 @@ def reference_monitor(trace):
     return violations
 
 
-all_records = st.builds(
-    rec,
-    pos=st.integers(0, 2),
-    state=st.sampled_from(ALL_STATES),
-    dir=st.sampled_from(DIRECTIONS),
-    rule=st.sampled_from(("M8", "K2", "Term1", "terminated")),
-    moved=st.booleans(),
-)
-
-
-@st.composite
-def monitored_traces(draw):
-    """R = 4-6 robots over 1-8 blocks of 1-4 events sharing one robots dict."""
-    R = draw(st.integers(4, 6))
-    rounds = st.fixed_dictionaries({rid: all_records for rid in range(1, R + 1)})
-    runs = draw(st.lists(st.tuples(rounds, st.integers(1, 4)), min_size=1, max_size=8))
-    events = []
-    for robots, repeats in runs:
-        events += [TraceEvent(len(events) + k, robots, (1, 1, 1, 1)) for k in range(repeats)]
-    return trace_of(events, R=R)
-
-
 class TestOnePassMonitor:
     @settings(max_examples=300, deadline=None)
-    @given(monitored_traces())
+    @given(shared_traces())
     def test_same_violations_per_round_as_the_reference(self, trace):
         hits = monitor_invariants(trace)
         assert Counter(hits) == Counter(reference_monitor(trace))

@@ -128,15 +128,17 @@ def test_schedule_missing_an_edge_throughout_is_in_no_class(tmp_path, capsys, ta
     assert capsys.readouterr().err == f"error: schedule does not satisfy class {tag}\n"
 
 
-@pytest.mark.parametrize("ids", ["0,1,2,3", "-1,1,2,3", "1,2,0,3"])
+# "-100,1,2,3" gives st a negative round bound, so the ids are checked
+# before the horizon derived from them.
+@pytest.mark.parametrize("ids", ["0,1,2,3", "-1,1,2,3", "1,2,0,3", "-100,1,2,3"])
 def test_non_positive_ids_are_usage_errors(tmp_path, capsys, ids):
     assert main(["run", "--n", "4", f"--ids={ids}", "--class", "st"]) == 2
-    assert capsys.readouterr().err == "error: ids must be distinct positive integers\n"
+    assert capsys.readouterr().err == "error: robot ids must be strictly positive\n"
     assert _batch(tmp_path, [GOOD_ENTRY, {**GOOD_ENTRY, "ids": ids}]) == 1
     good, bad = json.loads(capsys.readouterr().out)["runs"]
     assert good["ok"]
-    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "CliError")
-    assert bad["error"] == "ids must be distinct positive integers"
+    assert (bad["index"], bad["ok"], bad["error_type"]) == (1, False, "ValueError")
+    assert bad["error"] == "robot ids must be strictly positive"
 
 
 @pytest.mark.parametrize("bit", [2, -1])
@@ -216,7 +218,7 @@ def test_bad_integer_input_is_named(capsys, monkeypatch, command, env, args, mes
         (["--ids", "1,2,x,4"], "bad --ids value '1,2,x,4'"),
         (["--ids", "1,2,3"], "at least 4 robots are required"),
         (["--ids", "1,2,3,4", "--placement", "0,1,2"], "--placement must list one node per id"),
-        (["--ids", "1,2,3,4", "--placement", "0,1,2,4"], "--placement node out of range"),
+        (["--ids", "1,2,3,4", "--placement", "0,1,2,4"], "placement node out of range"),
         (["--ids", "1,2,3,4", "--n", "5"], "--n disagrees with the schedule"),
         (["--ids", "1,2,3,4", "--delta", "2"], "--delta requires --class bre"),
     ],
@@ -360,7 +362,7 @@ def test_adversary_explicit_placement_with_colocated_targets_is_usage_error(
         ]
     )
     assert code == 2
-    assert "--placement puts --r1 and --r2 on one node" in capsys.readouterr().err
+    assert "targets must be distinct robots on distinct nodes" in capsys.readouterr().err
     assert not trace_out.exists()
 
 

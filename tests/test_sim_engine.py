@@ -579,6 +579,20 @@ class TestRun:
         assert len(trace.events) == 3
         assert stop == Stop("all_terminated")
 
+    @pytest.mark.parametrize("field, value", [("state", "sleeper"), ("dir", "up")])
+    def test_compute_fn_outside_the_vocabulary_is_rejected(self, field, value):
+        # Its trace would not decode, so the first record that holds the
+        # value raises, in round 0, before the robot moves.
+        calls = []
+
+        def off_vocabulary(view):
+            calls.append(view.self_vars.id)
+            return view.self_vars._replace(**{field: value}), "odd"
+
+        with pytest.raises(ValueError, match=f"not a robot state and a direction: .*{value}"):
+            run(static_ring(4), PLACEMENT, 3, off_vocabulary)
+        assert calls == [1]
+
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             run(static_ring(4), PLACEMENT, horizon=0)
@@ -785,6 +799,11 @@ class TestTraceSerialization:
         )
         # Equal snapshots decode to one object too: the ring's two snapshots.
         assert len({id(ev.snapshot) for ev in loaded.events}) == 2
+        # And consecutive events share a robots dict as the run's do.
+        def shares(t):
+            return [b.robots is a.robots for a, b in zip(t.events, t.events[1:])]
+
+        assert shares(loaded) == shares(trace) and any(shares(trace))
 
     @pytest.mark.parametrize("order", [("robots", "snapshot", "round"),
                                        ("round", "robots", "snapshot")])
