@@ -9,7 +9,11 @@ stable string recorded in traces), the states it fires from, an optional
 tower size, an optional witness, an optional extra condition on the view,
 and its action. A witness is a set of states: some co-located robot must be
 in one of them, and the action learns from the smallest-id one that is.
-`RULE_ORDER` is the names of `RULES`, in order.
+`RULE_ORDER` is the names of `RULES`, in order. Every action has the one
+signature `apply_rule` calls, `(me, view, witness) -> RobotVars`, and is a
+module-level function that the table names: a rule that composes steps,
+such as M4 joining a walk and then walking, has its own named action, and
+no entry wraps a helper in an adapter.
 
 The order is the paper's with T1, T2, T3, W1, K1 and K2 moved behind M11,
 and it fires the same rule as the paper's on every view. A rule is never
@@ -148,6 +152,10 @@ def min_discovery(view: View) -> bool:
     return me.right_steps == 4 * me.id * view.n
 
 
+def _edge_right_current(view: View) -> bool:
+    return view.edge_right_current
+
+
 def select_witness(view: View, states: tuple[str, ...]) -> RobotVars:
     """Deterministic witness for an "exists a mate" guard: smallest id wins."""
     hits = [m for m in view.mates if m.state in states]
@@ -157,42 +165,46 @@ def select_witness(view: View, states: tuple[str, ...]) -> RobotVars:
 
 
 # ---------------------------------------------------------------------------
-# Actions
+# Actions: each is one rule's whole update, called as apply_rule calls it
 # ---------------------------------------------------------------------------
 
 
-def _stop_moving(vars: RobotVars) -> RobotVars:
-    return vars if vars.dir == BOT else vars._replace(dir=BOT)
+def _terminate(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return me._replace(terminated=True)
 
 
-def _walk(vars: RobotVars, view: View) -> RobotVars:
+def _stop_moving(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return me if me.dir == BOT else me._replace(dir=BOT)
+
+
+def _walk(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
     mate_ids = view.mate_ids()
-    if (vars.id == vars.id_head_walker and vars.walker_mate != mate_ids) or (
-        vars.id != vars.id_head_walker and vars.id_head_walker in mate_ids
+    if (me.id == me.id_head_walker and me.walker_mate != mate_ids) or (
+        me.id != me.id_head_walker and me.id_head_walker in mate_ids
     ):
         new_dir = BOT
     else:
         new_dir = RIGHT
-    steps = vars.walk_steps
+    steps = me.walk_steps
     if new_dir == RIGHT and view.edge_right_current:
         steps += 1
-    return vars._replace(dir=new_dir, walk_steps=steps)
+    return me._replace(dir=new_dir, walk_steps=steps)
 
 
-def _initiate_walk(vars: RobotVars, view: View) -> RobotVars:
+def _initiate_walk(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
     mate_ids = view.mate_ids()
-    head = max({vars.id} | mate_ids)
-    if vars.id == head:
+    head = max({me.id} | mate_ids)
+    if me.id == head:
         state = HEAD_WALKER
-    elif vars.state == MIN_WAITING_WALKER:
+    elif me.state == MIN_WAITING_WALKER:
         state = MIN_TAIL_WALKER
     else:
         state = TAIL_WALKER
-    return vars._replace(id_head_walker=head, walker_mate=mate_ids, state=state)
+    return me._replace(id_head_walker=head, walker_mate=mate_ids, state=state)
 
 
-def _become_waiting_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
-    return vars._replace(
+def _become_waiting_walker(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return me._replace(
         state=WAITING_WALKER,
         id_potential_min=witness.id,
         id_min=witness.id,
@@ -200,21 +212,23 @@ def _become_waiting_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
     )
 
 
-def _become_min_waiting_walker(vars: RobotVars) -> RobotVars:
-    return vars._replace(
+def _become_min_waiting_walker(
+    me: RobotVars, view: View, witness: Optional[RobotVars]
+) -> RobotVars:
+    return me._replace(
         state=MIN_WAITING_WALKER,
-        id_potential_min=vars.id,
-        id_min=vars.id,
+        id_potential_min=me.id,
+        id_min=me.id,
         dir=BOT,
     )
 
 
-def _become_aware_searcher(vars: RobotVars, witness: RobotVars) -> RobotVars:
+def _become_aware_searcher(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
     if witness.state == DUMB_SEARCHER:
         learned = witness.id_potential_min
     else:
         learned = witness.id_min
-    return vars._replace(
+    return me._replace(
         state=AWARE_SEARCHER,
         dir=RIGHT,
         id_potential_min=learned,
@@ -222,8 +236,13 @@ def _become_aware_searcher(vars: RobotVars, witness: RobotVars) -> RobotVars:
     )
 
 
-def _become_tail_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
-    return vars._replace(
+def _learn_then_stop(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return _become_aware_searcher(me, view, witness)._replace(dir=BOT)
+
+
+def _join_walk(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    """Become a tail walker of the witness's walk, then take its step."""
+    tail = me._replace(
         state=TAIL_WALKER,
         id_potential_min=witness.id_potential_min,
         id_min=witness.id_min,
@@ -231,44 +250,54 @@ def _become_tail_walker(vars: RobotVars, witness: RobotVars) -> RobotVars:
         walker_mate=witness.walker_mate,
         walk_steps=witness.walk_steps,
     )
+    return _walk(tail, view, witness)
 
 
-def _move_right(vars: RobotVars, view: View) -> RobotVars:
+def _move_right(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
     if view.edge_right_current:
         # M8 fires in most computes, and this is its usual branch: one C call
         # builds the vars from (id, state, dir, right_steps) and the six
         # fields after them, where _replace runs _make and ten kwds.pop calls.
         return tuple.__new__(
-            RobotVars, (vars.id, vars.state, RIGHT, vars.right_steps + 1) + vars[4:]
+            RobotVars, (me.id, me.state, RIGHT, me.right_steps + 1) + me[4:]
         )
-    return vars if vars.dir == RIGHT else vars._replace(dir=RIGHT)
+    return me if me.dir == RIGHT else me._replace(dir=RIGHT)
 
 
-def _initiate_search(vars: RobotVars, view: View) -> RobotVars:
-    candidate = min({vars.id} | view.mate_ids())
-    state = POTENTIAL_MIN if vars.id == candidate else DUMB_SEARCHER
-    steps = vars.right_steps
+def _initiate_search(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    candidate = min({me.id} | view.mate_ids())
+    state = POTENTIAL_MIN if me.id == candidate else DUMB_SEARCHER
+    steps = me.right_steps
     # A robot firing this rule is a righter, hence already headed right.
     if state == POTENTIAL_MIN and view.edge_right_current:
         steps += 1
-    return vars._replace(id_potential_min=candidate, state=state, right_steps=steps)
+    return me._replace(id_potential_min=candidate, state=state, right_steps=steps)
 
 
-def _search(vars: RobotVars, view: View) -> RobotVars:
+def _search(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
     if len(view.mates) >= 1:
-        top = max({vars.id} | view.mate_ids())
-        new_dir = LEFT if vars.id == top else RIGHT
-        if new_dir != vars.dir:
-            return vars._replace(dir=new_dir)
-    return vars
+        top = max({me.id} | view.mate_ids())
+        new_dir = LEFT if me.id == top else RIGHT
+        if new_dir != me.dir:
+            return me._replace(dir=new_dir)
+    return me
 
 
-def _terminate(vars: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
-    return vars._replace(terminated=True)
+def _learn_then_search(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return _search(_become_aware_searcher(me, view, witness), view, witness)
 
 
-def _learn_then_search(vars: RobotVars, view: View, witness: RobotVars) -> RobotVars:
-    return _search(_become_aware_searcher(vars, witness), view)
+def _reveal_then_search(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    """A dumb searcher learns its own candidate as the minimum, then searches."""
+    return _learn_then_search(me, view, me)
+
+
+def _turn_left(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return me._replace(dir=LEFT)
+
+
+def _park_left(me: RobotVars, view: View, witness: Optional[RobotVars]) -> RobotVars:
+    return me._replace(state=LEFT_WALKER, dir=BOT)
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +313,9 @@ class Rule:
     equals `gap` (if set), some mate is in a state of `witness` (if not
     empty) and `condition(view)` holds (if set). Firing it runs
     `action(self_vars, view, witness)`, where the witness is the mate that
-    `select_witness` picks from the same states, or None. `seen` is derived:
-    the OR of the witness states' bits.
+    `select_witness` picks from the same states, or None. Every action is a
+    module-level function with that one signature, named in the table
+    itself. `seen` is derived: the OR of the witness states' bits.
     """
 
     name: str
@@ -321,65 +351,41 @@ RULES = (
     Rule(
         "K3",
         (POTENTIAL_MIN, DUMB_SEARCHER, AWARE_SEARCHER),
-        lambda me, view, w: _become_waiting_walker(me, w),
+        _become_waiting_walker,
         witness=(MIN_WAITING_WALKER,),
     ),
     Rule(
         "K4",
         (RIGHTER,),
-        lambda me, view, w: _become_aware_searcher(me, w),
+        _become_aware_searcher,
         witness=(MIN_WAITING_WALKER,),
-        condition=lambda view: view.edge_right_current,
+        condition=_edge_right_current,
     ),
-    Rule(
-        "M1",
-        RIGHTWARD,
-        lambda me, view, w: _become_min_waiting_walker(me),
-        condition=min_discovery,
-    ),
+    Rule("M1", RIGHTWARD, _become_min_waiting_walker, condition=min_discovery),
     Rule(
         "M2",
         NOT_WALKER,
-        lambda me, view, w: _become_aware_searcher(me, w),
+        _become_aware_searcher,
         witness=(HEAD_WALKER,),
-        condition=lambda view: view.edge_right_current,
+        condition=_edge_right_current,
     ),
-    Rule(
-        "M3",
-        NOT_WALKER,
-        lambda me, view, w: _stop_moving(_become_aware_searcher(me, w)),
-        witness=(HEAD_WALKER,),
-    ),
-    Rule(
-        "M4",
-        NOT_WALKER,
-        lambda me, view, w: _walk(_become_tail_walker(me, w), view),
-        witness=(MIN_TAIL_WALKER,),
-    ),
-    Rule(
-        "M5",
-        (POTENTIAL_MIN,),
-        _learn_then_search,
-        witness=(AWARE_SEARCHER,),
-    ),
+    Rule("M3", NOT_WALKER, _learn_then_stop, witness=(HEAD_WALKER,)),
+    Rule("M4", NOT_WALKER, _join_walk, witness=(MIN_TAIL_WALKER,)),
+    Rule("M5", (POTENTIAL_MIN,), _learn_then_search, witness=(AWARE_SEARCHER,)),
     Rule(
         "M6",
         (RIGHTER,),
-        lambda me, view, w: _initiate_search(me, view),
+        _initiate_search,
         # all robots but one are here, and all of them are righters
         condition=lambda view: all(m.state == RIGHTER for m in view.mates),
         gap=2,
     ),
     Rule("M7", (RIGHTER,), _learn_then_search, witness=SEARCHERS),
-    Rule(
-        "M8",
-        RIGHTWARD,
-        lambda me, view, w: _move_right(me, view),
-    ),
+    Rule("M8", RIGHTWARD, _move_right),
     Rule(
         "M9",
         (DUMB_SEARCHER,),
-        lambda me, view, w: _learn_then_search(me, view, me),  # learns from itself
+        _reveal_then_search,
         # a righter larger than the candidate it carries reveals that
         # candidate as the minimum
         condition=lambda view: any(
@@ -387,18 +393,13 @@ RULES = (
             for m in view.mates
         ),
     ),
-    Rule(
-        "M10",
-        (DUMB_SEARCHER,),
-        _learn_then_search,
-        witness=(AWARE_SEARCHER,),
-    ),
-    Rule("M11", SEARCHERS, lambda me, view, w: _search(me, view)),
-    Rule("T1", (LEFT_WALKER,), lambda me, view, w: me._replace(dir=LEFT)),
+    Rule("M10", (DUMB_SEARCHER,), _learn_then_search, witness=(AWARE_SEARCHER,)),
+    Rule("M11", SEARCHERS, _search),
+    Rule("T1", (LEFT_WALKER,), _turn_left),
     Rule(
         "T2",
         (HEAD_WALKER,),
-        lambda me, view, w: me._replace(state=LEFT_WALKER, dir=BOT),
+        _park_left,
         # a head walker without its walker mates: its left edge was there
         # last round, it did not move, and its mates are not its walker mates
         condition=lambda view: (
@@ -407,22 +408,17 @@ RULES = (
             and view.mate_ids() != view.self_vars.walker_mate
         ),
     ),
-    Rule(
-        "T3",
-        WALKERS,
-        lambda me, view, w: _stop_moving(me),
-        condition=lambda view: view.self_vars.walk_steps == view.n,
-    ),
-    Rule("W1", WALKERS, lambda me, view, w: _walk(me, view)),
+    Rule("T3", WALKERS, _stop_moving, condition=lambda view: view.self_vars.walk_steps == view.n),
+    Rule("W1", WALKERS, _walk),
     Rule(
         "K1",
         WAITING_STATES,
-        lambda me, view, w: _initiate_walk(me, view),
+        _initiate_walk,
         # all robots but two are here, and all of them are waiting
         condition=lambda view: all(m.state in WAITING_STATES for m in view.mates),
         gap=3,
     ),
-    Rule("K2", WAITING_STATES, lambda me, view, w: _stop_moving(me)),
+    Rule("K2", WAITING_STATES, _stop_moving),
 )
 
 RULE_ORDER = tuple(rule.name for rule in RULES)

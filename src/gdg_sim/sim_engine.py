@@ -433,7 +433,8 @@ def trace_from_jsonl(text: str) -> Trace:
     are distinct and at least 1 and R counts them; the horizon is at least 1
     and at least the number of event lines, and event line i (from 0) holds
     round i; a snapshot holds n bits, each 0 or 1. An event's robot keys are
-    the header's ids, each written as str(id), in any order. A record's pos
+    the header's ids, each written as str(id), in any order; the decoded
+    robots dict is in the header's id order. A record's pos
     is an int in range(n), not a bool; its state is one of
     gdg_protocol.ALL_STATES and its dir one of DIRECTIONS; its rule is any
     string, since compute_fn may label its rules as it likes; and its moved
@@ -472,7 +473,9 @@ def trace_from_jsonl(text: str) -> Trace:
             robots, entries = {}, doc["robots"]
             if entries.keys() != names.keys():
                 raise ValueError(f"the robot keys {list(entries)} are not the ids {ids}")
-            for name, rec in entries.items():
+            # In the header's id order, whatever order the line lists them in.
+            for name, rid in names.items():
+                rec = entries[name]
                 pos, _, _, rule, moved = values = record_fields(rec)
                 # Checked before the cache, which keys 1 and True alike;
                 # _record checks the state and dir.
@@ -482,7 +485,7 @@ def trace_from_jsonl(text: str) -> Trace:
                         f"the record {rec!r} needs a node of the {n}-ring, a rule string "
                         "and a bool moved"
                     )
-                robots[names[name]] = _record(*values)
+                robots[rid] = _record(*values)
             if events and robots == events[-1].robots:
                 robots = events[-1].robots  # shared, as run shares equal rounds
             t, snap = doc["round"], doc["snapshot"]

@@ -366,8 +366,47 @@ FIRST_ENABLED = {
 }
 
 
+# The vars each FIRST_ENABLED view's rule returns, every field pinned.
+FIRST_ENABLED_VARS = {
+    "Term1": robot(1, terminated=True),
+    "Term2": robot(1, MIN_WAITING_WALKER, terminated=True),
+    "K3": robot(4, WAITING_WALKER, dir=BOT, id_potential_min=1, id_min=1),
+    "K4": robot(4, AWARE_SEARCHER, id_potential_min=1, id_min=1),
+    "M1": robot(1, MIN_WAITING_WALKER, dir=BOT, id_potential_min=1, id_min=1),
+    "M2": robot(2, AWARE_SEARCHER, id_potential_min=1, id_min=1),
+    "M3": robot(2, AWARE_SEARCHER, dir=BOT, id_potential_min=1, id_min=1),
+    # the witness's walk: its unset candidate and empty walker mates too
+    "M4": robot(6, TAIL_WALKER, id_min=1, walk_steps=1, id_head_walker=8),
+    "M5": robot(2, AWARE_SEARCHER, id_potential_min=1, id_min=1),
+    "M6": robot(1, POTENTIAL_MIN, right_steps=1, id_potential_min=1),
+    "M7": robot(4, AWARE_SEARCHER, id_potential_min=2, id_min=2),
+    "M8": robot(3, right_steps=1),
+    "M9": robot(4, AWARE_SEARCHER, id_potential_min=2, id_min=2),
+    "M10": robot(4, AWARE_SEARCHER, id_potential_min=1, id_min=1),
+    "M11": robot(3, DUMB_SEARCHER, id_potential_min=2),
+    "T1": robot(2, LEFT_WALKER, dir=LEFT),
+    "T2": robot(
+        5, LEFT_WALKER, dir=BOT, walker_mate=frozenset({1, 2}), id_head_walker=5
+    ),
+    "T3": robot(5, HEAD_WALKER, dir=BOT, walk_steps=4, id_head_walker=5),
+    "W1": robot(
+        5, HEAD_WALKER, walker_mate=frozenset({1}), walk_steps=1, id_head_walker=5
+    ),
+    "K1": robot(1, MIN_TAIL_WALKER, walker_mate=frozenset({4, 7}), id_head_walker=7),
+    "K2": robot(4, WAITING_WALKER, dir=BOT),
+}
+
+
 def test_first_enabled_covers_every_rule_in_priority_order():
     assert tuple(FIRST_ENABLED) == RULE_ORDER
+    assert tuple(FIRST_ENABLED_VARS) == RULE_ORDER
+
+
+@pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.name)
+def test_action_is_a_module_level_function(rule):
+    # The table names each action itself; a lambda's __name__ is "<lambda>".
+    action = rule.action
+    assert getattr(gdg_protocol, action.__name__, None) is action
 
 
 @pytest.mark.parametrize("rule", RULE_ORDER)
@@ -375,6 +414,7 @@ def test_rule_is_first_enabled(rule):
     view = FIRST_ENABLED[rule]
     assert first_enabled_rule(view).name == rule
     assert compute(view) == (apply_rule(BY_NAME[rule], view), rule)
+    assert compute(view) == (FIRST_ENABLED_VARS[rule], rule)
 
 
 class TestUnpinnedActions:

@@ -704,6 +704,20 @@ class TestTraceSerialization:
         text = trace_to_jsonl(trace)
         assert trace_from_jsonl(text) == trace
 
+    def test_robots_listed_out_of_id_order_decode_in_id_order(self):
+        trace, _ = run(static_ring(4), PLACEMENT, horizon=5, seed=7)
+        text = trace_to_jsonl(trace)
+        header, *lines = text.splitlines(keepends=True)
+        reversed_lines = []
+        for ln in lines:
+            doc = json.loads(ln)
+            doc["robots"] = dict(reversed(doc["robots"].items()))
+            reversed_lines.append(json.dumps(doc, separators=(",", ":")) + "\n")
+        assert reversed_lines != lines
+        decoded = trace_from_jsonl(header + "".join(reversed_lines))
+        assert all(list(ev.robots) == list(trace.ids) for ev in decoded.events)
+        assert trace_to_jsonl(decoded) == text
+
     def test_replay_is_byte_identical(self):
         a, _ = run(static_ring(4), PLACEMENT, horizon=100, class_claim="st", seed=7)
         b, _ = run(static_ring(4), PLACEMENT, horizon=100, class_claim="st", seed=7)
