@@ -280,10 +280,15 @@ def run(
     the rounds from start on forever. run then stops stepping and asking the
     source, and copies those rounds' events up to the horizon.
     """
-    # The placement first: a bad id can make a caller's horizon bad too.
+    # The placement first: a bad id can make a caller's horizon bad too. Then
+    # the values the trace header records, by the decoder's own tests in
+    # _HEADER, so that every trace run writes decodes.
     config = initial_configuration(placement, ring.n)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    if not _VALID["horizon"](horizon):
+        raise ValueError(f"horizon must be >= 1 and an int, not {horizon!r}")
+    for field, value, kind in (("class_claim", class_claim, "a str"), ("seed", seed, "an int")):
+        if not _VALID[field](value):
+            raise ValueError(f"{field} must be None or {kind}, not {value!r}")
     if len(placement) < 4:
         raise ValueError("at least 4 robots are required")
     events: list[TraceEvent] = []
@@ -351,6 +356,8 @@ _HEADER = (
     ("seed", "seed", lambda value: value is None or type(value) is int),
     ("horizon", "horizon", _at_least(1)),
 )
+# Each Trace field's test, for run, which checks the values it writes.
+_VALID = {field: valid for _, field, valid in _HEADER}
 _RECORD = ("pos", "state", "dir", "rule", "moved")
 
 

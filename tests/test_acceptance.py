@@ -2,8 +2,7 @@
 
 The inputs are the benchmark's own: the corpus is the 252 runs of
 ``build("corpus", 0)`` and the duels are ``DUELS``, both from
-perfbench/workloads.py, which is loaded by file path so that no other
-benchmark module becomes importable here. Each corpus input is judged
+perfbench/workloads.py, which spec loads. Each corpus input is judged
 through ``checkers.experiment`` with the input's ring, placement, class,
 seed and horizon. The corpus is built once and shared: the safety,
 variant, monitor, and replay criteria all inspect the same executions, and
@@ -11,13 +10,10 @@ replays rebuild the rings from a second ``build`` call.
 """
 
 import hashlib
-import importlib.util
 import json
 import operator
-import sys
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -27,19 +23,13 @@ from gdg_sim.adversary import adaptive_ac_adversary
 from gdg_sim.checkers import _termination_info, check_safety, experiment, monitor_invariants
 from gdg_sim.gdg_protocol import ALL_STATES, DIRECTIONS
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
-from gdg_sim.sim_engine import Stop, Trace, TraceEvent, run, trace_from_jsonl, trace_to_jsonl
+from gdg_sim.sim_engine import Stop, Trace, run, trace_from_jsonl, trace_to_jsonl
 
-import test_oracle_trace as oracle
-from test_checkers import rec, trace_of
-
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-_spec = importlib.util.spec_from_file_location("workloads", PERFBENCH / "workloads.py")
-workloads = importlib.util.module_from_spec(_spec)
-sys.modules["workloads"] = workloads  # its dataclasses look their module up there
-_spec.loader.exec_module(workloads)
+import spec
+from spec import DUEL_CYCLES, DUELS, FAULTS, workloads
 
 # The benchmark's reference sha256 digests of concatenated JSONL traces.
-DIGESTS = json.loads((PERFBENCH / "digests.json").read_text())
+DIGESTS = json.loads((spec.PERFBENCH / "digests.json").read_text())
 
 
 @dataclass
@@ -84,12 +74,6 @@ def corpus():
             jsonl=trace_to_jsonl(exp.trace),
         ))
     return runs
-
-
-# The three 10,000-round duels: n, placement and the two targets.
-DUELS = workloads.DUELS
-# The cycle each duel is proven to repeat from its state after round start.
-DUEL_CYCLES = [Stop("cycle", 21, 1), Stop("cycle", 60, 1), Stop("cycle", 48, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -218,54 +202,19 @@ def test_criterion_7_adversary(adversary_runs, capsys):
 
 def test_criterion_8_monitors(corpus, capsys):
     dirty = [r.seed for r in _all_runs(corpus) if r.violations]
-
-    moved_waiting = trace_of([
-        TraceEvent(0, {
-            1: rec(0, "minWaitingWalker", "bot", "M1"),
-            2: rec(1, "waitingWalker", "bot", "K3", moved=True),
-            3: rec(2), 4: rec(3),
-        }, (1, 1, 1, 1)),
-    ])
-    wrong_min = trace_of([
-        TraceEvent(0, {
-            1: rec(0),
-            2: rec(1, "minWaitingWalker", "bot", "M1"),
-            3: rec(2), 4: rec(3),
-        }, (1, 1, 1, 1)),
-    ])
-
-    def tower(t, formed):
-        return TraceEvent(t, {
-            1: rec(0, "minWaitingWalker", "bot", "K2"),
-            2: rec(0, "waitingWalker" if formed else "awareSearcher", "bot", "K2"),
-            3: rec(1), 4: rec(2),
-        }, (1, 1, 1, 1))
-
-    second_tower = trace_of([tower(0, True), tower(1, False), tower(2, True)])
-
-    flagged = [
-        ("waiting-still", 0) in monitor_invariants(moved_waiting),
-        ("min-id", 0) in monitor_invariants(wrong_min),
-        ("tower-min", 2) in monitor_invariants(second_tower),
-    ]
+    flagged = [hits <= set(monitor_invariants(trace)) for trace, hits in FAULTS.values()]
     ok = not dirty and all(flagged)
     report(
         capsys, 8, ok,
         f"zero invariant violations over {len(_all_runs(corpus))} runs "
-        f"(dirty: {dirty or 'none'}); 3/3 injected faults flagged: {flagged}",
+        f"(dirty: {dirty or 'none'}); {sum(flagged)}/{len(flagged)} injected faults flagged: "
+        f"{flagged}",
     )
 
 
 def test_criterion_9_oracle_trace(capsys):
-    trace, stop = run(oracle.RING, oracle.PLACEMENT, horizon=15)
-    mismatches = []
-    for t, (event, expected) in enumerate(zip(trace.events, oracle.EXPECTED)):
-        for rid, (pos, state, dir, rule, moved) in expected.items():
-            got = event.robots[rid]
-            if (got.position, got.state, got.dir, got.rule, got.moved) != (
-                pos, state, dir, rule, moved,
-            ):
-                mismatches.append((t, rid))
+    trace, stop = run(spec.RING, spec.PLACEMENT, horizon=15)
+    mismatches = spec.oracle_mismatches(trace)
     ok = len(trace.events) == 15 and stop == Stop("horizon") and not mismatches
     report(
         capsys, 9, ok,
@@ -366,12 +315,12 @@ def test_repeated_rounds_share_one_robots_dict(corpus, adversary_runs, which, ex
 def test_decoded_traces_share_as_run_traces(corpus, adversary_runs):
     # A decoded event hands on the previous event's robots dict exactly when
     # the run's event does, so the readers' repeat paths serve both.
-    def shares(trace):
-        return [b.robots is a.robots for a, b in zip(trace.events, trace.events[1:])]
-
     traces = [(rec.trace, rec.jsonl) for rec in _all_runs(corpus)]
     traces += [(res.trace, trace_to_jsonl(res.trace)) for *_, res in adversary_runs]
-    assert all(shares(trace_from_jsonl(text)) == shares(trace) for trace, text in traces)
+    assert all(
+        spec.shares(trace_from_jsonl(text).events) == spec.shares(trace.events)
+        for trace, text in traces
+    )
 
 
 # Step calls, copied rounds and all rounds of the traces. The duels' forks

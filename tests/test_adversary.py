@@ -1,7 +1,6 @@
 import pytest
 
 from gdg_sim.adversary import (
-    AdversaryResult,
     GeneratorSpec,
     adaptive_ac_adversary,
     generate,
@@ -21,8 +20,8 @@ from gdg_sim.ring_model import (
     footprint,
     verify_class,
 )
-from test_acceptance import DUEL_CYCLES, DUELS
-from test_sim_engine import never_move
+
+from spec import DUEL_CYCLES, DUELS, never_move
 
 
 class TestGenerators:

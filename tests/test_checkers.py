@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,26 +10,12 @@ from gdg_sim.checkers import (
     experiment,
     monitor_invariants,
 )
-from gdg_sim.gdg_protocol import ALL_STATES, DIRECTIONS, MIN_STATES, RIGHTWARD, WAITING_STATES
+from gdg_sim.gdg_protocol import ALL_STATES, DIRECTIONS
 from gdg_sim.ring_model import AC, BRE, COT, RE, ST, DynClass, static_ring
-from gdg_sim.sim_engine import RobotRecord, Trace, TraceEvent, run, trace_to_jsonl
-from test_ring_model import ring_of
+from gdg_sim.sim_engine import TraceEvent, run, trace_to_jsonl
 
-
-def rec(pos, state="righter", dir="right", rule="M8", moved=False):
-    return RobotRecord(position=pos, state=state, dir=dir, rule=rule, moved=moved)
-
-
-def trace_of(events, R=4, n=4):
-    return Trace(
-        n=n,
-        R=R,
-        ids=(1, 2, 3, 4) if R == 4 else tuple(range(1, R + 1)),
-        class_claim=None,
-        seed=None,
-        horizon=len(events),
-        events=tuple(events),
-    )
+import spec
+from spec import FAULTS, rec, ring_of, trace_of
 
 
 class TestBoundFor:
@@ -136,97 +120,25 @@ class TestMonitors:
         assert monitor_invariants(trace) == []
 
     def test_flags_moved_waiting_walker(self):
-        events = [
-            TraceEvent(
-                round=0,
-                robots={
-                    1: rec(0, "minWaitingWalker", "bot", "M1"),
-                    2: rec(1, "waitingWalker", "bot", "K3", moved=True),
-                    3: rec(2),
-                    4: rec(3),
-                },
-                snapshot=(1, 1, 1, 1),
-            )
-        ]
-        hits = monitor_invariants(trace_of(events))
-        assert ("waiting-still", 0) in hits
+        assert flagged("moved-waiting-walker")
 
     def test_flags_wrong_id_min(self):
-        events = [
-            TraceEvent(
-                round=0,
-                robots={
-                    1: rec(0),
-                    2: rec(1, "minWaitingWalker", "bot", "M1"),
-                    3: rec(2),
-                    4: rec(3),
-                },
-                snapshot=(1, 1, 1, 1),
-            )
-        ]
-        hits = monitor_invariants(trace_of(events))
-        assert ("min-id", 0) in hits
+        assert flagged("wrong-id-min")
 
     def test_flags_second_tower_episode(self):
-        def tower(t, present):
-            waiting_state = "waitingWalker" if present else "awareSearcher"
-            return TraceEvent(
-                round=t,
-                robots={
-                    1: rec(0, "minWaitingWalker", "bot", "K2"),
-                    2: rec(0, waiting_state, "bot", "K2"),
-                    3: rec(1),
-                    4: rec(2),
-                },
-                snapshot=(1, 1, 1, 1),
-            )
-
-        events = [tower(0, True), tower(1, False), tower(2, True)]
-        hits = monitor_invariants(trace_of(events))
-        assert ("tower-min", 2) in hits
+        assert flagged("second-tower-episode")
 
     def test_flags_min_state_abandoned(self):
-        events = [
-            TraceEvent(
-                round=0,
-                robots={
-                    1: rec(0, "minWaitingWalker", "bot", "M1"),
-                    2: rec(1),
-                    3: rec(2),
-                    4: rec(3),
-                },
-                snapshot=(1, 1, 1, 1),
-            ),
-            TraceEvent(
-                round=1,
-                robots={
-                    1: rec(0, "righter", "right", "M8"),
-                    2: rec(1),
-                    3: rec(2),
-                    4: rec(3),
-                },
-                snapshot=(1, 1, 1, 1),
-            ),
-        ]
-        hits = monitor_invariants(trace_of(events))
-        assert ("min-closed", 1) in hits
-        assert ("no-reentry", 1) in hits
+        assert flagged("min-state-abandoned")
 
     def test_flags_backward_righter(self):
-        events = [
-            TraceEvent(
-                round=0,
-                robots={
-                    1: rec(0, "righter", "left", "M8", moved=True),
-                    2: rec(1),
-                    3: rec(2),
-                    4: rec(3),
-                },
-                snapshot=(1, 1, 1, 1),
-            )
-        ]
-        hits = monitor_invariants(trace_of(events))
-        assert ("dir-right", 0) in hits
+        assert flagged("backward-righter")
+
+
+def flagged(fault):
+    """Does the monitor report the violations of this spec.FAULTS trace?"""
+    trace, hits = FAULTS[fault]
+    return hits <= set(monitor_invariants(trace))
 
 
 class TestExperiment:
@@ -272,26 +184,13 @@ class TestExperiment:
 
 
 # Traces whose repeated rounds share one robots dict, as step's do, built
-# from blocks of (robots, repeats); the unshared copy gives every event a
-# fresh dict of fresh records.
+# from blocks of (robots, repeats). The spec judges every event in full, as
+# if no two events shared a dict.
 def shared_trace(blocks):
     events = []
     for robots, repeats in blocks:
         events += [TraceEvent(len(events) + k, robots, (1, 1, 1, 1)) for k in range(repeats)]
     return trace_of(events, R=len(blocks[0][0]))
-
-
-def unshared(trace):
-    events = tuple(
-        TraceEvent(
-            ev.round,
-            {rid: RobotRecord(r.position, r.state, r.dir, r.rule, r.moved)
-             for rid, r in ev.robots.items()},
-            ev.snapshot,
-        )
-        for ev in trace.events
-    )
-    return Trace(trace.n, trace.R, trace.ids, trace.class_claim, trace.seed, trace.horizon, events)
 
 
 records = st.builds(
@@ -330,129 +229,31 @@ STANDING = {
 }
 
 
-def assert_same_on_unshared(trace):
-    copy = unshared(trace)
-    assert all(a.robots is not b.robots for a, b in zip(copy.events, copy.events[1:]))
-    assert monitor_invariants(trace) == monitor_invariants(copy)
+def assert_judged_as_the_spec_judges(trace):
+    assert monitor_invariants(trace) == spec.monitor(trace)
     for bound in (None, 2, 6):
-        assert check_variant(trace, trace.horizon, bound) == check_variant(
-            copy, copy.horizon, bound
-        )
-    assert trace_to_jsonl(trace) == trace_to_jsonl(copy)
+        assert check_variant(trace, trace.horizon, bound) == spec.verdict(trace, bound)
+    assert trace_to_jsonl(trace) == spec.jsonl(trace)
 
 
 class TestRepeatedRounds:
     @settings(max_examples=300, deadline=None)
     @given(shared_traces())
     def test_shared_trace_judged_as_its_unshared_copy(self, trace):
-        assert_same_on_unshared(trace)
+        assert_judged_as_the_spec_judges(trace)
 
     @pytest.mark.parametrize("name", sorted(STANDING))
     def test_standing_violation_repeats_every_round(self, name):
         trace = shared_trace(STANDING[name])
-        assert_same_on_unshared(trace)
+        assert_judged_as_the_spec_judges(trace)
         last = trace.events[-1].round
         hits = {t for found, t in monitor_invariants(trace) if found == name}
         assert set(range(last - 3, last + 1)) <= hits
 
 
 # ---------------------------------------------------------------------------
-# The one-pass monitor against the five-pass monitor it replaced
+# The one-pass monitor against the spec's, which checks every event in full
 # ---------------------------------------------------------------------------
-
-
-def reference_monitor(trace):
-    """monitor_invariants as it was before it took one pass per event:
-    five scans of each event's records and per-event states/positions dicts."""
-    rmin = min(trace.ids)
-    violations: list[tuple[str, int]] = []
-    prev_states: dict[int, str] = {rid: "righter" for rid in trace.ids}
-    left_righter: set[int] = set()
-    left_rightward: set[int] = set()
-    left_waiting: set[int] = set()
-    dir_history_ok: dict[int, bool] = {rid: True for rid in trace.ids}
-    tower_episodes = 0
-    in_tower = False
-    last = None
-    repeats = 0
-    start = end = 0  # violations[start:end] came from the last event checked in full
-
-    for ev in trace.events:
-        if ev.robots is last:
-            repeats += 1
-            if repeats > 1:
-                violations.extend((name, ev.round) for name, _ in violations[start:end])
-                continue
-        else:
-            last, repeats = ev.robots, 0
-        start = len(violations)
-        states = {rid: rec.state for rid, rec in ev.robots.items()}
-        positions = {rid: rec.position for rid, rec in ev.robots.items()}
-
-        for rid, st in states.items():
-            if st in MIN_STATES and rid != rmin:
-                violations.append(("min-id", ev.round))
-            if prev_states[rid] in MIN_STATES and st not in MIN_STATES:
-                violations.append(("min-closed", ev.round))
-            if st == "righter" and rid in left_righter:
-                violations.append(("no-reentry", ev.round))
-            if st in RIGHTWARD and rid in left_rightward:
-                violations.append(("no-reentry", ev.round))
-            if st in WAITING_STATES and rid in left_waiting:
-                violations.append(("no-reentry", ev.round))
-
-        # While a robot remains righter/potentialMin it
-        # must have chosen right at every Move phase so far.
-        for rid, rec in ev.robots.items():
-            if rec.rule == "terminated":
-                continue
-            if states[rid] in RIGHTWARD:
-                if rec.dir != "right" or not dir_history_ok[rid]:
-                    violations.append(("dir-right", ev.round))
-            if rec.dir != "right":
-                dir_history_ok[rid] = False
-
-        # Waiting robots stay parked next to the min.
-        min_waiting = [rid for rid, st in states.items() if st == "minWaitingWalker"]
-        for rid, st in states.items():
-            if st != "waitingWalker":
-                continue
-            rec = ev.robots[rid]
-            if rec.moved:
-                violations.append(("waiting-still", ev.round))
-            if min_waiting:
-                anchor = min_waiting[0]
-                if positions[rid] != positions[anchor] or ev.robots[anchor].moved:
-                    violations.append(("waiting-still", ev.round))
-
-        # Tower-min detection: minWaitingWalker plus R-3 waitingWalkers
-        # together on one node.
-        tower_now = False
-        if min_waiting:
-            anchor = min_waiting[0]
-            waiting_here = [
-                rid
-                for rid, st in states.items()
-                if st == "waitingWalker" and positions[rid] == positions[anchor]
-            ]
-            tower_now = len(waiting_here) == trace.R - 3
-        if tower_now and not in_tower:
-            tower_episodes += 1
-            if tower_episodes > 1:
-                violations.append(("tower-min", ev.round))
-        in_tower = tower_now
-
-        for rid, st in states.items():
-            if prev_states[rid] == "righter" and st != "righter":
-                left_righter.add(rid)
-            if prev_states[rid] in RIGHTWARD and st not in RIGHTWARD:
-                left_rightward.add(rid)
-            if prev_states[rid] in WAITING_STATES and st not in WAITING_STATES:
-                left_waiting.add(rid)
-        prev_states = states
-        end = len(violations)
-
-    return violations
 
 
 class TestOnePassMonitor:
@@ -460,7 +261,7 @@ class TestOnePassMonitor:
     @given(shared_traces())
     def test_same_violations_per_round_as_the_reference(self, trace):
         hits = monitor_invariants(trace)
-        assert Counter(hits) == Counter(reference_monitor(trace))
+        assert hits == spec.monitor(trace)
         rounds = [t for _, t in hits]
         assert rounds == sorted(rounds)
 
@@ -480,7 +281,7 @@ class TestOnePassMonitor:
         trace = trace_of([event(0, 2, anchor_moved=True), event(1, None), event(2, 3)])
         hits = monitor_invariants(trace)
         assert ("tower-min", 2) in hits
-        assert Counter(hits) == Counter(reference_monitor(trace))
+        assert hits == spec.monitor(trace)
 
     def test_terminated_robot_direction_is_not_checked(self):
         robots = {1: rec(0, dir="bot", rule="terminated"), 2: rec(1), 3: rec(2), 4: rec(3)}

@@ -36,7 +36,8 @@ from gdg_sim.gdg_protocol import (
 from gdg_sim.ring_model import static_ring
 from gdg_sim.sim_engine import run
 
-BY_NAME = {rule.name: rule for rule in RULES}
+import spec
+from spec import BY_NAME
 
 
 def make_view(
@@ -646,15 +647,8 @@ class TestUnchangedVars:
 
 
 # ---------------------------------------------------------------------------
-# Dispatch against a reference walk of the rule table
+# Dispatch against the spec's walk of the rule table in the paper's order
 # ---------------------------------------------------------------------------
-
-
-# The paper's rule order, which RULES reorders.
-PAPER_ORDER = (
-    "Term1", "Term2", "T1", "T2", "T3", "W1", "K1", "K2", "K3", "K4",
-    "M1", "M2", "M3", "M4", "M5", "M6", "M7", "M8", "M9", "M10", "M11",
-)
 
 
 @pytest.mark.parametrize("state", ALL_STATES)
@@ -665,66 +659,19 @@ def test_rule_order_keeps_each_states_paper_order(state):
     def rules_of(order):
         return [name for name in order if state in BY_NAME[name].states]
 
-    assert rules_of(RULE_ORDER) == rules_of(PAPER_ORDER)
-
-
-def reference_first_enabled_rule(view):
-    """The first rule of the paper's order whose state, witness and condition
-    all hold, with Term1 and Term2 decided by the paper's two gathering
-    predicates (all R robots here; all but one here, one of them in a min
-    state), M1 by reference_min_discovery, and the tower sizes of M6 (all
-    robots but one here) and K1 (all but two) spelled out rather than read
-    from the rules."""
-    here = (view.self_vars,) + view.mates
-    gathered = {
-        "Term1": len(here) == view.R,
-        "Term2": len(here) == view.R - 1 and any(r.state in MIN_STATES for r in here),
-    }
-    tower = {"M6": view.R - 2, "K1": view.R - 3}
-    for rule in (BY_NAME[name] for name in PAPER_ORDER):
-        if view.self_vars.state not in rule.states:
-            continue
-        if rule.witness and not any(m.state in rule.witness for m in view.mates):
-            continue
-        if rule.name in gathered:
-            enabled = gathered[rule.name]
-        elif rule.name == "M1":
-            enabled = reference_min_discovery(view)
-        elif rule.name in tower:
-            enabled = len(view.mates) == tower[rule.name] and rule.condition(view)
-        else:
-            enabled = rule.condition is None or rule.condition(view)
-        if enabled:
-            return rule.name
-    return None
-
-
-def reference_min_discovery(view):
-    """min_discovery as three separate scans of the mates."""
-    me = view.self_vars
-    return (
-        (me.state == POTENTIAL_MIN
-         and any(m.state == RIGHTER and me.id < m.id for m in view.mates))
-        or any(m.id_min == me.id for m in view.mates)
-        or any(
-            m.state in (DUMB_SEARCHER, POTENTIAL_MIN)
-            and me.id < m.id_potential_min
-            for m in view.mates
-        )
-        or me.right_steps == 4 * me.id * view.n
-    )
+    assert rules_of(RULE_ORDER) == rules_of(spec.PAPER_ORDER)
 
 
 @settings(max_examples=500)
 @given(views())
 def test_min_discovery_matches_reference(view):
-    assert min_discovery(view) == reference_min_discovery(view)
+    assert min_discovery(view) == spec.min_discovery(view)
 
 
 @settings(max_examples=500)
 @given(views())
 def test_dispatch_matches_reference_walk(view):
-    assert first_enabled_rule(view).name == reference_first_enabled_rule(view)
+    assert first_enabled_rule(view).name == spec.dispatch(view)
 
 
 # ---------------------------------------------------------------------------
@@ -809,7 +756,7 @@ def test_dense_towers_dispatch_as_the_reference_walk(view):
     assert 1 <= view.R - len(view.mates) <= 4
     with pytest.MonkeyPatch.context() as monkeypatch:
         fired, calls = _guarded_dispatch(monkeypatch, view)
-    assert fired == reference_first_enabled_rule(view)
+    assert fired == spec.dispatch(view)
     assert tuple(calls) == RULE_ORDER[: RULE_ORDER.index(fired) + 1]
 
 
@@ -851,4 +798,4 @@ def test_tower_rule_needs_its_whole_tower(rule, drop):
     mates = view.mates[:drop] + view.mates[drop + 1 :]
     smaller = view._replace(mates=mates)
     assert first_enabled_rule(smaller).name != rule
-    assert first_enabled_rule(smaller).name == reference_first_enabled_rule(smaller)
+    assert first_enabled_rule(smaller).name == spec.dispatch(smaller)

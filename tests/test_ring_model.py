@@ -19,9 +19,7 @@ from gdg_sim.ring_model import (
     verify_class,
 )
 
-
-def ring_of(n, prefix, cycle):
-    return EvolvingRing(n, Schedule(tuple(map(tuple, prefix)), tuple(map(tuple, cycle))))
+from spec import left_edge_of, right_edge_of, ring_of, rings, step_right
 
 
 class TestEdgePresent:
@@ -56,24 +54,8 @@ class TestEdgePresent:
             assert ring.snapshot(t) == unrolled[ring.phase(t)]
 
 
-# The edge convention, stated on its own as the reference that the engine's
-# inline indexing is tested against: edge i joins node i and node i + 1.
-def right_edge_of(v, n):
-    return v
-
-
-def left_edge_of(v, n):
-    return (v - 1) % n
-
-
-def step_right(v, n):
-    return (v + 1) % n
-
-
-def step_left(v, n):
-    return (v - 1) % n
-
-
+# The spec's edge convention, which the engine's inline indexing is tested
+# against: edge i joins node i and node i + 1.
 class TestGeometry:
     def test_edges_of_node_zero(self):
         assert right_edge_of(0, 4) == 0
@@ -211,24 +193,6 @@ class TestScheduleBits:
 # ---------------------------------------------------------------------------
 # Properties
 # ---------------------------------------------------------------------------
-
-snapshots = st.integers(4, 8).flatmap(
-    lambda n: st.tuples(
-        st.just(n),
-        st.lists(st.tuples(*[st.integers(0, 1)] * n).map(tuple), max_size=4),
-        st.lists(st.tuples(*[st.integers(0, 1)] * n).map(tuple), min_size=1, max_size=4),
-    )
-)
-
-
-@st.composite
-def rings(draw):
-    n = draw(st.integers(4, 8))
-    bit_row = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple)
-    prefix = tuple(draw(st.lists(bit_row, max_size=4)))
-    cycle = tuple(draw(st.lists(bit_row, min_size=1, max_size=4)))
-    return EvolvingRing(n, Schedule(prefix, cycle))
-
 
 @settings(max_examples=200)
 @given(rings())

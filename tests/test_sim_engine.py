@@ -30,15 +30,12 @@ from gdg_sim.sim_engine import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
-from test_acceptance import DUEL_CYCLES, DUELS
-from test_checkers import rec, trace_of
-from test_ring_model import left_edge_of, right_edge_of, ring_of, step_left, step_right
 
-
-def never_move(view: View) -> tuple[RobotVars, str]:
-    """Trivial algorithm under test: robots park forever."""
-    return view.self_vars._replace(dir=BOT), "idle"
-
+import spec
+from spec import (
+    DUEL_CYCLES, DUELS, left_edge_of, never_move, rec, right_edge_of, ring_of, step_left,
+    step_right, trace_of,
+)
 
 PLACEMENT = {1: 0, 2: 1, 3: 2, 4: 3}
 FULL = (1, 1, 1, 1)
@@ -73,69 +70,19 @@ def dump(doc):
     return json.dumps(doc, separators=(",", ":"))
 
 
-def reference_jsonl(trace):
-    """The encoder as one json.dumps per line, which trace_to_jsonl must equal."""
-    header = {
-        "n": trace.n, "R": trace.R, "ids": list(trace.ids), "class": trace.class_claim,
-        "seed": trace.seed, "horizon": trace.horizon,
-    }
-    lines = [dump(header)]
-    for ev in trace.events:
-        robots = {
-            str(rid): {
-                "pos": rec.position, "state": rec.state, "dir": rec.dir,
-                "rule": rec.rule, "moved": rec.moved,
-            }
-            for rid, rec in ev.robots.items()
-        }
-        lines.append(dump({"round": ev.round, "snapshot": list(ev.snapshot), "robots": robots}))
-    return "\n".join(lines) + "\n"
-
-
 def positions(config):
     """Robot id -> node, read from the configuration's records."""
     return {rid: rec.position for rid, rec in config.robots.items()}
 
 
-def reference_build_view(config, snap, robot_id):
-    """build_view as a scan of every robot's position for the mates, with
-    the edges from ring_model and the View built by keyword."""
-    if robot_id not in config.vars:
-        raise KeyError(f"unknown robot id {robot_id}")
-    n = len(snap)
-    node = config.robots[robot_id].position
-    right, left = right_edge_of(node, n), left_edge_of(node, n)
-    mates = tuple(
-        config.vars[other]
-        for other, at in positions(config).items()
-        if at == node and other != robot_id
-    )
-    return View(
-        self_vars=config.vars[robot_id],
-        mates=mates,
-        edge_right_current=bool(snap[right]),
-        edge_left_previous=bool(config.last_snap[left]),
-        has_moved=config.robots[robot_id].moved,
-        n=n,
-        R=len(config.vars),
-    )
-
-
-def regroup(config):
-    """Node -> vars of the robots on it, in id order, from positions and vars."""
-    towers = {}
-    for rid, node in sorted(positions(config).items()):
-        towers.setdefault(node, []).append(config.vars[rid])
-    return {node: tuple(tower) for node, tower in towers.items()}
-
-
-def check_views_against_reference(ring, placement, horizon):
+def check_views_against_spec(ring, placement, horizon):
     """Step a run round by round, checking every computing robot's view and
-    every configuration's towers; return the largest tower seen."""
+    every configuration's towers against the spec's; return the largest
+    tower seen."""
     config = initial_configuration(placement, ring.n)
     largest = 0
     for t in range(horizon):
-        assert config.towers == regroup(config)
+        assert config.towers == spec.towers(config)
         largest = max(largest, *map(len, config.towers.values()))
         snap = ring.snapshot(t)
         for rid, vars in config.vars.items():
@@ -143,47 +90,25 @@ def check_views_against_reference(ring, placement, horizon):
                 view = build_view(config, snap, rid)
                 # A plain tuple of the same fields compares equal to a View.
                 assert type(view) is View
-                assert view == reference_build_view(config, snap, rid)
+                assert view == spec.build_view(config, snap, rid)
         config = step(config, snap)
         if all(v.terminated for v in config.vars.values()):
             break
-    assert config.towers == regroup(config)
+    assert config.towers == spec.towers(config)
     return largest
 
 
-def shares(events):
-    """For each event after the first: does it share the previous robots dict?"""
-    return [b.robots is a.robots for a, b in zip(events, events[1:])]
-
-
-def reference_run(ring, placement, horizon, compute_fn=sim_engine.compute):
-    """`run` without repeat detection: step every round until every robot
-    terminated or the horizon. Return its events and last configuration."""
-    config = initial_configuration(placement, ring.n)
-    events = []
-    while config.round < horizon and not all(v.terminated for v in config.vars.values()):
-        config = step(config, ring.next_snapshot(config), compute_fn)
-        events.append(TraceEvent(config.round - 1, config.robots, config.last_snap))
-    return events, config
-
-
-def check_against_reference(ring, placement, horizon, compute_fn=sim_engine.compute):
-    """Check that `run` equals the reference that steps every round: the
-    same events, sharing the same robots dicts, and a stop that the
-    reference bears out. Return the stop."""
-    ref_events, ref_config = reference_run(ring, placement, horizon, compute_fn)
-    trace, stop = run(ring, placement, horizon, compute_fn)
-    assert list(trace.events) == ref_events
-    assert shares(trace.events) == shares(ref_events)
-    running = any(not v.terminated for v in ref_config.vars.values())
-    if stop.reason == "cycle":
-        # From round start on, the stepped events repeat with the period.
-        assert running and len(ref_events) == horizon and stop.period >= 1
-        for ev in ref_events[stop.start + stop.period :]:
-            twin = ref_events[ev.round - stop.period]
-            assert (ev.robots, ev.snapshot) == (twin.robots, twin.snapshot)
-    else:
-        assert stop == Stop("horizon" if running else "all_terminated")
+def check_against_spec(ring, placement, horizon, compute_fn=None):
+    """Check that `run` equals the spec's run, which steps every round: the
+    same events, the robots dict handed on exactly when the records repeat,
+    and a stop that the spec bears out. Return the stop. With no compute_fn,
+    run computes with gdg_protocol's and the spec with its own."""
+    trace, stop = run(ring, placement, horizon, compute_fn or sim_engine.compute)
+    expected, last = spec.run(ring, placement, horizon, compute_fn or spec.compute)
+    events = expected.events
+    assert trace.events == events
+    assert spec.shares(trace.events) == [b.robots == a.robots for a, b in zip(events, events[1:])]
+    spec.check_stop(stop, expected, last)
     return stop
 
 
@@ -256,14 +181,14 @@ class TestBuildView:
         rng = random.Random(seed)
         ids = sorted(rng.sample(range(1, 65), 16))
         placement = {rid: rng.randrange(32) for rid in ids}
-        largest = check_views_against_reference(
+        largest = check_views_against_spec(
             generate(GeneratorSpec(dyn, 32, seed)), placement, horizon=300
         )
         assert largest == 16
 
     def test_views_equal_the_reference_on_a_stranded_run(self):
         # From round 12 on the records repeat, and the towers are regrouped.
-        assert check_views_against_reference(STRANDED_RING, STRANDED, horizon=40) == 3
+        assert check_views_against_spec(STRANDED_RING, STRANDED, horizon=40) == 3
 
 
 class TestStep:
@@ -371,7 +296,7 @@ class TestStep:
         events = trace.events
         # Consecutive events share their robots dict exactly when their
         # records are equal; from round 12 on only robot 4 waits at its gap.
-        shared = [b.robots is a.robots for a, b in zip(events, events[1:])]
+        shared = spec.shares(events)
         assert shared == [b.robots == a.robots for a, b in zip(events, events[1:])]
         assert shared.index(True) == 11 and all(shared[11:])
         config = initial_configuration(STRANDED, 4)
@@ -410,7 +335,7 @@ class TestStep:
         assert again.robots is not copied.robots
         assert again == interned
         assert all(map(operator.is_, again.robots.values(), interned.robots.values()))
-        assert again.towers == regroup(again)
+        assert again.towers == spec.towers(again)
 
     def test_towers_follow_vars_changed_under_equal_records(self):
         def count(view):
@@ -422,7 +347,7 @@ class TestStep:
         config = step(before, FULL, count)
         assert config.robots is before.robots
         assert config.towers != before.towers
-        assert config.towers == regroup(config)
+        assert config.towers == spec.towers(config)
         assert build_view(config, FULL, 1).mates == (config.vars[2],)
 
     @pytest.mark.parametrize("snap, prev_snap", [((1,) * 6, (1, 1, 1, 0)), (FULL, (1, 1, 1))])
@@ -463,13 +388,13 @@ class TestFixed:
     they cycle and copies the cycle, and must equal stepping every round."""
 
     def test_stranded_run_equals_the_reference(self):
-        stop = check_against_reference(STRANDED_RING, STRANDED, horizon=200)
+        stop = check_against_spec(STRANDED_RING, STRANDED, horizon=200)
         assert stop == Stop("cycle", 12, 1)
 
     def test_periodic_re_run_equals_the_reference(self):
         # The robots wait at the gap in rounds of eight distinct phases, so
         # no key repeats before they gather.
-        stop = check_against_reference(PERIODIC_RE_RING, STRANDED, horizon=400)
+        stop = check_against_spec(PERIODIC_RE_RING, STRANDED, horizon=400)
         assert stop == Stop("all_terminated")
 
     @pytest.mark.parametrize(
@@ -479,7 +404,7 @@ class TestFixed:
     )
     def test_duels_equal_the_reference(self, n, placement, r1, r2, cycle):
         source = adversary._Adversary(n, r1, r2, sim_engine.compute)
-        assert check_against_reference(source, placement, horizon=2000) == cycle
+        assert check_against_spec(source, placement, horizon=2000) == cycle
         res = adaptive_ac_adversary(n, len(placement), placement, r1, r2, 2000)
         assert (res.trace, res.stop) == run(source, placement, 2000, class_claim=AC)
 
@@ -492,7 +417,7 @@ class TestFixed:
         cycle = data.draw(st.lists(snapshot, min_size=1, max_size=3))
         placement = {rid: data.draw(st.integers(0, n - 1)) for rid in (1, 2, 3, 4)}
         ring = ring_of(n, prefix, cycle)
-        stop = check_against_reference(ring, placement, horizon=60)
+        stop = check_against_spec(ring, placement, horizon=60)
         # Only rounds of one phase share a key, and the first repeat comes
         # one cycle after its round.
         assert stop.reason != "cycle" or stop.period == len(cycle)
@@ -507,7 +432,7 @@ class TestFixed:
             return view.self_vars._replace(dir=RIGHT), "head"
 
         ring = ring_of(4, [], [A, A, C])
-        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 60, head_right)
+        stop = check_against_spec(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 60, head_right)
         assert stop == Stop("horizon")
 
     def test_the_round_after_the_prefix_is_not_taken_for_its_cycle_twin(self):
@@ -520,7 +445,7 @@ class TestFixed:
             return view.self_vars._replace(dir=dir), "follow"
 
         ring = ring_of(4, [GAP], [FULL])
-        stop = check_against_reference(ring, {1: 1, 2: 1, 3: 1, 4: 1}, 20, follow_last_round)
+        stop = check_against_spec(ring, {1: 1, 2: 1, 3: 1, 4: 1}, 20, follow_last_round)
         assert stop == Stop("horizon")
 
     def test_fixed_follows_changes_under_equal_records(self):
@@ -534,7 +459,7 @@ class TestFixed:
             return me._replace(dir=BOT, walk_steps=gaps, terminated=gaps == 3), "idle"
 
         ring = ring_of(4, [], [FULL, GAP])
-        stop = check_against_reference(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 40, park_and_count_gaps)
+        stop = check_against_spec(ring, {1: 0, 2: 0, 3: 0, 4: 0}, 40, park_and_count_gaps)
         assert stop == Stop("all_terminated")
 
 
@@ -596,6 +521,18 @@ class TestRun:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             run(static_ring(4), PLACEMENT, horizon=0)
+
+    @pytest.mark.parametrize(
+        "values, field",
+        [({"horizon": 3.5}, "horizon"), ({"horizon": True}, "horizon"), ({"seed": True}, "seed"),
+         ({"seed": 2.0}, "seed"), ({"class_claim": 7}, "class_claim")],
+        ids=["horizon-a-float", "horizon-a-bool", "seed-a-bool", "seed-a-float",
+             "class-an-int"],
+    )
+    def test_header_values_the_decoder_rejects_are_rejected(self, values, field):
+        # Each would write a trace header that trace_from_jsonl refuses.
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            run(static_ring(6), PLACEMENT, **{"horizon": 3, **values})
 
     def test_too_few_robots(self):
         with pytest.raises(ValueError):
@@ -665,7 +602,7 @@ class TestRun:
         for ev in trace.events[stepped:]:
             twin = trace.events[ev.round - period]
             assert ev.robots is twin.robots and ev.snapshot is twin.snapshot
-        check_against_reference(ring_of(4, [FULL], cycle), STRANDED, 60)
+        check_against_spec(ring_of(4, [FULL], cycle), STRANDED, 60)
 
     def test_permanent_gap_funnels_everyone(self):
         # e0 vanishes permanently after round 0. Rightbound robots pile up
@@ -745,7 +682,7 @@ class TestTraceSerialization:
         rules = {rec.rule for ev in trace.events for rec in ev.robots.values()}
         assert "terminated" in rules or rules == {"idle"}
         text = trace_to_jsonl(trace)
-        assert text == reference_jsonl(trace)
+        assert text == spec.jsonl(trace)
         assert trace_from_jsonl(text) == trace
 
     def test_unshared_equal_records(self):
@@ -755,7 +692,7 @@ class TestTraceSerialization:
             for t in range(6)
         ])
         text = trace_to_jsonl(trace)
-        assert text == reference_jsonl(trace)
+        assert text == spec.jsonl(trace)
         loaded = trace_from_jsonl(text)
         assert loaded == trace
         assert loaded.events[0].robots[2] is loaded.events[1].robots[1]
@@ -773,7 +710,7 @@ class TestTraceSerialization:
         trace = Trace(n=4, R=4, ids=(1, 2, 3, 4), class_claim="st", seed=2, horizon=3,
                       events=events)
         text = trace_to_jsonl(trace)
-        assert text == reference_jsonl(trace)
+        assert text == spec.jsonl(trace)
         assert '"robots":{"4":' in text.splitlines()[2]
         assert trace_from_jsonl(text) == trace
 
@@ -790,7 +727,7 @@ class TestTraceSerialization:
     def test_only_the_header_goes_through_json_dumps(self, monkeypatch, ring, placement,
                                                      compute_fn):
         trace, _ = run(ring, placement, horizon=40, compute_fn=compute_fn, seed=1)
-        expected = reference_jsonl(trace)
+        expected = spec.jsonl(trace)
         dumped = []
         dumps = json.dumps
 
@@ -814,10 +751,8 @@ class TestTraceSerialization:
         # Equal snapshots decode to one object too: the ring's two snapshots.
         assert len({id(ev.snapshot) for ev in loaded.events}) == 2
         # And consecutive events share a robots dict as the run's do.
-        def shares(t):
-            return [b.robots is a.robots for a, b in zip(t.events, t.events[1:])]
-
-        assert shares(loaded) == shares(trace) and any(shares(trace))
+        assert spec.shares(loaded.events) == spec.shares(trace.events)
+        assert any(spec.shares(trace.events))
 
     @pytest.mark.parametrize("order", [("robots", "snapshot", "round"),
                                        ("round", "robots", "snapshot")])
@@ -1006,11 +941,11 @@ def shared_traces(draw, records=RECORDS, snapshot_bits=SNAPSHOTS,
 @given(shared_traces())
 def test_encoder_tail_cache_equals_the_reference(trace):
     text = trace_to_jsonl(trace)
-    assert text == reference_jsonl(trace)
+    assert text == spec.jsonl(trace)
     assert trace_from_jsonl(text) == trace
 
 
 @settings(max_examples=300, deadline=None)
 @given(shared_traces(ODD_RECORDS))
 def test_encoder_equals_the_reference_on_odd_strings_and_positions(trace):
-    assert trace_to_jsonl(trace) == reference_jsonl(trace)
+    assert trace_to_jsonl(trace) == spec.jsonl(trace)
