@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gdg_protocol import (
-    MIN_STATES, MIN_WAITING_WALKER, RIGHT, RIGHTER, RIGHTWARD, WAITING_STATES, WAITING_WALKER,
+    ALL_STATES, MIN_STATES, MIN_WAITING_WALKER, RIGHT, RIGHTER, RIGHTWARD, WAITING_STATES,
+    WAITING_WALKER,
 )
 from .ring_model import AC, BRE, COT, RE, ST, DynClass, EvolvingRing
 from .sim_engine import Stop, Trace, run
@@ -148,6 +149,13 @@ def experiment(
 # Invariant monitors
 # ---------------------------------------------------------------------------
 
+# The no-reentry groups: righter, righter/potentialMin and the waiting states.
+_GROUPS = ((RIGHTER,), RIGHTWARD, WAITING_STATES)
+# Each state's groups, group i as bit 1 << i, so that the groups a robot has
+# left are one int and the ones it re-enters one AND.
+_REENTRY = {st: sum(1 << i for i, group in enumerate(_GROUPS) if st in group) for st in ALL_STATES}
+
+
 def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     """Check GDG execution invariants round by round; returns violations.
 
@@ -164,6 +172,11 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
 
     Each event is checked in one pass over its records, so a round lists its
     violations robot by robot in id order, in the order above, then tower-min.
+    A robot's left groups are one bitmask, which gains the groups of its
+    previous state that its current state is not in; re-entering k groups
+    at once, as a dumbSearcher that turns righter again does, is k
+    no-reentry violations. The states must be gdg_protocol's, as step and
+    trace_from_jsonl make them: another state raises a KeyError.
 
     An event whose robots dict is the previous event's repeats its round,
     and the monitors' state is a fixed point after one such repeat: no state
@@ -176,9 +189,7 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
     rmin = min(trace.ids)
     violations: list[tuple[str, int]] = []
     prev: dict[int, str] = {rid: RIGHTER for rid in trace.ids}
-    left_righter: set[int] = set()
-    left_rightward: set[int] = set()
-    left_waiting: set[int] = set()
+    left = dict.fromkeys(trace.ids, 0)  # per robot, the _REENTRY bits of the groups it left
     turned: set[int] = set()  # robots that have chosen a direction other than right
     tower_seen = False
     in_tower = False
@@ -208,17 +219,14 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
                 violations.append(("min-id", t))
             if was in MIN_STATES and st not in MIN_STATES:
                 violations.append(("min-closed", t))
-            if st == RIGHTER and rid in left_righter:
-                violations.append(("no-reentry", t))
-            rightward = st in RIGHTWARD
-            if rightward and rid in left_rightward:
-                violations.append(("no-reentry", t))
-            if st in WAITING_STATES and rid in left_waiting:
-                violations.append(("no-reentry", t))
+            groups = _REENTRY[st]
+            again = groups & left[rid]
+            if again:  # one violation per group re-entered
+                violations += [("no-reentry", t)] * again.bit_count()
 
             # A terminated robot has no Move phase, so no direction to choose.
             if rec.rule != "terminated":
-                if rightward and (rec.dir != RIGHT or rid in turned):
+                if st in RIGHTWARD and (rec.dir != RIGHT or rid in turned):
                     violations.append(("dir-right", t))
                 if rec.dir != RIGHT:
                     turned.add(rid)
@@ -232,12 +240,7 @@ def monitor_invariants(trace: Trace) -> list[tuple[str, int]]:
                     if not together or anchor.moved:
                         violations.append(("waiting-still", t))
 
-            if was == RIGHTER and st != RIGHTER:
-                left_righter.add(rid)
-            if was in RIGHTWARD and not rightward:
-                left_rightward.add(rid)
-            if was in WAITING_STATES and st not in WAITING_STATES:
-                left_waiting.add(rid)
+            left[rid] |= _REENTRY[was] & ~groups
             prev[rid] = st
 
         # A tower: the anchor plus R-3 waitingWalkers on its node.

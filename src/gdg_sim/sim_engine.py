@@ -33,8 +33,9 @@ that repeats the last:
   dict, and compares the vars by value to prove that a run cycles.
 - ``_termination_info`` skips the event, as it fires no rule anew.
 - ``monitor_invariants`` copies the violations of the event before.
-- ``trace_to_jsonl`` reuses the line tail it built for the same ``robots``
-  dict and snapshot object, and keys record and snapshot text by identity.
+- ``trace_to_jsonl`` reuses the robots text it built for the same
+  ``robots`` dict and the snapshot text it built for the same snapshot
+  object, which it keys by identity, and builds no line tail.
 """
 
 from __future__ import annotations
@@ -370,19 +371,22 @@ def _record_text(rec: RobotRecord) -> str:
 
 def trace_to_jsonl(trace: Trace) -> str:
     """Encode a trace. Each line equals json.dumps of the same dicts, with
-    separators (",", ":"), plus a newline, but is built as its round head
-    '{"round":t' and a cached tail ',"snapshot":[...],"robots":{...}}' and
-    all lines are joined once.
+    separators (",", ":"), plus a newline, but is built as three appends:
+    its round head '{"round":t', its snapshot's text ',"snapshot":[...],'
+    and its robots dict's text '"robots":{...}}\n', and all lines are
+    joined once.
 
-    The tail is built once per snapshot object in each stretch of events
-    that share one robots dict, and the cache starts again when the dict
-    changes, so a repeated round costs one lookup, one format and two appends. The
-    robots text is assembled from fragments that encode each distinct
-    record once per trace and each robot's id once. Snapshot text and
-    records are keyed by identity, which hashes faster than their fields:
-    the trace keeps every snapshot and record alive while it is encoded,
-    so no id is reused. Equal records from step or trace_from_jsonl are one
-    object; equal snapshots that are distinct objects are encoded apart.
+    The robots text is built once per stretch of events that share one
+    robots dict, from fragments that encode each distinct record once per
+    trace; each robot's key is built once, from trace.ids, so a robot whose
+    id is not in trace.ids raises a KeyError. The snapshot text is built
+    once per snapshot object and reused with no lookup while consecutive
+    events hold that object, so a repeated round costs one format and three
+    appends. Snapshot text and records are keyed by identity, which hashes
+    faster than their fields: the trace keeps every snapshot and record
+    alive while it is encoded, so no id is reused. Equal records from step
+    or trace_from_jsonl are one object; equal snapshots that are distinct
+    objects are encoded apart.
 
     Each value has one path, as it is exact where it enters a run:
     initial_configuration takes only int ids and nodes, EvolvingRing only
@@ -396,34 +400,28 @@ def trace_to_jsonl(trace: Trace) -> str:
     header = {key: getattr(trace, field) for key, field, _ in _HEADER}
     out = [json.dumps(header, separators=(",", ":")) + "\n"]
     append = out.append
-    snapshots: dict[int, str] = {}  # id(snapshot) -> its text
-    # '"rid":', the key of a robot's entry, by robot id.
-    keys: dict[int, str] = {}
+    keys = {rid: f'"{rid}":' for rid in trace.ids}  # the key of a robot's entry
     # A record's '{"pos":...}', by id(record). The body names no robot, so
     # robots sharing a record share it.
     bodies: dict[int, str] = {}
-    last, robots_text = None, ""
-    tails: dict[int, str] = {}  # id(snapshot) -> tail, for the robots dict `last`
+    snapshots: dict[int, str] = {}  # id(snapshot) -> its text
+    last = last_snap = None  # no event holds None, so the first builds both texts
     for t, robots, snap in trace.events:
         if robots is not last:
-            last, tails, parts = robots, {}, []
+            last, parts = robots, []
             for rid, rec in robots.items():
-                key = keys.get(rid)
-                if key is None:
-                    key = keys[rid] = f'"{rid}":'
                 body = bodies.get(id(rec))
                 if body is None:
                     body = bodies[id(rec)] = _record_text(rec)
-                parts.append(key + body)
-            robots_text = ",".join(parts)
-        tail = tails.get(id(snap))
-        if tail is None:
-            text = snapshots.get(id(snap))
-            if text is None:
-                text = snapshots[id(snap)] = str(list(snap)).replace(" ", "")
-            tail = tails[id(snap)] = ',"snapshot":%s,"robots":{%s}}\n' % (text, robots_text)
+                parts.append(keys[rid] + body)
+            robots_text = '"robots":{%s}}\n' % ",".join(parts)
+        if snap is not last_snap:
+            last_snap, snap_text = snap, snapshots.get(id(snap))
+            if snap_text is None:
+                snap_text = snapshots[id(snap)] = f',"snapshot":{list(snap)},'.replace(" ", "")
         append(f'{{"round":{t}')  # an f-string formats an int faster than %d
-        append(tail)
+        append(snap_text)
+        append(robots_text)
     return "".join(out)
 
 

@@ -714,6 +714,13 @@ class TestTraceSerialization:
         assert '"robots":{"4":' in text.splitlines()[2]
         assert trace_from_jsonl(text) == trace
 
+    def test_a_robot_outside_the_ids_is_not_encoded(self):
+        # The decoder refuses robot keys that are not the header's ids, so
+        # the encoder writes no line with one.
+        trace = trace_of([TraceEvent(0, {1: rec(0), 2: rec(1), 3: rec(2), 5: rec(3)}, FULL)])
+        with pytest.raises(KeyError):
+            trace_to_jsonl(trace)
+
     @pytest.mark.parametrize(
         "ring, placement, compute_fn",
         [
