@@ -12,8 +12,7 @@ the only ring built is the schedule it emits.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .ring_model import (
     AC,
@@ -37,8 +36,7 @@ CYCLE_BUDGET = 8
 PREFIX_BUDGET = 6
 
 
-@dataclass(frozen=True, slots=True)
-class GeneratorSpec:
+class GeneratorSpec(NamedTuple):
     dyn_class: DynClass
     n: int
     seed: int
@@ -114,8 +112,7 @@ def generate(spec: GeneratorSpec) -> EvolvingRing:
     return ring
 
 
-@dataclass(frozen=True, slots=True)
-class AdversaryResult:
+class AdversaryResult(NamedTuple):
     """ring is the emitted schedule, closed by the proven cycle: the emitted
     prefix plus that cycle, on which plain ``run`` repeats the duel forever.
     It is None unless stop.reason is "cycle": a horizon too short for the
@@ -144,8 +141,7 @@ def _edge_between(a: int, b: int, n: int) -> int:
     raise ValueError("nodes are not adjacent")
 
 
-@dataclass(frozen=True, slots=True)
-class _Adversary:
+class _Adversary(NamedTuple):
     n: int
     r1: int
     r2: int

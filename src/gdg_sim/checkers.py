@@ -14,7 +14,7 @@ implies G_EW.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .gdg_protocol import (
     ALL_STATES, MIN_STATES, MIN_WAITING_WALKER, RIGHT, RIGHTER, RIGHTWARD, WAITING_STATES,
@@ -31,8 +31,7 @@ AC_DEFAULTS = (16, 3, 12)
 BRE_DEFAULTS = (4, 3, 8)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundParams:
+class BoundParams(NamedTuple):
     dyn_class: DynClass
     n: int
     R: int
@@ -116,8 +115,7 @@ def check_variant(trace: Trace, horizon: int, bound: Optional[int] = None) -> Ve
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Experiment:
+class Experiment(NamedTuple):
     trace: Trace
     stop: Stop
     bound: Optional[int]

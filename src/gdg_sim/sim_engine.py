@@ -132,8 +132,7 @@ class TraceEvent(NamedTuple):
     snapshot: Snapshot
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
+class Trace(NamedTuple):
     n: int
     R: int
     ids: tuple[int, ...]

@@ -946,7 +946,7 @@ def shared_traces(draw, records=RECORDS, snapshot_bits=SNAPSHOTS,
 
 @settings(max_examples=200, deadline=None)
 @given(shared_traces())
-def test_encoder_tail_cache_equals_the_reference(trace):
+def test_encoder_text_caches_equal_the_reference(trace):
     text = trace_to_jsonl(trace)
     assert text == spec.jsonl(trace)
     assert trace_from_jsonl(text) == trace
